@@ -52,6 +52,7 @@ from .gravitating import (
 from .obstructions import (
     FutakiInput,
     StabilityReport,
+    abelian_futaki_closed_form,
     abelian_futaki_quadrature,
     balancing_condition,
     futaki_closed_form,

@@ -348,15 +348,3 @@ def classify_automorphisms(divisor: Divisor) -> AutVerdict:
         return AutVerdict(kind=KIND_TORUS, obstruction=False)
     return AutVerdict(kind=KIND_FINITE, obstruction=False)
 
-
-def single_zero_reason(config: HiggsConfig) -> str | None:
-    """Obstruction sentence when the abelian Higgs field has only one zero."""
-    if not config.is_abelian:
-        return None
-    verdict = classify_automorphisms(higgs_divisor(config))
-    if verdict.obstruction:
-        return (
-            "the Higgs field has only one zero, so the automorphism group is "
-            "non-reductive (C* x| C) and the coupled equations admit no solution"
-        )
-    return None

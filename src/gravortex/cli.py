@@ -9,6 +9,8 @@ traceable to the sign conventions that produced it.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import json
 import math
@@ -27,7 +29,7 @@ from .errors import (
     InfeasibleError,
     ObstructionError,
 )
-from .geometry import build_grid, round_metric, write_profile_csv
+from .geometry import build_grid, check_resolution, round_metric, write_profile_csv
 from .gravitating import (
     ContinuationSchedule,
     c_from_integral_identity,
@@ -38,6 +40,7 @@ from .gravitating import (
 )
 from .obstructions import (
     FutakiInput,
+    abelian_futaki_closed_form,
     abelian_futaki_quadrature,
     futaki_closed_form,
     futaki_quadrature,
@@ -90,6 +93,9 @@ class Numerics:
     tolerance: float = 1e-10
     max_iter: int = 50
     schedule: tuple[float, ...] | None = None
+
+    def newton(self) -> NewtonOptions:
+        return NewtonOptions(tolerance=self.tolerance, max_iter=self.max_iter)
 
 
 @dataclass
@@ -197,13 +203,10 @@ def parse_config(text: str) -> RunConfig:
         errors.append(f"unknown numerics key: {key!r}")
 
     n = numerics_raw.get("n", 129)
-    if not isinstance(n, int) or isinstance(n, bool):
-        errors.append("n must be an integer")
-    else:
-        if n % 2 == 0:
-            errors.append("n must be odd")
-        if not (33 <= n <= 4097):
-            errors.append("n must satisfy 33 <= n <= 4097")
+    try:
+        check_resolution(n)
+    except ConfigurationError as exc:
+        errors.append(str(exc))
     tolerance = numerics_raw.get("tolerance", 1e-10)
     if not isinstance(tolerance, (int, float)) or tolerance <= 0:
         errors.append("tolerance must be positive")
@@ -213,11 +216,9 @@ def parse_config(text: str) -> RunConfig:
     schedule = numerics_raw.get("schedule")
     if schedule is not None:
         try:
-            sched = tuple(float(a) for a in schedule)
-            if not sched or sched[0] != 0.0 or any(
-                b <= a for a, b in zip(sched, sched[1:])
-            ):
-                errors.append("schedule must be strictly increasing and start at 0")
+            ContinuationSchedule(alphas=schedule)
+        except ConfigurationError as exc:
+            errors.append(str(exc))
         except (TypeError, ValueError):
             errors.append("schedule must be a list of numbers")
             schedule = None
@@ -304,10 +305,7 @@ def _want(config: RunConfig, fmt: str) -> bool:
 def _run_solve_vortex(config: RunConfig, report: dict, outdir: str) -> int:
     higgs = _higgs_from_problem(config.problem)
     grid = build_grid(config.numerics.n)
-    options = NewtonOptions(
-        tolerance=config.numerics.tolerance, max_iter=config.numerics.max_iter
-    )
-    pot, solve_report = solve_vortex(grid, round_metric(grid), higgs, options)
+    pot, solve_report = solve_vortex(grid, round_metric(grid), higgs, config.numerics.newton())
     report["solver"] = solve_report.to_json_dict()
     if _want(config, "csv"):
         path = os.path.join(outdir, "vortex_v.csv")
@@ -324,9 +322,7 @@ def _run_solve_gravitating(config: RunConfig, report: dict, outdir: str) -> int:
     grid = build_grid(config.numerics.n)
     schedule = ContinuationSchedule(
         alphas=config.numerics.schedule or (0.0,),
-        newton=NewtonOptions(
-            tolerance=config.numerics.tolerance, max_iter=config.numerics.max_iter
-        ),
+        newton=config.numerics.newton(),
     )
     state, cont = solve_gravitating(
         higgs, schedule, grid, override_obstruction=config.override_obstruction
@@ -364,9 +360,7 @@ def _run_eb_solve(config: RunConfig, report: dict, outdir: str) -> int:
     result = einstein_bogomolnyi_solve(
         higgs,
         grid,
-        newton=NewtonOptions(
-            tolerance=config.numerics.tolerance, max_iter=config.numerics.max_iter
-        ),
+        newton=config.numerics.newton(),
         override_obstruction=config.override_obstruction,
     )
     report["einstein_bogomolnyi"] = result.to_json_dict()
@@ -385,30 +379,14 @@ def _run_futaki(config: RunConfig, report: dict, outdir: str) -> int:
     higgs = _higgs_from_problem(config.problem)
     # quadrature accuracy budget wants at least the reference resolution
     grid = build_grid(max(config.numerics.n, 257))
+    zeros = np.zeros(grid.n)
     if higgs.is_abelian:
-        value = abelian_futaki_quadrature(
-            grid, higgs, np.zeros(grid.n), np.zeros(grid.n)
-        )
-        report["futaki"] = {
-            "quadrature": value,
-            "closed_form": None,
-            "resolution": grid.n,
-        }
+        quad = abelian_futaki_quadrature(grid, higgs, zeros, zeros)
+        closed = abelian_futaki_closed_form(higgs)
     else:
-        quad = futaki_quadrature(
-            grid,
-            FutakiInput(
-                config=higgs,
-                u=np.zeros(grid.n),
-                v1=np.zeros(grid.n),
-                v2=np.zeros(grid.n),
-            ),
-        )
-        report["futaki"] = {
-            "quadrature": quad,
-            "closed_form": futaki_closed_form(higgs),
-            "resolution": grid.n,
-        }
+        quad = futaki_quadrature(grid, FutakiInput(config=higgs, u=zeros, v1=zeros, v2=zeros))
+        closed = futaki_closed_form(higgs)
+    report["futaki"] = {"quadrature": quad, "closed_form": closed, "resolution": grid.n}
     return EXIT_OK
 
 
@@ -472,18 +450,16 @@ def _run_sweep(config: RunConfig, report: dict, outdir: str) -> int:
     report["sweep"] = {"rows": rows, "parameters": keys}
     if _want(config, "csv") and rows:
         columns = list(rows[0].keys())
-        lines = [",".join(columns)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
         for row in rows:
-            rendered = []
-            for col in columns:
-                val = row[col]
-                if isinstance(val, float):
-                    rendered.append(f"{val:.17g}")
-                else:
-                    rendered.append(str(val))
-            lines.append(",".join(rendered))
+            writer.writerow(
+                f"{row[col]:.17g}" if isinstance(row[col], float) else str(row[col])
+                for col in columns
+            )
         path = os.path.join(outdir, "sweep_summary.csv")
-        reporting.atomic_write_text(path, "\n".join(lines) + "\n")
+        reporting.atomic_write_text(path, buf.getvalue())
         report["outputs"].append(path)
     return EXIT_OK
 
@@ -581,8 +557,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         config.output.directory = args.out
     if args.resolution:
-        if args.resolution % 2 == 0 or not (33 <= args.resolution <= 4097):
-            print("error: --resolution must be odd in [33, 4097]", file=sys.stderr)
+        try:
+            check_resolution(args.resolution)
+        except ConfigurationError as exc:
+            print(f"error: --resolution: {exc}", file=sys.stderr)
             return EXIT_USAGE
         config.numerics.n = args.resolution
     config.override_obstruction = args.override_obstruction

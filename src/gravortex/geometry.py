@@ -43,15 +43,14 @@ def _check_finite(f: np.ndarray, name: str) -> None:
 class AxisymGrid:
     """Chebyshev--Gauss--Lobatto collocation grid on s in [-1, 1].
 
-    ``d1`` differentiates the degree n-1 interpolant exactly; ``d2`` is the
-    composition d1 @ d1.  ``weights`` are Clenshaw--Curtis weights matched
-    to the nodes (exact for polynomials of degree <= n-1, summing to 2).
+    ``d1`` differentiates the degree n-1 interpolant exactly.  ``weights``
+    are Clenshaw--Curtis weights matched to the nodes (exact for polynomials
+    of degree <= n-1, summing to 2).
     """
 
     n: int
     nodes: np.ndarray
     d1: np.ndarray
-    d2: np.ndarray
     weights: np.ndarray
     bary: np.ndarray = field(repr=False)  # barycentric weights of the node set
 
@@ -69,21 +68,28 @@ class AxisymGrid:
         return barycentric_interpolate(self.nodes, self.bary, values, targets)
 
 
-def build_grid(n: int) -> AxisymGrid:
-    """Build the collocation grid, derivative operators and quadrature weights.
+def check_resolution(n) -> None:
+    """Raise ConfigurationError unless n is an odd integer in [33, 4097].
 
-    Deterministic for fixed n.  Raises ConfigurationError unless n is an odd
-    integer with 33 <= n <= 4097 (odd keeps s = 0 on the grid, which parity
-    arguments rely on).
+    Odd keeps s = 0 on the grid, which parity arguments rely on.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ConfigurationError(f"node count must be an integer, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ConfigurationError(f"node count n must be an integer, got {n!r}")
     if n % 2 == 0:
-        raise ConfigurationError(f"node count must be odd, got n={n}")
+        raise ConfigurationError(f"node count n must be odd, got n={n}")
     if not (MIN_NODES <= n <= MAX_NODES):
         raise ConfigurationError(
-            f"node count must satisfy {MIN_NODES} <= n <= {MAX_NODES}, got n={n}"
+            f"node count n must satisfy {MIN_NODES} <= n <= {MAX_NODES}, got n={n}"
         )
+
+
+def build_grid(n: int) -> AxisymGrid:
+    """Build the collocation grid, derivative operator and quadrature weights.
+
+    Deterministic for fixed n; the resolution is validated by
+    :func:`check_resolution`.
+    """
+    check_resolution(n)
     m = n - 1
     j = np.arange(n)
     # sin form keeps the node set exactly symmetric in floating point
@@ -111,7 +117,7 @@ def build_grid(n: int) -> AxisymGrid:
         c = 1.0 if i in (0, m) else 2.0
         weights[i] = c * math.fsum([1.0, *terms[i].tolist()]) / m
 
-    return AxisymGrid(n=n, nodes=s, d1=d1, d2=d1 @ d1, weights=weights, bary=bary)
+    return AxisymGrid(n=n, nodes=s, d1=d1, weights=weights, bary=bary)
 
 
 def barycentric_interpolate(

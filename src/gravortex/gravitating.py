@@ -19,9 +19,10 @@ Reports carry both predictions and never silently reconcile them.
 Symmetric configurations (2l = N) are solved on the even-parity subspace:
 the sphere's dilation automorphisms generate an odd null direction of the
 coupled linearization (a one-parameter family of pulled-back solutions),
-and parity reduction removes it exactly.  Asymmetric two-point
-configurations keep the full-space iteration and report honestly if it
-stalls on that gauge degeneracy.
+and parity reduction removes it exactly.  Asymmetric two-zero monomials
+(2l != N) have no solution at alpha > 0: their Futaki character
+2 pi alpha (2N - tau)(2l - N) is nonzero, so the solver refuses them like
+single-zero fields unless the obstruction is overridden.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import HiggsConfig, higgs_profile, single_zero_reason
+from .bundles import HiggsConfig, higgs_profile
 from .errors import ConfigurationError, ObstructionError
 from .geometry import (
     AxisymGrid,
@@ -42,12 +43,15 @@ from .geometry import (
     scalar_curvature,
     volume,
 )
+from .obstructions import abelian_coupled_obstructions, moment_map_form
 from .vortex import (
     BundleMetricPotential,
     NewtonOptions,
     SolveReport,
     bundle_curvature,
     check_vortex_window,
+    damped_newton,
+    vortex_equation,
     vortex_residual,
 )
 
@@ -125,20 +129,41 @@ class ContinuationReport:
         )
 
 
+def metric_equation(
+    s_field: np.ndarray,
+    alpha: float,
+    lap_phi_sq: np.ndarray,
+    phi_sq: np.ndarray,
+    tau: float,
+    c: float,
+) -> np.ndarray:
+    """R2 = S_omega + alpha (Delta_omega |phi|^2_H + tau (|phi|^2_H - tau)) - c.
+
+    ``lap_phi_sq`` is the applied term Delta_omega |phi|^2_H; the Laplacian
+    of the constant -tau is dropped exactly, not numerically.
+    """
+    return s_field + alpha * (lap_phi_sq + tau * (phi_sq - tau)) - c
+
+
+def volume_row(grid: AxisymGrid, u: np.ndarray) -> float:
+    """Volume normalization: integral exp(2u) omega_FS - 2 pi, summed exactly."""
+    return math.fsum((np.pi * grid.weights * np.exp(2.0 * u)).tolist()) - ROUND_VOLUME
+
+
 def gravitating_residual(
     grid: AxisymGrid, state: GravitatingState, config: HiggsConfig
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(R1, R2, c_est) at the given state; R2 has zero omega-mean by construction."""
     config.require_abelian("gravitating_residual")
     r1 = vortex_residual(grid, state.metric, state.bundle, config)
-    profile = higgs_profile(grid, config, 0)
-    tau = float(config.tau)
-    alpha = float(state.alpha)
-    phi_sq = np.exp(2.0 * state.bundle.v) * profile
-    curv = scalar_curvature(grid, state.metric)
-    # Delta of the constant -tau is dropped exactly, not numerically
-    full = curv.s_field + alpha * (
-        laplacian(grid, state.metric, phi_sq) + tau * (phi_sq - tau)
+    phi_sq = np.exp(2.0 * state.bundle.v) * higgs_profile(grid, config, 0)
+    full = metric_equation(
+        scalar_curvature(grid, state.metric).s_field,
+        float(state.alpha),
+        laplacian(grid, state.metric, phi_sq),
+        phi_sq,
+        float(config.tau),
+        0.0,
     )
     c_est = integrate(grid, state.metric, full) / volume(grid, state.metric)
     return r1, full - c_est, c_est
@@ -182,40 +207,6 @@ def c_predictions(config: HiggsConfig, alpha: float) -> dict:
     }
 
 
-class _ParityBasis:
-    """Embedding of even grid functions; identity when symmetry is off."""
-
-    def __init__(self, grid: AxisymGrid, even: bool):
-        n = grid.n
-        self.even = even
-        if not even:
-            self.dim = n
-            self.prolong = np.eye(n)
-            self.restrict = np.eye(n)
-            return
-        half = (n + 1) // 2
-        self.dim = half
-        prolong = np.zeros((n, half))
-        for i in range(n):
-            prolong[i, max(i, n - 1 - i) - (half - 1)] = 1.0
-        restrict = np.zeros((half, n))
-        for j in range(half):
-            i = j + half - 1
-            mirror = n - 1 - i
-            if i == mirror:
-                restrict[j, i] = 1.0
-            else:
-                restrict[j, i] = 0.5
-                restrict[j, mirror] = 0.5
-        self.prolong = prolong
-        self.restrict = restrict
-
-
-def _is_symmetric(config: HiggsConfig) -> bool:
-    ell = config.exponents[0]
-    return ell is not None and 2 * ell == config.degrees[0]
-
-
 _DEFLATION_DIM_LIMIT = 1200
 _SINGULAR_RATIO = 1e-8
 
@@ -248,95 +239,86 @@ def _gauge_aware_step(jr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(bordered, np.concatenate([rhs, [0.0]]))[:m]
 
 
-def _coupled_newton(
-    grid: AxisymGrid,
-    config: HiggsConfig,
-    alpha: float,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    c0: float,
-    opts: NewtonOptions,
-    symmetric: bool,
-):
-    """Damped Newton on (u, v, c) with the volume row; optional parity reduction."""
-    n = grid.n
-    lap = grid.lap_fs
-    w = grid.weights
-    profile = higgs_profile(grid, config, 0)
-    tau = float(config.tau)
-    n_deg = config.degrees[0]
-    basis = _ParityBasis(grid, symmetric)
-    em, re = basis.prolong, basis.restrict
-    dim = basis.dim
+class _CoupledSystem:
+    """R1, R2 and the volume row as a map of x = (u, v, c), and its Jacobian.
 
-    def full_residual(u, v, c):
+    With ``symmetric`` the unknowns are the even-parity reduction of x:
+    reduced entry j of u (and of v) stands for the mirror pair of grid
+    indices (mid + j, mid - j).  ``top`` and ``bottom`` list the pair of
+    every reduced entry (the middle node and c pair with themselves).
+    Restriction averages a pair, ``expand`` copies a reduced vector back to
+    the grid, and the reduced Jacobian averages the paired rows and sums the
+    paired columns.
+    """
+
+    def __init__(self, grid: AxisymGrid, config: HiggsConfig, alpha: float, symmetric: bool):
+        n = self.n = grid.n
+        self.grid, self.alpha, self.symmetric = grid, alpha, symmetric
+        self.profile = higgs_profile(grid, config, 0)
+        self.tau = float(config.tau)
+        self.n_deg = config.degrees[0]
+        if symmetric:
+            mid = n // 2
+            half = np.arange(mid, n)
+            self.top = np.concatenate([half, n + half, [2 * n]])
+            self.bottom = np.concatenate([n - 1 - half, 2 * n - 1 - half, [2 * n]])
+            mirror = np.abs(np.arange(n) - mid)
+            self.expand = np.concatenate([mirror, mid + 1 + mirror, [2 * mid + 2]])
+        else:
+            self.top = self.bottom = self.expand = np.arange(2 * n + 1)
+
+    def restrict(self, z: np.ndarray) -> np.ndarray:
+        return 0.5 * (z[self.top] + z[self.bottom])
+
+    def unpack(self, x: np.ndarray):
+        z = x[self.expand]
+        return z[: self.n], z[self.n : 2 * self.n], z[2 * self.n]
+
+    def equations(self, x: np.ndarray):
+        """(R1, R2, volume row) on the full grid, and the terms the Jacobian reuses."""
+        u, v, c = self.unpack(x)
+        lap = self.grid.lap_fs
         emu = np.exp(-2.0 * u)
-        phih = np.exp(2.0 * v) * profile
+        phih = np.exp(2.0 * v) * self.profile
         s_field = emu * (4.0 + 2.0 * (lap @ u))
-        r1 = n_deg * emu + emu * (lap @ v) + 0.5 * (phih - tau)
-        r2 = s_field + alpha * (emu * (lap @ phih) + tau * (phih - tau)) - c
-        r3 = math.fsum((np.pi * w * np.exp(2.0 * u)).tolist()) - ROUND_VOLUME
-        return r1, r2, r3
+        curv = self.n_deg * emu + emu * (lap @ v)
+        lap_phih = emu * (lap @ phih)
+        r1 = vortex_equation(curv, phih, self.tau)
+        r2 = metric_equation(s_field, self.alpha, lap_phih, phih, self.tau, c)
+        return (r1, r2, volume_row(self.grid, u)), (u, emu, phih, s_field, curv, lap_phih)
 
-    def unpack(x):
-        return em @ x[:dim], em @ x[dim : 2 * dim], x[2 * dim]
-
-    def sup_norm(x):
-        r1, r2, r3 = full_residual(*unpack(x))
+    def sup_norm(self, x: np.ndarray) -> float:
+        r1, r2, r3 = self.equations(x)[0]
         return max(float(np.abs(r1).max()), float(np.abs(r2).max()), abs(r3))
 
-    x = np.concatenate([re @ u0, re @ v0, [c0]])
-    history = [sup_norm(x)]
-    converged = history[-1] < opts.tolerance
-    iterations = 0
-    while not converged and iterations < opts.max_iter:
-        u, v, c = unpack(x)
-        emu = np.exp(-2.0 * u)
-        phih = np.exp(2.0 * v) * profile
-        s_field = emu * (4.0 + 2.0 * (lap @ u))
-        r1, r2, r3 = full_residual(u, v, c)
+    def linearization(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobian and negated residual of the (reduced) system at x."""
+        n, alpha, diag = self.n, self.alpha, np.arange(self.n)
+        (r1, r2, r3), (u, emu, phih, s_field, curv, lap_phih) = self.equations(x)
+        scaled = emu[:, None] * self.grid.lap_fs
+        dphi = 2.0 * phih
         jac = np.zeros((2 * n + 1, 2 * n + 1))
-        jac[:n, :n] = np.diag(-2.0 * (n_deg * emu + emu * (lap @ v)))
-        jac[:n, n : 2 * n] = emu[:, None] * lap + np.diag(phih)
-        jac[n : 2 * n, :n] = (
-            np.diag(-2.0 * s_field)
-            + 2.0 * emu[:, None] * lap
-            - 2.0 * alpha * np.diag(emu * (lap @ phih))
-        )
-        jac[n : 2 * n, n : 2 * n] = alpha * (
-            (emu[:, None] * lap) @ np.diag(2.0 * phih) + tau * np.diag(2.0 * phih)
-        )
+        jac[diag, diag] = -2.0 * curv
+        jac[:n, n : 2 * n] = scaled
+        jac[diag, n + diag] += phih
+        jac[n : 2 * n, :n] = 2.0 * scaled
+        jac[n + diag, diag] = (-2.0 * s_field + jac[n + diag, diag]) - 2.0 * alpha * lap_phih
+        j22 = scaled * dphi
+        j22[diag, diag] += self.tau * dphi
+        jac[n : 2 * n, n : 2 * n] = alpha * j22
         jac[n : 2 * n, 2 * n] = -1.0
-        jac[2 * n, :n] = 2.0 * np.pi * w * np.exp(2.0 * u)
+        jac[2 * n, :n] = 2.0 * np.pi * self.grid.weights * np.exp(2.0 * u)
+        if self.symmetric:
+            rows = jac[self.top]
+            rows += jac[self.bottom]
+            rows *= 0.5
+            jac = rows[:, self.top]
+            paired = self.top != self.bottom
+            jac[:, paired] += rows[:, self.bottom[paired]]
+        return jac, -self.restrict(np.concatenate([r1, r2, [r3]]))
 
-        jr = np.zeros((2 * dim + 1, 2 * dim + 1))
-        jr[:dim, :dim] = re @ jac[:n, :n] @ em
-        jr[:dim, dim : 2 * dim] = re @ jac[:n, n : 2 * n] @ em
-        jr[dim : 2 * dim, :dim] = re @ jac[n : 2 * n, :n] @ em
-        jr[dim : 2 * dim, dim : 2 * dim] = re @ jac[n : 2 * n, n : 2 * n] @ em
-        jr[dim : 2 * dim, 2 * dim] = -1.0
-        jr[2 * dim, :dim] = jac[2 * n, :n] @ em
-        rhs = -np.concatenate([re @ r1, re @ r2, [r3]])
-        step = _gauge_aware_step(jr, rhs)
-
-        current = history[-1]
-        lam, improved = 1.0, False
-        for _ in range(opts.max_halvings):
-            trial = x + lam * step
-            trial_sup = sup_norm(trial)
-            if trial_sup < current:
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-        x = trial
-        iterations += 1
-        history.append(trial_sup)
-        converged = trial_sup < opts.tolerance
-
-    u, v, c = unpack(x)
-    return u, v, float(c), history, converged, iterations
+    def newton_step(self, x: np.ndarray) -> np.ndarray:
+        return _gauge_aware_step(*self.linearization(x))
 
 
 def solve_gravitating(
@@ -348,19 +330,17 @@ def solve_gravitating(
 ) -> tuple[GravitatingState, ContinuationReport]:
     """Natural continuation in the coupling, seeding each step with the last.
 
-    Refuses single-zero configurations (non-reductive automorphism group)
-    unless explicitly overridden; the override exists because numerical
-    divergence is not a theorem and must not be asserted as one.  Failure
-    at any alpha returns the last converged state with converged=False.
+    Refuses configurations with a coupled obstruction at the largest
+    scheduled coupling (a single-zero Higgs field, or a nonzero Futaki
+    character) unless explicitly overridden; the override exists because
+    numerical divergence is not a theorem and must not be asserted as one.
+    Failure at any alpha returns the last converged state with
+    converged=False.
     """
     config.require_abelian("solve_gravitating")
     check_vortex_window(config)
-    reason = single_zero_reason(config)
-    if reason is not None and not override_obstruction:
-        raise ObstructionError(
-            "refusing to run the coupled solver: " + reason, reasons=[reason]
-        )
-    symmetric = _is_symmetric(config)
+    _refuse_obstructed(config, schedule.alphas[-1], override_obstruction)
+    symmetric = 2 * config.exponents[0] == config.degrees[0]
     if initial is not None:
         u = initial.metric.u.copy()
         v = initial.bundle.v.copy()
@@ -369,40 +349,47 @@ def solve_gravitating(
         u, v, c = np.zeros(grid.n), np.zeros(grid.n), CONVENTION_C_COEFF
 
     steps: list[ContinuationStep] = []
-    best = (u.copy(), v.copy(), c, 0.0)
-    all_converged = True
+    alpha_fin = 0.0
     for alpha in schedule.alphas:
-        u_new, v_new, c_new, history, ok, iters = _coupled_newton(
-            grid, config, alpha, u, v, c, schedule.newton, symmetric
+        system = _CoupledSystem(grid, config, alpha, symmetric)
+        x, history, ok, iters = damped_newton(
+            system.restrict(np.concatenate([u, v, [c]])),
+            system.sup_norm,
+            system.newton_step,
+            schedule.newton,
         )
+        u_new, v_new, c_new = system.unpack(x)
         steps.append(
             ContinuationStep(
                 alpha=alpha,
                 converged=ok,
                 iterations=iters,
                 residual_sup=history[-1],
-                c_est=c_new,
+                c_est=float(c_new),
                 u=u_new.copy() if ok else None,
                 v=v_new.copy() if ok else None,
             )
         )
         if not ok:
-            all_converged = False
             break
-        u, v, c = u_new, v_new, c_new
-        best = (u.copy(), v.copy(), c, alpha)
+        u, v, c, alpha_fin = u_new, v_new, float(c_new), alpha
 
-    u_fin, v_fin, c_fin, alpha_fin = best
     state = GravitatingState(
-        metric=ConformalMetric(u=u_fin),
-        bundle=BundleMetricPotential(v=v_fin),
-        c_value=c_fin,
+        metric=ConformalMetric(u=u),
+        bundle=BundleMetricPotential(v=v),
+        c_value=c,
         alpha=alpha_fin,
     )
-    report = ContinuationReport(
-        converged=all_converged, steps=steps, resolution=grid.n
-    )
+    report = ContinuationReport(converged=steps[-1].converged, steps=steps, resolution=grid.n)
     return state, report
+
+
+def _refuse_obstructed(config: HiggsConfig, alpha: float, override: bool) -> None:
+    reasons = abelian_coupled_obstructions(config, alpha)
+    if reasons and not override:
+        raise ObstructionError(
+            "refusing to run the coupled solver: " + "; ".join(reasons), reasons=reasons
+        )
 
 
 def _schedule_to(alpha_target: float, step_cap: float = 0.05) -> tuple[float, ...]:
@@ -481,63 +468,42 @@ def einstein_bogomolnyi_solve(
         return result
 
     a0 = 0.0
-    state0, c0, ok0 = c_at(a0)
     a1 = alpha_first_guess if alpha_first_guess is not None else min(0.1, 1.0 / tau_n)
+    _refuse_obstructed(config, a1, override_obstruction)
+    state0, c0, ok0 = c_at(a0)
     state1, c1, ok1 = c_at(a1)
     history = [(a0, c0), (a1, c1)]
+    best = (state1 if ok1 else state0, a1, c1)
+    endpoints = None  # the bracketing c values of a failed search
     if not (ok0 and ok1):
-        return EinsteinBogomolnyiResult(
-            state=state1 if ok1 else state0,
-            alpha_star=a1,
-            c_value=c1,
-            alpha_tau_N=a1 * tau_n,
-            predictions=c_predictions(config, a1),
-            converged=False,
-            secant_history=history,
-            endpoint_c_values=(c0, c1),
-        )
-    best_state, best_alpha, best_c = state1, a1, c1
-    for _ in range(max_secant_iter):
-        if abs(best_c) <= c_tolerance:
-            break
-        if c1 == c0:
-            return EinsteinBogomolnyiResult(
-                state=best_state,
-                alpha_star=best_alpha,
-                c_value=best_c,
-                alpha_tau_N=best_alpha * tau_n,
-                predictions=c_predictions(config, best_alpha),
-                converged=False,
-                secant_history=history,
-                endpoint_c_values=(c0, c1),
-            )
-        a2 = a1 - c1 * (a1 - a0) / (c1 - c0)
-        if a2 <= 0.0:
-            a2 = 0.5 * a1
-        state2, c2, ok2 = c_at(a2)
-        history.append((a2, c2))
-        if not ok2:
-            return EinsteinBogomolnyiResult(
-                state=best_state,
-                alpha_star=best_alpha,
-                c_value=best_c,
-                alpha_tau_N=best_alpha * tau_n,
-                predictions=c_predictions(config, best_alpha),
-                converged=False,
-                secant_history=history,
-                endpoint_c_values=(c1, c2),
-            )
-        a0, c0, a1, c1 = a1, c1, a2, c2
-        best_state, best_alpha, best_c = state2, a2, c2
-    converged = abs(best_c) <= c_tolerance
+        endpoints = (c0, c1)
+    else:
+        for _ in range(max_secant_iter):
+            if abs(best[2]) <= c_tolerance:
+                break
+            if c1 == c0:
+                endpoints = (c0, c1)
+                break
+            a2 = a1 - c1 * (a1 - a0) / (c1 - c0)
+            if a2 <= 0.0:
+                a2 = 0.5 * a1
+            state2, c2, ok2 = c_at(a2)
+            history.append((a2, c2))
+            if not ok2:
+                endpoints = (c1, c2)
+                break
+            a0, c0, a1, c1 = a1, c1, a2, c2
+            best = (state2, a2, c2)
+    state, alpha_star, c_value = best
     return EinsteinBogomolnyiResult(
-        state=best_state,
-        alpha_star=best_alpha,
-        c_value=best_c,
-        alpha_tau_N=best_alpha * tau_n,
-        predictions=c_predictions(config, best_alpha),
-        converged=converged,
+        state=state,
+        alpha_star=alpha_star,
+        c_value=c_value,
+        alpha_tau_N=alpha_star * tau_n,
+        predictions=c_predictions(config, alpha_star),
+        converged=endpoints is None and abs(c_value) <= c_tolerance,
         secant_history=history,
+        endpoint_c_values=endpoints,
     )
 
 
@@ -546,9 +512,10 @@ def general_coupled_residual(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals in the general coupled form, for cross-checking.
 
-    The first equation is assembled through the circle-action moment map on
-    the fiber, m = -(i/2)|phi|^2_H with central constant z = -i tau/2 after
-    normalizing the couplings to be equal:
+    The first equation, assembled through the circle-action moment map on
+    the fiber (m = -(i/2)|phi|^2_H, central constant z = -i tau/2 after
+    normalizing the couplings to be equal), is i(Lambda F + m - z) = R1.
+    The second is the moment-map form G of the curvature equation:
 
         R1' = i Lambda_omega F_H + (1/2)(|phi|^2_H - tau)  (= R1 exactly),
         R2' = S_omega + alpha Delta_omega |phi|^2_H
@@ -560,18 +527,14 @@ def general_coupled_residual(
     """
     config.require_abelian("general_coupled_residual")
     tau = float(config.tau)
-    alpha = float(state.alpha)
-    profile = higgs_profile(grid, config, 0)
-    phi_sq = np.exp(2.0 * state.bundle.v) * profile
-    moment_imag = -0.5 * phi_sq  # imaginary part of the fiberwise moment map
+    phi_sq = np.exp(2.0 * state.bundle.v) * higgs_profile(grid, config, 0)
     curv = bundle_curvature(grid, state.metric, config.degrees[0], state.bundle.v)
-    z_imag = -0.5 * tau
-    r1p = curv - (moment_imag - z_imag)  # i(Lambda F + m - z) on u(1)
-    s_field = scalar_curvature(grid, state.metric).s_field
-    full = (
-        s_field
-        + alpha * laplacian(grid, state.metric, phi_sq)
-        - 2.0 * alpha * tau * curv
+    full = moment_map_form(
+        scalar_curvature(grid, state.metric).s_field,
+        float(state.alpha),
+        laplacian(grid, state.metric, phi_sq),
+        tau,
+        curv,
     )
     mean = integrate(grid, state.metric, full) / volume(grid, state.metric)
-    return r1p, full - mean
+    return vortex_equation(curv, phi_sq, tau), full - mean

@@ -52,7 +52,7 @@ from .geometry import (
     scalar_curvature,
     volume,
 )
-from .vortex import bundle_curvature
+from .vortex import bundle_curvature, vortex_equation
 
 VOLUME_TOLERANCE = 1e-8
 
@@ -68,6 +68,47 @@ def futaki_closed_form(config: HiggsConfig) -> float:
     for n_deg, ell in zip(config.degrees, config.exponents):
         total += (2.0 * n_deg - tau) * (2.0 * ell - n_deg)
     return 2.0 * math.pi * alpha * total
+
+
+def abelian_futaki_closed_form(config: HiggsConfig) -> float:
+    """Imaginary part of the Futaki character of an abelian monomial.
+
+    2 pi alpha (2N - tau)(2l - N); it vanishes at alpha = 0 and for the
+    symmetric exponent 2l = N.
+    """
+    return 2.0 * math.pi * float(config.alpha) * float(_abelian_futaki_exact(config))
+
+
+def _abelian_futaki_exact(config: HiggsConfig) -> Fraction:
+    """(2N - tau)(2l - N): the abelian closed form divided by 2 pi alpha."""
+    config.require_abelian("abelian_futaki_closed_form")
+    n_deg, ell = config.degrees[0], config.exponents[0]
+    if ell is None:
+        raise ConfigurationError("closed form requires a nonzero Higgs component")
+    return (2 * n_deg - config.tau_fraction) * (2 * ell - n_deg)
+
+
+def abelian_coupled_obstructions(config: HiggsConfig, alpha: float) -> list[str]:
+    """Reasons the abelian coupled equations at coupling alpha have no solution.
+
+    A single-zero Higgs field has a non-reductive automorphism group at every
+    coupling; at alpha > 0 a nonzero Futaki character obstructs as well.
+    Both are decided in exact arithmetic.
+    """
+    reasons = []
+    if classify_automorphisms(higgs_divisor(config)).obstruction:
+        reasons.append(
+            "the Higgs field has only one zero, so the automorphism group is "
+            "non-reductive (C* x| C) and the coupled equations admit no solution"
+        )
+    futaki = _abelian_futaki_exact(config)
+    if alpha > 0 and futaki != 0:
+        reasons.append(
+            "the Futaki character 2 pi alpha (2N - tau)(2l - N) = "
+            f"2 pi alpha ({futaki}) is nonzero at alpha={alpha}, so the coupled "
+            "equations admit no solution"
+        )
+    return reasons
 
 
 def futaki_closed_form_exact(
@@ -97,6 +138,20 @@ def _require_normalized(grid: AxisymGrid, metric: ConformalMetric) -> None:
         )
 
 
+def moment_map_form(
+    s_field: np.ndarray,
+    alpha: float,
+    lap_phi_sq: np.ndarray,
+    tau: float,
+    curv_trace: np.ndarray,
+) -> np.ndarray:
+    """G = S_omega + alpha Delta_omega |phi|^2_H - 2 alpha tau Tr(i Lambda F_H).
+
+    ``lap_phi_sq`` is the applied term Delta_omega |phi|^2_H.
+    """
+    return s_field + alpha * lap_phi_sq - 2.0 * alpha * tau * curv_trace
+
+
 def _futaki_quadrature_terms(
     grid: AxisymGrid,
     metric: ConformalMetric,
@@ -117,16 +172,18 @@ def _futaki_quadrature_terms(
         profile = higgs_profile(grid, config, j)
         phi_sq = np.exp(2.0 * vj) * profile
         curv = bundle_curvature(grid, metric, n_deg, vj)
-        m_j = curv + 0.5 * phi_sq - 0.5 * tau
+        m_j = vortex_equation(curv, phi_sq, tau)
         psi_j = ell - n_deg * (1.0 + s) / 2.0 + (1.0 - s * s) * (grid.d1 @ vj)
         pairing_sum += psi_j * m_j
         curv_trace += curv
         phi_sq_total += phi_sq
 
-    g_field = (
-        scalar_curvature(grid, metric).s_field
-        + alpha * laplacian(grid, metric, phi_sq_total)
-        - 2.0 * alpha * tau * curv_trace
+    g_field = moment_map_form(
+        scalar_curvature(grid, metric).s_field,
+        alpha,
+        laplacian(grid, metric, phi_sq_total),
+        tau,
+        curv_trace,
     )
     return 4.0 * alpha * integrate(grid, metric, pairing_sum) - integrate(
         grid, metric, ham * g_field
@@ -205,7 +262,6 @@ class StabilityReport:
     futaki_value: float | None = None
     matsushima: AutVerdict | None = None
     saturation_degree: int | None = None
-    candidate_set_complete: bool = True
     obstructed: bool = False
     verdict: str = ""
     reasons: list[str] = field(default_factory=list)
@@ -227,7 +283,6 @@ class StabilityReport:
                 else None
             ),
             "saturation_degree": self.saturation_degree,
-            "candidate_set_complete": self.candidate_set_complete,
             "obstructed": self.obstructed,
             "verdict": self.verdict,
             "reasons": list(self.reasons),
@@ -290,16 +345,15 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
             )
         if config.exponents[0] is not None:
             report.matsushima = classify_automorphisms(higgs_divisor(config))
-            if report.matsushima.obstruction:
-                report.obstructed = True
-                reasons.append(
-                    "the Higgs field has only one zero, so the automorphism group "
-                    "is non-reductive and the coupled equations admit no solution"
-                )
+            report.futaki_value = abelian_futaki_closed_form(config)
+            coupled = abelian_coupled_obstructions(config, float(config.alpha))
+            report.obstructed = report.obstructed or bool(coupled)
+            reasons.extend(coupled)
         report.verdict = (
             "no solution of the coupled equations: " + "; ".join(reasons)
             if report.obstructed
-            else "no obstruction found (vortex window holds, automorphisms reductive)"
+            else "no obstruction found (vortex window holds, automorphisms "
+            "reductive, Futaki character zero)"
         )
         return report
 

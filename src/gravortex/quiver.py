@@ -320,7 +320,6 @@ def quiver_vortex_residual(
     potentials: dict[str, np.ndarray],
     metric: ConformalMetric | None,
     grid: AxisymGrid,
-    frozen: set[str] | None = None,
 ) -> QuiverResidual:
     """Residuals of the coupled quiver system on the volume-2*pi sphere.
 
@@ -328,8 +327,6 @@ def quiver_vortex_residual(
     equation: S_omega + 2 rho sum_a (Delta_omega
     + 2(tau_h/sigma_h - tau_t/sigma_t)) |phi_a|^2 - c with c by mean
     projection; the curvature-square term vanishes identically on a curve.
-    ``frozen`` names vertices whose equation is not imposed (their residual
-    is still reported).
     """
     for v in spec.quiver.vertices:
         if spec.ranks[v] != 1:
@@ -338,7 +335,6 @@ def quiver_vortex_residual(
             )
         if v not in potentials:
             raise ConfigurationError(f"missing potential for vertex {v!r}")
-    del frozen  # informational only; all residuals are evaluated
     if metric is None:
         metric = ConformalMetric(u=np.zeros(grid.n))
     emu = np.exp(-2.0 * metric.u)

@@ -69,6 +69,45 @@ class SolveReport:
         }
 
 
+def damped_newton(x: np.ndarray, sup_norm, newton_step, opts: NewtonOptions):
+    """The damped Newton iteration shared by the vortex and coupled solvers.
+
+    ``sup_norm(x)`` is the residual sup-norm and ``newton_step(x)`` the full
+    Newton step at x.  Each step is halved until the sup-norm decreases; when
+    ``max_halvings`` halvings find no decrease (stagnation at the round-off
+    floor) the iteration stops unconverged.  Returns (x, history, converged,
+    iterations), where history holds the sup-norm of every accepted iterate.
+    """
+    history = [sup_norm(x)]
+    converged = history[-1] < opts.tolerance
+    iterations = 0
+    while not converged and iterations < opts.max_iter:
+        step = newton_step(x)
+        lam = 1.0
+        for _ in range(opts.max_halvings):
+            trial = x + lam * step
+            trial_sup = sup_norm(trial)
+            if trial_sup < history[-1]:
+                break
+            lam *= 0.5
+        else:
+            break
+        x = trial
+        iterations += 1
+        history.append(trial_sup)
+        converged = trial_sup < opts.tolerance
+    return x, history, converged, iterations
+
+
+def vortex_equation(curv: np.ndarray, phi_sq: np.ndarray, tau: float) -> np.ndarray:
+    """R1 = i Lambda_omega F_H + (|phi|^2_H - tau) / 2, pointwise.
+
+    ``curv`` is the applied curvature term N exp(-2u) + Delta_omega v and
+    ``phi_sq`` is |phi|^2_H = exp(2v) |phi|^2_FS.
+    """
+    return curv + 0.5 * (phi_sq - tau)
+
+
 def bundle_curvature(
     grid: AxisymGrid, metric: ConformalMetric | None, degree: int, v: np.ndarray
 ) -> np.ndarray:
@@ -92,7 +131,7 @@ def vortex_residual(
         raise NumericInputError("bundle potential contains non-finite entries")
     profile = higgs_profile(grid, config, 0)
     curv = bundle_curvature(grid, metric, config.degrees[0], v)
-    return curv + 0.5 * (np.exp(2.0 * v) * profile - float(config.tau))
+    return vortex_equation(curv, np.exp(2.0 * v) * profile, float(config.tau))
 
 
 def check_vortex_window(config: HiggsConfig) -> None:
@@ -102,6 +141,25 @@ def check_vortex_window(config: HiggsConfig) -> None:
         raise InfeasibleError(
             f"vortex equation requires N < tau/2; got N={n_deg}, tau={config.tau}"
         )
+
+
+def _vortex_system(grid: AxisymGrid, metric: ConformalMetric, config: HiggsConfig):
+    """R1 as a map of v at a fixed metric, and its Jacobian Delta_omega + |phi|^2_H."""
+    profile = higgs_profile(grid, config, 0)
+    tau = float(config.tau)
+    n_deg = config.degrees[0]
+    emu = np.exp(-2.0 * metric.u)
+    lap = emu[:, None] * grid.lap_fs
+
+    def residual(v: np.ndarray) -> np.ndarray:
+        return vortex_equation(n_deg * emu + lap @ v, np.exp(2.0 * v) * profile, tau)
+
+    def jacobian(v: np.ndarray) -> np.ndarray:
+        jac = lap.copy()
+        jac.flat[:: grid.n + 1] += np.exp(2.0 * v) * profile
+        return jac
+
+    return residual, jacobian
 
 
 def solve_vortex(
@@ -121,50 +179,22 @@ def solve_vortex(
     config.require_abelian("solve_vortex")
     check_vortex_window(config)
     opts = options or NewtonOptions()
-    if metric is None:
-        metric = round_metric(grid)
-    profile = higgs_profile(grid, config, 0)
-    tau = float(config.tau)
-    n_deg = config.degrees[0]
-    emu = np.exp(-2.0 * metric.u)
-    lap = emu[:, None] * grid.lap_fs
-
     v = np.zeros(grid.n) if v0 is None else np.asarray(v0, dtype=float).copy()
     if not np.all(np.isfinite(v)):
         raise NumericInputError("initial guess contains non-finite entries")
-
-    def residual(vv: np.ndarray) -> np.ndarray:
-        return n_deg * emu + lap @ vv + 0.5 * (np.exp(2.0 * vv) * profile - tau)
-
-    history: list[float] = []
-    res = residual(v)
-    sup = float(np.max(np.abs(res)))
-    history.append(sup)
-    converged = sup < opts.tolerance
-    iterations = 0
-    while not converged and iterations < opts.max_iter:
-        jac = lap + np.diag(np.exp(2.0 * v) * profile)
-        step = np.linalg.solve(jac, -res)
-        lam, improved = 1.0, False
-        for _ in range(opts.max_halvings):
-            trial = v + lam * step
-            trial_res = residual(trial)
-            trial_sup = float(np.max(np.abs(trial_res)))
-            if trial_sup < sup:
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break  # stagnation at the round-off floor
-        v, res, sup = trial, trial_res, trial_sup
-        iterations += 1
-        history.append(sup)
-        converged = sup < opts.tolerance
-
+    if metric is None:
+        metric = round_metric(grid)
+    residual, jacobian = _vortex_system(grid, metric, config)
+    v, history, converged, iterations = damped_newton(
+        v,
+        lambda vv: float(np.max(np.abs(residual(vv)))),
+        lambda vv: np.linalg.solve(jacobian(vv), -residual(vv)),
+        opts,
+    )
     report = SolveReport(
         converged=converged,
         iterations=iterations,
-        residual_sup=sup,
+        residual_sup=history[-1],
         resolution=grid.n,
         diagnostics=history,
     )

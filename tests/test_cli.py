@@ -1,6 +1,8 @@
 """Config parsing, round-trips, report schema, and the exit-code contract."""
 
+import csv
 import json
+import math
 import os
 
 import jsonschema
@@ -161,6 +163,35 @@ class TestExecuteAndExitCodes:
         assert any("only one zero" in r for r in report["reasons"])
         assert report.get("continuation") is None  # Newton never ran
 
+    def test_asymmetric_two_zero_gate_exit_two(self, tmp_path):
+        code, report = run_config(
+            tmp_path,
+            {
+                "command": "solve-gravitating",
+                "degrees": [3],
+                "exponents": [1],
+                "tau": 7,
+                "n": 129,
+                "schedule": [0, 0.05],
+            },
+        )
+        assert code == EXIT_OBSTRUCTED
+        assert report["status"] == "obstructed"
+        assert any("Futaki character" in r for r in report["reasons"])
+        assert report.get("continuation") is None
+
+    def test_abelian_futaki_closed_form_reported(self, tmp_path):
+        code, report = run_config(
+            tmp_path,
+            {
+                "command": "futaki",
+                "problem": {"degrees": [3], "exponents": [1], "tau": 7, "alpha": 1.0},
+            },
+        )
+        assert code == EXIT_OK
+        assert report["futaki"]["closed_form"] == pytest.approx(2.0 * math.pi)
+        assert report["futaki"]["quadrature"] == pytest.approx(2.0 * math.pi, rel=1e-8)
+
     def test_gravitating_override_runs(self, tmp_path):
         code, report = run_config(
             tmp_path,
@@ -257,6 +288,23 @@ class TestExecuteAndExitCodes:
         assert rows[1]["nonabelian_window"] is False
         csv_path = [p for p in report["outputs"] if p.endswith("sweep_summary.csv")]
         assert csv_path and os.path.exists(csv_path[0])
+
+    def test_sweep_csv_quotes_list_values(self, tmp_path):
+        code, report = run_config(
+            tmp_path,
+            {
+                "command": "sweep",
+                "problem": {"degrees": [2, 2], "tau": 5, "alpha": 1.0},
+                "sweep": {"over": {"exponents": [[1, 0], [1, 1]]}},
+            },
+        )
+        assert code == EXIT_OK
+        (path,) = [p for p in report["outputs"] if p.endswith("sweep_summary.csv")]
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 2
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[header.index("exponents")] for row in rows] == ["[1, 0]", "[1, 1]"]
 
     def test_usage_error_exit_one(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -129,6 +129,18 @@ class TestSolveGravitating:
         # alpha = 0 decouples, so the run itself succeeds; no divergence asserted
         assert report.steps[0].converged
 
+    @pytest.mark.parametrize("degree, exponent, tau", [(3, 1, 7.0), (4, 1, 9.0), (4, 3, 9.0)])
+    def test_asymmetric_two_zero_refused_at_positive_alpha(self, grid, degree, exponent, tau):
+        cfg = HiggsConfig(degrees=(degree,), exponents=(exponent,), tau=tau)
+        with pytest.raises(ObstructionError) as err:
+            solve_gravitating(cfg, ContinuationSchedule(alphas=(0.0, 0.05)), grid)
+        assert "Futaki character" in str(err.value)
+        with pytest.raises(ObstructionError):
+            einstein_bogomolnyi_solve(cfg, grid)
+        # alpha = 0 decouples: the character vanishes and the solve runs
+        _, report = solve_gravitating(cfg, ContinuationSchedule(alphas=(0.0,)), grid)
+        assert report.converged
+
     def test_infeasible_window_raises(self, grid):
         cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=4.0)
         with pytest.raises(InfeasibleError):

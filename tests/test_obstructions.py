@@ -14,6 +14,7 @@ from gravortex import (
     HiggsConfig,
     PoleError,
     WrongRankError,
+    abelian_futaki_closed_form,
     abelian_futaki_quadrature,
     balancing_condition,
     build_grid,
@@ -22,7 +23,11 @@ from gravortex import (
     normalize_volume,
     stability_check,
 )
-from gravortex.obstructions import futaki_closed_form_exact, z_stability_check
+from gravortex.obstructions import (
+    abelian_coupled_obstructions,
+    futaki_closed_form_exact,
+    z_stability_check,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -286,3 +291,54 @@ class TestWindowsAndStability:
         assert payload["obstructed"] is True
         assert isinstance(payload["reasons"], list)
         assert payload["futaki_value"] == pytest.approx(FOUR_PI)
+
+
+ASYMMETRIC_TWO_ZERO = [(3, 1, 7.0), (4, 1, 9.0), (4, 3, 9.0)]
+
+
+class TestAbelianFutakiGate:
+    @pytest.mark.parametrize("degree, exponent, tau", ASYMMETRIC_TWO_ZERO)
+    def test_closed_form_matches_quadrature(self, grid257, degree, exponent, tau):
+        cfg = HiggsConfig(degrees=(degree,), exponents=(exponent,), tau=tau, alpha=1.0)
+        expected = 2.0 * math.pi * (2 * degree - tau) * (2 * exponent - degree)
+        assert abelian_futaki_closed_form(cfg) == pytest.approx(expected, rel=1e-14)
+        quad = abelian_futaki_quadrature(grid257, cfg, np.zeros(257), np.zeros(257))
+        assert quad == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("degree, exponent, tau", ASYMMETRIC_TWO_ZERO)
+    def test_stability_obstructed_at_positive_alpha(self, degree, exponent, tau):
+        cfg = HiggsConfig(degrees=(degree,), exponents=(exponent,), tau=tau, alpha=1.0)
+        report = stability_check(cfg)
+        assert report.abelian_window is True
+        assert report.matsushima.kind == "torus"
+        assert report.obstructed
+        assert any("Futaki character" in reason for reason in report.reasons)
+        assert report.futaki_value == pytest.approx(abelian_futaki_closed_form(cfg))
+        assert report.futaki_value != 0.0
+
+    @pytest.mark.parametrize("degree, exponent, tau", ASYMMETRIC_TWO_ZERO)
+    def test_alpha_zero_exempt(self, degree, exponent, tau):
+        cfg = HiggsConfig(degrees=(degree,), exponents=(exponent,), tau=tau, alpha=0.0)
+        report = stability_check(cfg)
+        assert not report.obstructed
+        assert report.futaki_value == 0.0
+
+    def test_symmetric_exponent_unobstructed(self):
+        cfg = HiggsConfig(degrees=(4,), exponents=(2,), tau=9.0, alpha=1.0)
+        assert abelian_coupled_obstructions(cfg, 1.0) == []
+        assert not stability_check(cfg).obstructed
+
+    def test_reason_quotes_exact_value(self):
+        cfg = HiggsConfig(degrees=(3,), exponents=(1,), tau=7.5)
+        (reason,) = abelian_coupled_obstructions(cfg, 0.05)
+        assert "2 pi alpha (3/2)" in reason
+
+    def test_single_zero_sentence_at_every_alpha(self):
+        cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0)
+        assert len(abelian_coupled_obstructions(cfg, 0.0)) == 1
+        reasons = abelian_coupled_obstructions(cfg, 1.0)
+        assert len(reasons) == 2 and "only one zero" in reasons[0]
+
+    def test_rank2_closed_form_unchanged(self):
+        with pytest.raises(WrongRankError):
+            abelian_futaki_closed_form(HiggsConfig(degrees=(1, 1), exponents=(0, 1), tau=3.0))

@@ -134,6 +134,17 @@ class RunConfig:
         return out
 
 
+def _as_number(problem: dict, key: str, default: float, message: str, errors: list[str]):
+    """problem[key] as a float, default when absent, None after an error."""
+    if key not in problem:
+        return default
+    try:
+        return float(problem[key])
+    except (TypeError, ValueError):
+        errors.append(f"{message}, got {problem[key]!r}")
+        return None
+
+
 def _validate_problem(
     problem: dict, errors: list[str], want_quiver: bool, supplied_later: set | None = None
 ) -> None:
@@ -148,19 +159,20 @@ def _validate_problem(
     for key in ("degrees", "exponents", "tau"):
         if key not in problem and key not in supplied_later:
             errors.append(f"missing required key: problem.{key}")
-    if "tau" in problem:
-        try:
-            if not (float(problem["tau"]) > 0):
-                errors.append("tau must be positive")
-        except (TypeError, ValueError):
-            errors.append("tau must be a positive number")
-    if "degrees" in problem and "exponents" in problem:
+    # tau and alpha are checked once each; the trial HiggsConfig below then
+    # checks degrees and exponents only when both are numbers
+    tau = _as_number(problem, "tau", 1.0, "tau must be a positive number", errors)
+    alpha = _as_number(problem, "alpha", 0.0, "alpha must be a number", errors)
+    if tau is not None and not tau > 0:
+        errors.append("tau must be positive")
+        tau = 1.0
+    if tau is not None and alpha is not None and "degrees" in problem and "exponents" in problem:
         try:
             HiggsConfig(
                 degrees=tuple(problem["degrees"]),
                 exponents=tuple(problem["exponents"]),
-                tau=float(problem.get("tau", 1.0)) if float(problem.get("tau", 1.0)) > 0 else 1.0,
-                alpha=float(problem.get("alpha", 0.0)),
+                tau=tau,
+                alpha=alpha,
             )
         except (ConfigurationError, TypeError, ValueError) as exc:
             errors.append(str(exc))

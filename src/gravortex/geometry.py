@@ -5,6 +5,12 @@ coordinate s = (|w|^2 - 1)/(|w|^2 + 1) of the affine coordinate w, so
 Chebyshev collocation on Gauss--Lobatto nodes in s gives spectral accuracy
 and the poles s = +-1 need no special treatment.
 
+The grid stores one dense n x n matrix, the first derivative ``d1``.  Grid
+vectors are otherwise handled without dense n x n algebra: the Laplacian
+is two ``d1`` products and the antiderivative works on FFT-computed
+Chebyshev coefficients.  Only the Newton Jacobians read the dense Laplacian
+:attr:`AxisymGrid.lap_fs`.
+
 Conventions (see CONVENTIONS.md for the full ledger):
 
 * background Kaehler form ``omega_FS = i dw dwbar / (1+|w|^2)^2`` with
@@ -32,6 +38,7 @@ ROUND_SCALAR_CURVATURE = 4.0
 
 MIN_NODES = 33
 MAX_NODES = 4097
+_ROW_BLOCK = 256  # rows per block when build_grid fills d1
 
 
 def _check_finite(f: np.ndarray, name: str) -> None:
@@ -46,6 +53,11 @@ class AxisymGrid:
     ``d1`` differentiates the degree n-1 interpolant exactly.  ``weights``
     are Clenshaw--Curtis weights matched to the nodes (exact for polynomials
     of degree <= n-1, summing to 2).
+
+    The round Laplacian is applied matrix-free by :meth:`apply_lap_fs`, two
+    O(n^2) products with ``d1``.  The dense matrix :attr:`lap_fs` costs an
+    O(n^3) product on first access; only the Newton systems read it, because
+    their Jacobians need the matrix.
     """
 
     n: int
@@ -56,12 +68,16 @@ class AxisymGrid:
 
     @property
     def lap_fs(self) -> np.ndarray:
-        """Round-metric Laplacian in divergence form, -2 d1 (1-s^2) d1."""
+        """Dense round-metric Laplacian in divergence form, -2 d1 (1-s^2) d1."""
         cached = getattr(self, "_lap_fs", None)
         if cached is None:
             cached = -2.0 * (self.d1 @ ((1.0 - self.nodes**2)[:, None] * self.d1))
             object.__setattr__(self, "_lap_fs", cached)
         return cached
+
+    def apply_lap_fs(self, f: np.ndarray) -> np.ndarray:
+        """Round-metric Laplacian of a grid vector, -2 d1 ((1-s^2) (d1 f))."""
+        return -2.0 * (self.d1 @ ((1.0 - self.nodes**2) * (self.d1 @ f)))
 
     def interpolate(self, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Barycentric evaluation of the nodal interpolant at new points."""
@@ -98,24 +114,34 @@ def build_grid(n: int) -> AxisymGrid:
     bary[0] = bary[-1] = 0.5
     bary *= (-1.0) ** j
 
-    dx = s[:, None] - s[None, :]
-    np.fill_diagonal(dx, 1.0)
-    d1 = (bary[None, :] / bary[:, None]) / dx
-    np.fill_diagonal(d1, 0.0)
-    np.fill_diagonal(d1, -d1.sum(axis=1))  # rows sum to zero: d1 @ const == 0
-    # second pass absorbs the round-off of the first row sums
-    np.fill_diagonal(d1, d1.diagonal() - d1 @ np.ones(n))
-
     k = np.arange(1, m // 2 + 1)
     b = np.where(2 * k == m, 1.0, 2.0)
+    coef = -(b / (4.0 * k * k - 1.0))
     theta = np.pi * j / m
-    terms = -(b / (4.0 * k * k - 1.0))[None, :] * np.cos(
-        2.0 * np.outer(theta, k)
-    )
+    ones = np.ones(n)
+    d1 = np.empty((n, n))
     weights = np.empty(n)
-    for i in range(n):
-        c = 1.0 if i in (0, m) else 2.0
-        weights[i] = c * math.fsum([1.0, *terms[i].tolist()]) / m
+    # Row blocks bound the temporaries.  Block starts stay multiples of
+    # _ROW_BLOCK and the last block takes the remainder, so no block is a
+    # single row: with one BLAS thread the row sums ``blk @ ones`` then round
+    # exactly as they would in one product over the whole matrix.
+    starts = range(0, max(n - _ROW_BLOCK, 1), _ROW_BLOCK)
+    for r0, r1 in zip(starts, [*starts[1:], n]):
+        rows = slice(r0, r1)
+        blk = d1[rows]
+        diag = (np.arange(r1 - r0), j[rows])
+        dx = s[rows, None] - s[None, :]
+        dx[diag] = 1.0
+        np.divide(bary[None, :] / bary[rows, None], dx, out=blk)
+        blk[diag] = 0.0
+        blk[diag] = -blk.sum(axis=1)  # rows sum to zero: d1 @ const == 0
+        # second pass absorbs the round-off of the first row sums
+        blk[diag] = blk[diag] - blk @ ones
+
+        terms = coef[None, :] * np.cos(2.0 * np.outer(theta[rows], k))
+        for i, row in zip(j[rows], terms):
+            c = 1.0 if i in (0, m) else 2.0
+            weights[i] = c * math.fsum([1.0, *row.tolist()]) / m
 
     return AxisymGrid(n=n, nodes=s, d1=d1, weights=weights, bary=bary)
 
@@ -199,7 +225,7 @@ def laplacian(
     f = np.asarray(f, dtype=float)
     _check_finite(f, "laplacian input")
     u = _u_of(metric, grid.n)
-    return np.exp(-2.0 * u) * (grid.lap_fs @ f)
+    return np.exp(-2.0 * u) * grid.apply_lap_fs(f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,7 +244,7 @@ def scalar_curvature(grid: AxisymGrid, metric: ConformalMetric) -> CurvatureRepo
     """
     u = metric.u
     _check_finite(u, "metric potential")
-    s_field = np.exp(-2.0 * u) * (ROUND_SCALAR_CURVATURE + 2.0 * (grid.lap_fs @ u))
+    s_field = np.exp(-2.0 * u) * (ROUND_SCALAR_CURVATURE + 2.0 * grid.apply_lap_fs(u))
     total = integrate(grid, metric, s_field)
     vol = volume(grid, metric)
     return CurvatureReport(s_field=s_field, total=total, mean=total / vol)
@@ -227,17 +253,30 @@ def scalar_curvature(grid: AxisymGrid, metric: ConformalMetric) -> CurvatureRepo
 def cumulative_antiderivative(grid: AxisymGrid, f: np.ndarray) -> np.ndarray:
     """Antiderivative of the nodal interpolant of f, pinned to 0 at s = -1.
 
-    Solves d1 g = f with the first row replaced by the pinning condition;
-    exact for polynomial f of degree <= n-2.
+    Integrates in the Chebyshev basis in O(n log n).  The nodes are
+    s_j = -cos(pi j / m) with m = n - 1, so a DCT-I (``np.fft.rfft`` of the
+    even extension) gives the coefficients a_k of f(-x) = sum a_k T_k(x).
+    The antiderivative has coefficients b_k = (a_{k-1} - a_{k+1}) / 2k, with
+    a_0 doubled as the DCT returns it; the degree-n term aliases onto
+    T_{n-2} at the nodes.  One inverse FFT returns to nodal values, negated
+    for ds = -dx, and subtracting the value at s = -1 pins the constant.
+    The result is the antiderivative of the degree n-1 interpolant at the
+    nodes, so it is exact for polynomial f of degree <= n-1.
     """
     f = np.asarray(f, dtype=float)
     _check_finite(f, "antiderivative input")
-    a = grid.d1.copy()
-    rhs = f.copy()
-    a[0, :] = 0.0
-    a[0, 0] = 1.0
-    rhs[0] = 0.0
-    return np.linalg.solve(a, rhs)
+    m = grid.n - 1
+    a = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / m
+    a[m] *= 0.5
+    a = np.concatenate([a, [0.0, 0.0]])
+    k = np.arange(1, m + 2)
+    b = np.zeros(m + 2)
+    b[1:] = (a[k - 1] - a[k + 1]) / (2.0 * k)
+    b[m - 1] += b[m + 1]
+    c = -b[: m + 1]
+    c[m] *= 2.0  # irfft halves both end coefficients; c[0] is zero
+    g = m * np.fft.irfft(c, 2 * m)[: m + 1]
+    return g - g[0]
 
 
 def hamiltonian_potential(grid: AxisymGrid, metric: ConformalMetric | None) -> np.ndarray:

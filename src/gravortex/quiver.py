@@ -25,6 +25,7 @@ from .geometry import (
     scalar_curvature,
     volume,
 )
+from .vortex import bundle_curvature
 
 TWO_PI = 2.0 * math.pi
 
@@ -337,7 +338,6 @@ def quiver_vortex_residual(
             raise ConfigurationError(f"missing potential for vertex {v!r}")
     if metric is None:
         metric = ConformalMetric(u=np.zeros(grid.n))
-    emu = np.exp(-2.0 * metric.u)
 
     arrow_norms: dict[str, np.ndarray] = {}
     for a in spec.quiver.arrows:
@@ -348,7 +348,7 @@ def quiver_vortex_residual(
 
     vertex_res: dict[str, np.ndarray] = {}
     for v in spec.quiver.vertices:
-        curv = emu * (spec.degrees[v] + grid.lap_fs @ potentials[v])
+        curv = bundle_curvature(grid, metric, spec.degrees[v], potentials[v])
         comm = np.zeros(grid.n)
         for a in spec.quiver.arrows_into(v):
             comm += arrow_norms[a.name]

@@ -113,7 +113,7 @@ def bundle_curvature(
 ) -> np.ndarray:
     """i Lambda_omega F_H for H = H_FS exp(2v) on the degree-N bundle."""
     u = metric.u if metric is not None else np.zeros(grid.n)
-    return np.exp(-2.0 * u) * (degree + grid.lap_fs @ v)
+    return np.exp(-2.0 * u) * (degree + grid.apply_lap_fs(v))
 
 
 def vortex_residual(

@@ -314,6 +314,20 @@ class TestExecuteAndExitCodes:
     def test_missing_config_file_exit_io(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.json")]) == 4
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tau", "abc", "tau must be a positive number, got 'abc'"),
+            ("alpha", "x", "alpha must be a number, got 'x'"),
+        ],
+    )
+    def test_non_numeric_coupling_reported_once(self, tmp_path, capsys, key, value, message):
+        problem = {"degrees": [2], "exponents": [1], "tau": 5, key: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"command": "solve-vortex", "problem": problem}))
+        assert main(["--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
 
 class TestReportContract:
     def test_schema_validates_reports(self, tmp_path):

@@ -38,6 +38,11 @@ def grid129():
     return build_grid(129)
 
 
+@pytest.fixture(scope="module")
+def grid_ladder():
+    return [build_grid(n) for n in (129, 1025, 4097)]
+
+
 class TestBuildGrid:
     def test_weights_sum_to_two(self):
         grid = build_grid(33)
@@ -130,7 +135,7 @@ class TestNormalizeVolume:
 
 class TestLaplacian:
     def test_kernel_contains_constants(self, grid129):
-        # dense-operator round-off floor; spectrally this is exact
+        # differentiation round-off floor; spectrally this is exact
         out = laplacian(grid129, None, np.ones(129))
         assert np.max(np.abs(out)) <= 1e-10
 
@@ -165,6 +170,16 @@ class TestLaplacian:
             rhs = integrate(grid129, metric, g * laplacian(grid129, metric, f))
             scale = integrate(grid129, metric, np.abs(f * laplacian(grid129, metric, g)))
             assert abs(lhs - rhs) / max(scale, 1e-30) <= 1e-9
+
+    @pytest.mark.parametrize("n", (129, 1025))
+    def test_matrix_free_matches_dense(self, n):
+        # the two forms differ only in the order of the round-off; each d1
+        # application amplifies it by O(n^2) relative to the largest entry
+        grid = build_grid(n)
+        s = grid.nodes
+        for f in (np.sin(2.0 * s) + s**5, np.exp(-3.0 * (s - 0.2) ** 2), np.ones(n)):
+            tol = 2e-14 * n * n * max(1.0, float(np.max(np.abs(f))))
+            assert np.max(np.abs(grid.apply_lap_fs(f) - grid.lap_fs @ f)) <= tol
 
     def test_spectral_convergence(self):
         # analytic function with a pole just outside [-1, 1]: the error decays
@@ -208,9 +223,10 @@ class TestScalarCurvature:
 
 
 class TestHamiltonianPotential:
-    def test_round_metric_gives_half_s(self, grid129):
-        ham = hamiltonian_potential(grid129, None)
-        assert np.max(np.abs(ham - grid129.nodes / 2.0)) <= 1e-12
+    def test_round_metric_gives_half_s(self, grid_ladder):
+        for grid in grid_ladder:
+            ham = hamiltonian_potential(grid, None)
+            assert np.max(np.abs(ham - grid.nodes / 2.0)) <= 1e-12
 
     def test_mean_normalized_any_metric(self, grid129):
         rng = np.random.default_rng(9)
@@ -218,10 +234,20 @@ class TestHamiltonianPotential:
         ham = hamiltonian_potential(grid129, metric)
         assert abs(integrate(grid129, metric, ham)) <= 1e-10
 
-    def test_antiderivative_exact_on_polynomials(self, grid129):
-        s = grid129.nodes
-        out = cumulative_antiderivative(grid129, 3.0 * s**2)
-        assert np.max(np.abs(out - (s**3 + 1.0))) <= 1e-10
+    def test_antiderivative_exact_on_polynomials(self, grid_ladder):
+        for grid in grid_ladder:
+            s = grid.nodes
+            out = cumulative_antiderivative(grid, 3.0 * s**2)
+            assert np.max(np.abs(out - (s**3 + 1.0))) <= 1e-10
+
+    def test_antiderivative_exact_at_top_degree(self, grid_ladder):
+        # f = T_{n-1}; its antiderivative has degree n, beyond the grid
+        for grid in grid_ladder:
+            m = grid.n - 1
+            theta = np.arccos(grid.nodes)
+            exact = np.cos((m + 1) * theta) / (2 * (m + 1)) - np.cos((m - 1) * theta) / (2 * (m - 1))
+            out = cumulative_antiderivative(grid, np.cos(m * theta))
+            assert np.max(np.abs(out - (exact - exact[0]))) <= 1e-12
 
 
 class TestCsvExport:

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravortex import (
+    BundleMetricPotential,
     ConfigurationError,
     FutakiInput,
+    GravitatingState,
     HiggsConfig,
     PoleError,
     WrongRankError,
@@ -20,9 +22,14 @@ from gravortex import (
     build_grid,
     futaki_closed_form,
     futaki_quadrature,
+    gravitating_residual,
+    laplacian,
     normalize_volume,
+    quiver_vortex_residual,
+    scalar_curvature,
     stability_check,
 )
+from gravortex.quiver import gravitating_vortex_spec
 from gravortex.obstructions import (
     abelian_coupled_obstructions,
     futaki_closed_form_exact,
@@ -342,3 +349,53 @@ class TestAbelianFutakiGate:
     def test_rank2_closed_form_unchanged(self):
         with pytest.raises(WrongRankError):
             abelian_futaki_closed_form(HiggsConfig(degrees=(1, 1), exponents=(0, 1), tau=3.0))
+
+
+class TestMatrixFreeEvaluation:
+    """Residuals and the Futaki quadrature never build the dense Laplacian.
+
+    ``AxisymGrid.lap_fs`` caches its O(n^3) matrix in ``_lap_fs`` on first
+    access; only the Newton Jacobians should pay for it.
+    """
+
+    @staticmethod
+    def _evaluations(grid):
+        s = grid.nodes
+        zeros = np.zeros(grid.n)
+        metric = normalize_volume(grid, 0.1 * np.cos(s))
+        rank2 = HiggsConfig(degrees=(2, 2), exponents=(1, 0), tau=5.0, alpha=1.0)
+        abelian = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0, alpha=0.3)
+        state = GravitatingState(
+            metric=metric, bundle=BundleMetricPotential(0.1 * s), c_value=0.0, alpha=0.3
+        )
+        spec = gravitating_vortex_spec(2, 1, 5.0, 0.3)
+        return {
+            "laplacian": lambda: laplacian(grid, metric, s**2),
+            "scalar_curvature": lambda: scalar_curvature(grid, metric),
+            "futaki_quadrature": lambda: futaki_quadrature(
+                grid, FutakiInput(config=rank2, u=metric.u, v1=0.1 * s, v2=zeros)
+            ),
+            "abelian_futaki_quadrature": lambda: abelian_futaki_quadrature(
+                grid, abelian, metric.u, 0.1 * s
+            ),
+            "quiver_vortex_residual": lambda: quiver_vortex_residual(
+                spec, {"src": zeros, "dst": 0.1 * s}, metric, grid
+            ),
+            "gravitating_residual": lambda: gravitating_residual(grid, state, abelian),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "laplacian",
+            "scalar_curvature",
+            "futaki_quadrature",
+            "abelian_futaki_quadrature",
+            "quiver_vortex_residual",
+            "gravitating_residual",
+        ],
+    )
+    def test_dense_laplacian_not_built(self, name):
+        grid = build_grid(65)
+        self._evaluations(grid)[name]()
+        assert not hasattr(grid, "_lap_fs")

@@ -75,6 +75,26 @@ class AxisymGrid:
             object.__setattr__(self, "_lap_fs", cached)
         return cached
 
+    @property
+    def lap_fs_even(self) -> np.ndarray:
+        """:attr:`lap_fs` on even grid vectors, as a map of their values at s >= 0.
+
+        With mid = n // 2, entry (a, b) averages the rows of the mirror nodes
+        mid +- a and sums the columns of the mirror nodes mid +- b (the middle
+        node is its own mirror), so ``lap_fs_even @ f[mid:]`` is the mirror
+        average of ``(lap_fs @ f)[mid:]`` for every even f.  Cached like
+        :attr:`lap_fs`; the parity-reduced Newton Jacobian reads it.
+        """
+        cached = getattr(self, "_lap_fs_even", None)
+        if cached is None:
+            hi = np.arange(self.n // 2, self.n)
+            lo = self.n - 1 - hi
+            rows = 0.5 * (self.lap_fs[hi] + self.lap_fs[lo])
+            cached = rows[:, hi] + rows[:, lo]
+            cached[:, 0] *= 0.5  # the middle column was added to itself
+            object.__setattr__(self, "_lap_fs_even", cached)
+        return cached
+
     def apply_lap_fs(self, f: np.ndarray) -> np.ndarray:
         """Round-metric Laplacian of a grid vector, -2 d1 ((1-s^2) (d1 f))."""
         return -2.0 * (self.d1 @ ((1.0 - self.nodes**2) * (self.d1 @ f)))
@@ -99,6 +119,25 @@ def check_resolution(n) -> None:
         )
 
 
+def _row_sums(a: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Row sums of a to within one rounding, whatever the summation order.
+
+    ``work`` is scratch space of a's shape.  Error-free extraction (Rump,
+    Ogita and Oishi, "Accurate floating-point summation", 2008): with a
+    power of two sigma above twice a row's absolute sum, (sigma + x) - sigma
+    is a multiple of 2^-53 sigma, so these high parts and all their partial
+    sums are exact, and the remainders x - high are exact and below
+    2^-52 sigma, so their sum adds only a rounding of their own size.
+    """
+    np.abs(a, out=work)
+    sigma = np.ldexp(1.0, np.frexp(2.0 * work.sum(axis=1))[1])[:, None]
+    np.add(a, sigma, out=work)
+    work -= sigma  # the high parts
+    high = work.sum(axis=1)
+    np.subtract(a, work, out=work)  # the remainders
+    return high + work.sum(axis=1)
+
+
 def build_grid(n: int) -> AxisymGrid:
     """Build the collocation grid, derivative operator and quadrature weights.
 
@@ -118,25 +157,22 @@ def build_grid(n: int) -> AxisymGrid:
     b = np.where(2 * k == m, 1.0, 2.0)
     coef = -(b / (4.0 * k * k - 1.0))
     theta = np.pi * j / m
-    ones = np.ones(n)
     d1 = np.empty((n, n))
     weights = np.empty(n)
-    # Row blocks bound the temporaries.  Block starts stay multiples of
-    # _ROW_BLOCK and the last block takes the remainder, so no block is a
-    # single row: with one BLAS thread the row sums ``blk @ ones`` then round
-    # exactly as they would in one product over the whole matrix.
-    starts = range(0, max(n - _ROW_BLOCK, 1), _ROW_BLOCK)
-    for r0, r1 in zip(starts, [*starts[1:], n]):
-        rows = slice(r0, r1)
+    # Row blocks bound the temporaries.  The diagonal is the negated sum of
+    # the row's off-diagonal entries to within one rounding, so d1 @ const
+    # vanishes to round-off; the sums are elementwise numpy work, not BLAS
+    # products, so d1 depends on neither the block split nor the BLAS thread
+    # count.
+    for r0 in range(0, n, _ROW_BLOCK):
+        rows = slice(r0, min(r0 + _ROW_BLOCK, n))
         blk = d1[rows]
-        diag = (np.arange(r1 - r0), j[rows])
+        diag = (np.arange(blk.shape[0]), j[rows])
         dx = s[rows, None] - s[None, :]
         dx[diag] = 1.0
         np.divide(bary[None, :] / bary[rows, None], dx, out=blk)
         blk[diag] = 0.0
-        blk[diag] = -blk.sum(axis=1)  # rows sum to zero: d1 @ const == 0
-        # second pass absorbs the round-off of the first row sums
-        blk[diag] = blk[diag] - blk @ ones
+        blk[diag] = -_row_sums(blk, work=dx)  # dx is free after the divide
 
         terms = coef[None, :] * np.cos(2.0 * np.outer(theta[rows], k))
         for i, row in zip(j[rows], terms):

@@ -19,10 +19,16 @@ Reports carry both predictions and never silently reconcile them.
 Symmetric configurations (2l = N) are solved on the even-parity subspace:
 the sphere's dilation automorphisms generate an odd null direction of the
 coupled linearization (a one-parameter family of pulled-back solutions),
-and parity reduction removes it exactly.  Asymmetric two-zero monomials
-(2l != N) have no solution at alpha > 0: their Futaki character
-2 pi alpha (2N - tau)(2l - N) is nonzero, so the solver refuses them like
-single-zero fields unless the obstruction is overridden.
+and parity reduction removes that direction.  It does not remove the even
+concentration family at the zero-constant coupling alpha tau N = 2, where
+the Jacobian of the reduced system becomes singular too; each Newton step
+therefore tests for a spectral gap at the bottom of the spectrum and
+borders the solve only when it finds one (``_gauge_aware_step``).
+
+Asymmetric two-zero monomials (2l != N) have no solution at alpha > 0:
+their Futaki character 2 pi alpha (2N - tau)(2l - N) is nonzero, so the
+solver refuses them like single-zero fields unless the obstruction is
+overridden.
 """
 
 from __future__ import annotations
@@ -92,6 +98,7 @@ class ContinuationStep:
     iterations: int
     residual_sup: float
     c_est: float
+    bordered_steps: int  # Newton steps that took the bordered solve
     u: np.ndarray | None = None  # accepted profiles, for CSV export
     v: np.ndarray | None = None
 
@@ -102,6 +109,7 @@ class ContinuationStep:
             "iterations": self.iterations,
             "residual_sup": self.residual_sup,
             "c_est": self.c_est,
+            "bordered_steps": self.bordered_steps,
         }
 
 
@@ -207,36 +215,41 @@ def c_predictions(config: HiggsConfig, alpha: float) -> dict:
     }
 
 
-_DEFLATION_DIM_LIMIT = 1200
-_SINGULAR_RATIO = 1e-8
+_PROBES = 4  # columns of the fixed probe block of the spectral-gap test
+_GAP = 1e-6  # border when the estimate of sigma_min / sigma_{min-1} falls below this
 
 
-def _gauge_aware_step(jr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _gauge_aware_step(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Newton step that stays well-posed when the linearization degenerates.
 
     At the zero-constant coupling the solution is non-isolated (a
-    concentration family), so the Jacobian acquires an exact null
-    direction.  A bordered solve pinned to the singular pair restores
-    quadratic convergence on the solution slice; away from degeneracy this
-    reduces to the plain dense solve.
+    concentration family), so the Jacobian acquires an exact null direction
+    and the plain step's component along it is round-off divided by a
+    vanishing singular value.  One LU solve takes the step together with a
+    fixed random probe block P; an orthonormal basis Q of J^-1 P, solved
+    with J^T, gives Rayleigh--Ritz estimates of 1/sigma_min and
+    1/sigma_{min-1} as the two largest singular values of J^-T Q.  Only a
+    spectral gap, sigma_min < _GAP sigma_{min-1}, or a singular factor
+    sends the step to a bordered solve pinned to the singular pair of the
+    full SVD; ordinary conditioning (sigma_min / sigma_max tiny but no gap)
+    keeps the plain LU step.  Returns the step and whether it bordered.
     """
-    m = jr.shape[0]
-    if m > _DEFLATION_DIM_LIMIT:
-        try:
-            step = np.linalg.solve(jr, rhs)
-            if np.all(np.isfinite(step)):
-                return step
-        except np.linalg.LinAlgError:
-            pass
-        return np.linalg.lstsq(jr, rhs, rcond=None)[0]
-    left, sing, right_t = np.linalg.svd(jr)
-    if sing[-1] >= _SINGULAR_RATIO * sing[0]:
-        return right_t.T @ ((left.T @ rhs) / sing)
+    m = jac.shape[0]
+    probe = np.random.default_rng(0).standard_normal((m, _PROBES))
+    try:
+        sol = np.linalg.solve(jac, np.column_stack([rhs, probe]))
+        basis = np.linalg.qr(sol[:, 1:])[0]
+        ritz = np.linalg.svd(np.linalg.solve(jac.T, basis), compute_uv=False)
+        if np.all(np.isfinite(sol)) and ritz[1] >= _GAP * ritz[0]:
+            return sol[:, 0], False
+    except np.linalg.LinAlgError:
+        pass
+    left, _, right_t = np.linalg.svd(jac)
     bordered = np.zeros((m + 1, m + 1))
-    bordered[:m, :m] = jr
+    bordered[:m, :m] = jac
     bordered[:m, m] = left[:, -1]
     bordered[m, :m] = right_t[-1, :]
-    return np.linalg.solve(bordered, np.concatenate([rhs, [0.0]]))[:m]
+    return np.linalg.solve(bordered, np.concatenate([rhs, [0.0]]))[:m], True
 
 
 class _CoupledSystem:
@@ -244,11 +257,14 @@ class _CoupledSystem:
 
     With ``symmetric`` the unknowns are the even-parity reduction of x:
     reduced entry j of u (and of v) stands for the mirror pair of grid
-    indices (mid + j, mid - j).  ``top`` and ``bottom`` list the pair of
-    every reduced entry (the middle node and c pair with themselves).
-    Restriction averages a pair, ``expand`` copies a reduced vector back to
-    the grid, and the reduced Jacobian averages the paired rows and sums the
-    paired columns.
+    nodes (hi[j], lo[j]) = (mid + j, mid - j).  ``top`` and ``bottom`` list
+    the pair of every reduced entry (the middle node and c pair with
+    themselves).  Restriction averages a pair and ``expand`` copies a
+    reduced vector back to the grid.  The residuals stay on the full grid;
+    the reduced Jacobian, the full one with paired rows averaged and paired
+    columns summed, is assembled at half size from the mirror averages of
+    its diagonal scalings and :attr:`AxisymGrid.lap_fs_even`, which is
+    exact because the iterates are even.
     """
 
     def __init__(self, grid: AxisymGrid, config: HiggsConfig, alpha: float, symmetric: bool):
@@ -257,18 +273,25 @@ class _CoupledSystem:
         self.profile = higgs_profile(grid, config, 0)
         self.tau = float(config.tau)
         self.n_deg = config.degrees[0]
+        self.bordered_steps = 0
         if symmetric:
             mid = n // 2
-            half = np.arange(mid, n)
-            self.top = np.concatenate([half, n + half, [2 * n]])
-            self.bottom = np.concatenate([n - 1 - half, 2 * n - 1 - half, [2 * n]])
+            self.hi = np.arange(mid, n)
+            self.lo = n - 1 - self.hi
             mirror = np.abs(np.arange(n) - mid)
             self.expand = np.concatenate([mirror, mid + 1 + mirror, [2 * mid + 2]])
         else:
-            self.top = self.bottom = self.expand = np.arange(2 * n + 1)
+            self.hi = self.lo = np.arange(n)
+            self.expand = np.arange(2 * n + 1)
+        self.top = np.concatenate([self.hi, n + self.hi, [2 * n]])
+        self.bottom = np.concatenate([self.lo, n + self.lo, [2 * n]])
 
     def restrict(self, z: np.ndarray) -> np.ndarray:
         return 0.5 * (z[self.top] + z[self.bottom])
+
+    def fold(self, g: np.ndarray) -> np.ndarray:
+        """Mirror average of a grid vector (the identity in full space)."""
+        return 0.5 * (g[self.hi] + g[self.lo])
 
     def unpack(self, x: np.ndarray):
         z = x[self.expand]
@@ -293,32 +316,32 @@ class _CoupledSystem:
 
     def linearization(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Jacobian and negated residual of the (reduced) system at x."""
-        n, alpha, diag = self.n, self.alpha, np.arange(self.n)
         (r1, r2, r3), (u, emu, phih, s_field, curv, lap_phih) = self.equations(x)
-        scaled = emu[:, None] * self.grid.lap_fs
-        dphi = 2.0 * phih
-        jac = np.zeros((2 * n + 1, 2 * n + 1))
-        jac[diag, diag] = -2.0 * curv
-        jac[:n, n : 2 * n] = scaled
-        jac[diag, n + diag] += phih
-        jac[n : 2 * n, :n] = 2.0 * scaled
-        jac[n + diag, diag] = (-2.0 * s_field + jac[n + diag, diag]) - 2.0 * alpha * lap_phih
+        fold, alpha = self.fold, self.alpha
+        lap = self.grid.lap_fs_even if self.symmetric else self.grid.lap_fs
+        m = lap.shape[0]
+        diag = np.arange(m)
+        scaled = fold(emu)[:, None] * lap
+        dphi = fold(2.0 * phih)
+        jac = np.zeros((2 * m + 1, 2 * m + 1))
+        jac[diag, diag] = -2.0 * fold(curv)
+        jac[:m, m : 2 * m] = scaled
+        jac[diag, m + diag] += fold(phih)
+        jac[m : 2 * m, :m] = 2.0 * scaled
+        jac[m + diag, diag] -= 2.0 * fold(s_field + alpha * lap_phih)
         j22 = scaled * dphi
         j22[diag, diag] += self.tau * dphi
-        jac[n : 2 * n, n : 2 * n] = alpha * j22
-        jac[n : 2 * n, 2 * n] = -1.0
-        jac[2 * n, :n] = 2.0 * np.pi * self.grid.weights * np.exp(2.0 * u)
-        if self.symmetric:
-            rows = jac[self.top]
-            rows += jac[self.bottom]
-            rows *= 0.5
-            jac = rows[:, self.top]
-            paired = self.top != self.bottom
-            jac[:, paired] += rows[:, self.bottom[paired]]
+        jac[m : 2 * m, m : 2 * m] = alpha * j22
+        jac[m : 2 * m, 2 * m] = -1.0
+        # the volume row is not averaged; its paired columns sum
+        vol = 2.0 * np.pi * self.grid.weights * np.exp(2.0 * u)
+        jac[2 * m, :m] = vol[self.hi] + np.where(self.hi != self.lo, vol[self.lo], 0.0)
         return jac, -self.restrict(np.concatenate([r1, r2, [r3]]))
 
     def newton_step(self, x: np.ndarray) -> np.ndarray:
-        return _gauge_aware_step(*self.linearization(x))
+        step, bordered = _gauge_aware_step(*self.linearization(x))
+        self.bordered_steps += bordered
+        return step
 
 
 def solve_gravitating(
@@ -366,6 +389,7 @@ def solve_gravitating(
                 iterations=iters,
                 residual_sup=history[-1],
                 c_est=float(c_new),
+                bordered_steps=system.bordered_steps,
                 u=u_new.copy() if ok else None,
                 v=v_new.copy() if ok else None,
             )

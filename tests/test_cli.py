@@ -348,6 +348,24 @@ class TestReportContract:
             _, report = run_config(tmp_path, payload)
             jsonschema.validate(report, schema)
 
+    def test_continuation_reports_bordered_steps(self, tmp_path):
+        code, report = run_config(
+            tmp_path,
+            {
+                "command": "solve-gravitating",
+                "degrees": [2],
+                "exponents": [1],
+                "tau": 5,
+                "n": 65,
+                "schedule": [0, 0.1, 0.2],
+            },
+        )
+        assert code == EXIT_OK
+        jsonschema.validate(report, report_schema())
+        # the alpha tau N = 2 step meets the concentration family and borders
+        counts = [step["bordered_steps"] for step in report["continuation"]["steps"]]
+        assert counts[:2] == [0, 0] and counts[2] >= 1
+
     def test_conventions_hash_embedded(self, tmp_path):
         _, report = run_config(
             tmp_path,

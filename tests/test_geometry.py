@@ -1,6 +1,10 @@
 """Grid construction, quadrature, Laplacian, and curvature invariants."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,26 @@ class TestBuildGrid:
         for n in (33, 129):
             grid = build_grid(n)
             assert np.max(np.abs(grid.d1 @ np.ones(grid.n))) <= 1e-12
+
+    def test_d1_independent_of_blas_threads(self):
+        # the diagonal row sums are numpy reductions, not BLAS products, so
+        # the split of rows between BLAS threads cannot change a bit of d1
+        import gravortex
+
+        src = str(Path(gravortex.__file__).resolve().parents[1])
+        code = (
+            "import hashlib; from gravortex import build_grid; "
+            "print(hashlib.sha1(build_grid(2051).d1.tobytes()).hexdigest())"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 40 and digests[0] == digests[1]
 
     def test_quadrature_exact_for_s_squared(self):
         grid = build_grid(65)

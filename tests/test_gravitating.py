@@ -24,7 +24,12 @@ from gravortex import (
     solve_vortex,
     volume,
 )
-from gravortex.gravitating import c_from_integral_identity, c_predictions
+from gravortex.gravitating import (
+    _CoupledSystem,
+    _gauge_aware_step,
+    c_from_integral_identity,
+    c_predictions,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,6 +191,80 @@ class TestSolveGravitating:
         assert r_c.converged and r_f.converged
         interp_u = coarse.interpolate(s_c.metric.u, fine.nodes)
         assert np.max(np.abs(interp_u - s_f.metric.u)) <= 1e-7
+
+
+def planted(singular_values, seed):
+    """A matrix with the given singular values and random orthogonal factors."""
+    rng = np.random.default_rng(seed)
+    m = len(singular_values)
+    left = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    right = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    return left, np.asarray(singular_values), right, (left * singular_values) @ right.T
+
+
+class TestGaugeAwareStep:
+    def test_planted_null_pair_takes_bordered_solve(self):
+        sing = np.concatenate([np.geomspace(10.0, 1.0, 39), [1e-11]])
+        left, sing, right, jac = planted(sing, 1)
+        rhs = np.random.default_rng(2).standard_normal(40)
+        step, bordered = _gauge_aware_step(jac, rhs)
+        assert bordered
+        # the SVD-bordered solution: no component along the null pair
+        want = right[:, :-1] @ ((left[:, :-1].T @ rhs) / sing[:-1])
+        assert np.linalg.norm(step - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "sing",
+        [
+            # sigma_min / sigma_max = 4.5e-9 as at n = 1025, but no spectral gap
+            np.geomspace(1.0, 4.5e-9, 60),
+            # an isolated small pair, 1e-4 below the next: a regular root
+            np.concatenate([np.geomspace(10.0, 1.0, 59), [1e-4]]),
+        ],
+        ids=["geometric-spread", "isolated-small-pair"],
+    )
+    def test_no_gap_takes_plain_step(self, sing):
+        _, _, _, jac = planted(sing, 3)
+        rhs = np.random.default_rng(4).standard_normal(60)
+        step, bordered = _gauge_aware_step(jac, rhs)
+        assert not bordered
+        residual = np.linalg.norm(jac @ step - rhs)
+        assert residual <= 1e-12 * np.linalg.norm(jac, 2) * np.linalg.norm(step)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_alpha_zero_dilation_degeneracy(self, grid, symmetric):
+        # at the round metric and alpha = 0 the odd dilation mode is an exact
+        # null direction of the full-space system; parity reduction removes it
+        degree, exponent, tau = (2, 1, 5.0) if symmetric else (3, 1, 7.0)
+        cfg = HiggsConfig(degrees=(degree,), exponents=(exponent,), tau=tau)
+        system = _CoupledSystem(grid, cfg, 0.0, symmetric)
+        x = system.restrict(np.concatenate([np.zeros(129), np.zeros(129), [4.0]]))
+        jac, rhs = system.linearization(x)
+        sing = np.linalg.svd(jac, compute_uv=False)
+        _, bordered = _gauge_aware_step(jac, rhs)
+        if symmetric:
+            assert sing[-1] > 0.1 * sing[-2] and not bordered
+        else:
+            assert sing[-1] < 1e-16 * sing[0] and sing[-2] > 1e-8 * sing[0]
+            assert bordered
+
+    def test_n1025_ordinary_conditioning_does_not_border(self, symmetric_config):
+        # sigma_min / sigma_max is below 1e-8 here without any degeneracy; a
+        # ratio test bordered the first step and stalled it at residual 0.37
+        schedule = ContinuationSchedule(alphas=(0.0, 0.05, 0.1))
+        _, report = solve_gravitating(symmetric_config, schedule, build_grid(1025))
+        first = report.steps[0]
+        assert first.residual_sup < 1e-8
+        assert first.bordered_steps == 0
+
+    def test_bordered_steps_counted_at_zero_constant(self, symmetric_config):
+        schedule = ContinuationSchedule(alphas=tuple(0.04 * k for k in range(6)))
+        _, report = solve_gravitating(symmetric_config, schedule, build_grid(65))
+        assert report.converged
+        # only the alpha tau N = 2 step meets the concentration family
+        counts = [step.bordered_steps for step in report.steps]
+        assert counts[:-1] == [0] * 5 and counts[-1] >= 1
+        assert report.to_json_dict()["steps"][-1]["bordered_steps"] == counts[-1]
 
 
 class TestEinsteinBogomolnyi:

@@ -4,7 +4,8 @@ The vortex Jacobian Delta_omega + |phi|^2_H and the coupled (u, v, c)
 Jacobian, in full space and parity-folded, are compared column by column
 with central differences of the same residual definitions the solvers
 iterate on.  Entries agree to 1e-7 relative to 1 + |J|; a wrong term or a
-wrong fold shows up at O(1).
+wrong fold shows up at O(1).  The parity-reduced Jacobian, assembled at
+half size, is also compared with the index fold of the full-space one.
 """
 
 import numpy as np
@@ -71,3 +72,29 @@ def test_coupled_jacobian(n, degree, exponent, tau, symmetric):
     assert np.array_equal(rhs, -reduced_residual(x))
     assert jac.shape == ((n + 2, n + 2) if symmetric else (2 * n + 1, 2 * n + 1))
     assert_matches(jac, central_jacobian(reduced_residual, x))
+
+
+@pytest.mark.parametrize("n", [33, 65, 129])
+def test_half_size_assembly_is_fold_of_full_space(n):
+    # fold: average the rows of each mirror pair, then sum its columns
+    grid = build_grid(n)
+    rng = np.random.default_rng(n)
+    cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
+    reduced = _CoupledSystem(grid, cfg, 0.3, True)
+    full = _CoupledSystem(grid, cfg, 0.3, False)
+    even = lambda f: f + f[::-1]  # noqa: E731
+    u = normalize_volume(grid, even(smooth_field(rng, grid.nodes, 0.1))).u
+    v = even(smooth_field(rng, grid.nodes, 0.15))
+    x = reduced.restrict(np.concatenate([u, v, [1.7]]))
+    assert np.array_equal(x[reduced.expand], np.concatenate([u, v, [1.7]]))
+
+    jac, rhs = reduced.linearization(x)
+    jac_full, rhs_full = full.linearization(x[reduced.expand])
+    top, bottom = reduced.top, reduced.bottom
+    rows = 0.5 * (jac_full[top] + jac_full[bottom])
+    folded = rows[:, top]
+    paired = top != bottom
+    folded[:, paired] += rows[:, bottom[paired]]
+    assert jac.shape == (n + 2, n + 2)
+    assert np.max(np.abs(jac - folded)) <= 1e-14 * np.max(np.abs(jac_full))
+    assert np.array_equal(rhs, reduced.restrict(rhs_full))

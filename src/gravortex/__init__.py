@@ -50,12 +50,10 @@ from .gravitating import (
     solve_gravitating,
 )
 from .obstructions import (
-    FutakiInput,
     StabilityReport,
-    abelian_futaki_closed_form,
-    abelian_futaki_quadrature,
     balancing_condition,
     futaki_closed_form,
+    futaki_exact,
     futaki_quadrature,
     stability_check,
 )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -67,17 +68,20 @@ class HiggsConfig:
         if len(self.exponents) != len(self.degrees):
             raise ConfigurationError("exponents must parallel degrees")
         for nj in self.degrees:
-            if not isinstance(nj, (int, np.integer)) or nj <= 0:
+            if isinstance(nj, bool) or not isinstance(nj, (int, np.integer)) or nj <= 0:
                 raise ConfigurationError(f"degrees must be positive integers, got {nj!r}")
         for nj, lj in zip(self.degrees, self.exponents):
             if lj is None:
                 continue
-            if not isinstance(lj, (int, np.integer)) or not (0 <= lj <= nj):
+            if isinstance(lj, bool) or not isinstance(lj, (int, np.integer)) or not (0 <= lj <= nj):
                 raise ConfigurationError(
                     f"exponents must satisfy 0 <= l <= N, got l={lj!r} for N={nj}"
                 )
         if len(self.degrees) == 2 and self.degrees[0] > self.degrees[1]:
             raise ConfigurationError("rank-2 degrees must be ordered N1 <= N2")
+        for name in ("tau", "alpha"):
+            if isinstance(getattr(self, name), bool):
+                raise ConfigurationError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (float(self.tau) > 0.0):
             raise ConfigurationError("tau must be positive")
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
@@ -95,7 +99,7 @@ class HiggsConfig:
     def is_abelian(self) -> bool:
         return self.rank == 1
 
-    @property
+    @cached_property  # decimal parsing; the obstruction predicates each read it
     def tau_fraction(self) -> Fraction:
         return as_fraction(self.tau)
 

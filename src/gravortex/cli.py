@@ -38,14 +38,7 @@ from .gravitating import (
     gravitating_residual,
     solve_gravitating,
 )
-from .obstructions import (
-    FutakiInput,
-    abelian_futaki_closed_form,
-    abelian_futaki_quadrature,
-    futaki_closed_form,
-    futaki_quadrature,
-    stability_check,
-)
+from .obstructions import futaki_closed_form, futaki_quadrature, stability_check
 from .quiver import (
     Arrow,
     Quiver,
@@ -135,14 +128,20 @@ class RunConfig:
 
 
 def _as_number(problem: dict, key: str, default: float, message: str, errors: list[str]):
-    """problem[key] as a float, default when absent, None after an error."""
+    """problem[key] as a float, default when absent, None after an error.
+
+    JSON booleans are not numbers, although Python's float() accepts them.
+    """
     if key not in problem:
         return default
-    try:
-        return float(problem[key])
-    except (TypeError, ValueError):
-        errors.append(f"{message}, got {problem[key]!r}")
-        return None
+    value = problem[key]
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    errors.append(f"{message}, got {value!r}")
+    return None
 
 
 def _validate_problem(
@@ -220,11 +219,11 @@ def parse_config(text: str) -> RunConfig:
     except ConfigurationError as exc:
         errors.append(str(exc))
     tolerance = numerics_raw.get("tolerance", 1e-10)
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        errors.append("tolerance must be positive")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or tolerance <= 0:
+        errors.append(f"tolerance must be a positive number, got {tolerance!r}")
     max_iter = numerics_raw.get("max_iter", 50)
-    if not isinstance(max_iter, int) or max_iter < 1:
-        errors.append("max_iter must be a positive integer")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
+        errors.append(f"max_iter must be a positive integer, got {max_iter!r}")
     schedule = numerics_raw.get("schedule")
     if schedule is not None:
         try:
@@ -392,13 +391,11 @@ def _run_futaki(config: RunConfig, report: dict, outdir: str) -> int:
     # quadrature accuracy budget wants at least the reference resolution
     grid = build_grid(max(config.numerics.n, 257))
     zeros = np.zeros(grid.n)
-    if higgs.is_abelian:
-        quad = abelian_futaki_quadrature(grid, higgs, zeros, zeros)
-        closed = abelian_futaki_closed_form(higgs)
-    else:
-        quad = futaki_quadrature(grid, FutakiInput(config=higgs, u=zeros, v1=zeros, v2=zeros))
-        closed = futaki_closed_form(higgs)
-    report["futaki"] = {"quadrature": quad, "closed_form": closed, "resolution": grid.n}
+    report["futaki"] = {
+        "quadrature": futaki_quadrature(grid, higgs, zeros, [zeros] * higgs.rank),
+        "closed_form": futaki_closed_form(higgs),
+        "resolution": grid.n,
+    }
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ and the poles s = +-1 need no special treatment.
 The grid stores one dense n x n matrix, the first derivative ``d1``.  Grid
 vectors are otherwise handled without dense n x n algebra: the Laplacian
 is two ``d1`` products and the antiderivative works on FFT-computed
-Chebyshev coefficients.  Only the Newton Jacobians read the dense Laplacian
-:attr:`AxisymGrid.lap_fs`.
+Chebyshev coefficients.  Every residual, the solvers' own included, applies
+the Laplacian this way; the dense matrix :attr:`AxisymGrid.lap_fs` is read
+only where the Newton Jacobians are assembled.
 
 Conventions (see CONVENTIONS.md for the full ledger):
 
@@ -56,8 +57,7 @@ class AxisymGrid:
 
     The round Laplacian is applied matrix-free by :meth:`apply_lap_fs`, two
     O(n^2) products with ``d1``.  The dense matrix :attr:`lap_fs` costs an
-    O(n^3) product on first access; only the Newton systems read it, because
-    their Jacobians need the matrix.
+    O(n^3) product on first access; only the Newton Jacobians read it.
     """
 
     n: int
@@ -245,7 +245,7 @@ def normalize_volume(
     """
     u_raw = np.asarray(u_raw, dtype=float)
     _check_finite(u_raw, "u_raw")
-    vol = math.fsum((np.pi * grid.weights * np.exp(2.0 * u_raw)).tolist())
+    vol = volume(grid, ConformalMetric(u=u_raw))
     shift = 0.5 * math.log(vol / vol_target)
     return ConformalMetric(u=u_raw - shift, vol_target=vol_target)
 

@@ -9,7 +9,9 @@ where |phi|^2_H = exp(2v) |phi|^2_FS.  The constant c is an output: the
 residual reported to callers is mean-projected (c_est is the omega-mean of
 the left side of R2), while the Newton iteration carries c as an explicit
 unknown paired with the volume-normalization constraint row, which is the
-same projection written as a square system.
+same projection written as a square system.  Both evaluate R1 and R2 by
+one definition (``_CoupledSystem.equations``), which applies the Laplacian
+matrix-free; only the Newton Jacobian reads the dense Laplacian.
 
 Under the package conventions (round scalar curvature 4, volume 2*pi)
 integrating the system gives the topological value c = 4 - 2 alpha tau N;
@@ -43,6 +45,7 @@ from .errors import ConfigurationError, ObstructionError
 from .geometry import (
     AxisymGrid,
     ConformalMetric,
+    ROUND_SCALAR_CURVATURE,
     ROUND_VOLUME,
     integrate,
     laplacian,
@@ -57,8 +60,8 @@ from .vortex import (
     bundle_curvature,
     check_vortex_window,
     damped_newton,
+    grid_vector,
     vortex_equation,
-    vortex_residual,
 )
 
 QUOTED_C_COEFF = 2.0  # commonly quoted topological constant: 2 - 2 alpha tau N
@@ -83,6 +86,9 @@ class ContinuationSchedule:
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(tolerance=1e-10))
 
     def __post_init__(self):
+        for a in self.alphas:
+            if isinstance(a, bool):
+                raise ConfigurationError(f"schedule entries must be numbers, got {a!r}")
         alphas = tuple(float(a) for a in self.alphas)
         if not alphas or alphas[0] != 0.0:
             raise ConfigurationError("continuation schedule must start at alpha = 0")
@@ -155,24 +161,22 @@ def metric_equation(
 
 def volume_row(grid: AxisymGrid, u: np.ndarray) -> float:
     """Volume normalization: integral exp(2u) omega_FS - 2 pi, summed exactly."""
-    return math.fsum((np.pi * grid.weights * np.exp(2.0 * u)).tolist()) - ROUND_VOLUME
+    return volume(grid, ConformalMetric(u=u)) - ROUND_VOLUME
 
 
 def gravitating_residual(
     grid: AxisymGrid, state: GravitatingState, config: HiggsConfig
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(R1, R2, c_est) at the given state; R2 has zero omega-mean by construction."""
+    """(R1, R2, c_est) at the given state; R2 has zero omega-mean by construction.
+
+    R1 and R2 are the residuals the coupled Newton iteration drives down,
+    evaluated with c = 0; c_est is the omega-mean of that R2.
+    """
     config.require_abelian("gravitating_residual")
-    r1 = vortex_residual(grid, state.metric, state.bundle, config)
-    phi_sq = np.exp(2.0 * state.bundle.v) * higgs_profile(grid, config, 0)
-    full = metric_equation(
-        scalar_curvature(grid, state.metric).s_field,
-        float(state.alpha),
-        laplacian(grid, state.metric, phi_sq),
-        phi_sq,
-        float(config.tau),
-        0.0,
-    )
+    u = grid_vector(grid, state.metric.u, "metric potential")
+    v = grid_vector(grid, state.bundle.v, "bundle potential")
+    system = _CoupledSystem(grid, config, float(state.alpha), symmetric=False)
+    (r1, full, _), _ = system.equations(np.concatenate([u, v, [0.0]]))
     c_est = integrate(grid, state.metric, full) / volume(grid, state.metric)
     return r1, full - c_est, c_est
 
@@ -298,17 +302,21 @@ class _CoupledSystem:
         return z[: self.n], z[self.n : 2 * self.n], z[2 * self.n]
 
     def equations(self, x: np.ndarray):
-        """(R1, R2, volume row) on the full grid, and the terms the Jacobian reuses."""
+        """(R1, R2, volume row) on the full grid, and the terms the Jacobian reuses.
+
+        The Laplacian is applied matrix-free; a non-finite x gives non-finite
+        residuals, never an exception, so the line search can halve.
+        """
         u, v, c = self.unpack(x)
-        lap = self.grid.lap_fs
+        grid = self.grid
         emu = np.exp(-2.0 * u)
         phih = np.exp(2.0 * v) * self.profile
-        s_field = emu * (4.0 + 2.0 * (lap @ u))
-        curv = self.n_deg * emu + emu * (lap @ v)
-        lap_phih = emu * (lap @ phih)
+        s_field = emu * (ROUND_SCALAR_CURVATURE + 2.0 * grid.apply_lap_fs(u))
+        curv = bundle_curvature(grid, ConformalMetric(u=u), self.n_deg, v)
+        lap_phih = emu * grid.apply_lap_fs(phih)
         r1 = vortex_equation(curv, phih, self.tau)
         r2 = metric_equation(s_field, self.alpha, lap_phih, phih, self.tau, c)
-        return (r1, r2, volume_row(self.grid, u)), (u, emu, phih, s_field, curv, lap_phih)
+        return (r1, r2, volume_row(grid, u)), (u, emu, phih, s_field, curv, lap_phih)
 
     def sup_norm(self, x: np.ndarray) -> float:
         r1, r2, r3 = self.equations(x)[0]

@@ -15,11 +15,14 @@ with m_j = i Lambda F_{H_j} + |phi_j|^2_H / 2 - tau/2 the first-equation
 residuals and G = S_omega + alpha Delta_omega |phi|^2_H
 - 2 alpha tau Tr(i Lambda F_H) the moment-map form of the second.  The
 value is purely imaginary; functions here return its imaginary part.  For
-the split rank-2 monomial family the closed form is
+monomial Higgs data of either rank (one or two split components) the
+closed form is
 
-    2 pi alpha [ (2 N1 - tau)(2 l1 - N1) + (2 N2 - tau)(2 l2 - N2) ],
+    2 pi alpha sum_j (2 N_j - tau)(2 l_j - N_j),
 
 and the quadrature is independent of the chosen volume-normalized ansatz.
+One closed form (:func:`futaki_exact`, :func:`futaki_closed_form`) and one
+quadrature (:func:`futaki_quadrature`) serve both ranks.
 
 All inequality predicates (solvability windows, balancing, z-stability)
 are evaluated in exact rational arithmetic.
@@ -35,7 +38,6 @@ import numpy as np
 
 from .bundles import (
     HiggsConfig,
-    as_fraction,
     classify_automorphisms,
     divisor_gcd_degree,
     higgs_divisor,
@@ -57,35 +59,24 @@ from .vortex import bundle_curvature, vortex_equation
 VOLUME_TOLERANCE = 1e-8
 
 
-def futaki_closed_form(config: HiggsConfig) -> float:
-    """Imaginary part of the Futaki character of a split rank-2 monomial pair."""
-    config.require_rank2("futaki_closed_form")
-    if any(e is None for e in config.exponents):
-        raise ConfigurationError("closed form requires both Higgs components nonzero")
-    tau = float(config.tau)
-    alpha = float(config.alpha)
-    total = 0.0
-    for n_deg, ell in zip(config.degrees, config.exponents):
-        total += (2.0 * n_deg - tau) * (2.0 * ell - n_deg)
-    return 2.0 * math.pi * alpha * total
+def futaki_exact(config: HiggsConfig) -> Fraction:
+    """sum_j (2 N_j - tau)(2 l_j - N_j): the closed form divided by 2 pi alpha.
 
-
-def abelian_futaki_closed_form(config: HiggsConfig) -> float:
-    """Imaginary part of the Futaki character of an abelian monomial.
-
-    2 pi alpha (2N - tau)(2l - N); it vanishes at alpha = 0 and for the
-    symmetric exponent 2l = N.
+    Exact for either rank; it vanishes when every exponent is symmetric,
+    2 l_j = N_j.
     """
-    return 2.0 * math.pi * float(config.alpha) * float(_abelian_futaki_exact(config))
+    if None in config.exponents:
+        raise ConfigurationError("closed form requires every Higgs component nonzero")
+    # expanded as sum_j 2 N_j a_j - tau sum_j a_j with a_j = 2 l_j - N_j, so
+    # that only one product is rational
+    asym = [2 * ell - n_deg for n_deg, ell in zip(config.degrees, config.exponents)]
+    integer_part = sum(2 * n_deg * t for n_deg, t in zip(config.degrees, asym))
+    return integer_part - config.tau_fraction * sum(asym)
 
 
-def _abelian_futaki_exact(config: HiggsConfig) -> Fraction:
-    """(2N - tau)(2l - N): the abelian closed form divided by 2 pi alpha."""
-    config.require_abelian("abelian_futaki_closed_form")
-    n_deg, ell = config.degrees[0], config.exponents[0]
-    if ell is None:
-        raise ConfigurationError("closed form requires a nonzero Higgs component")
-    return (2 * n_deg - config.tau_fraction) * (2 * ell - n_deg)
+def futaki_closed_form(config: HiggsConfig) -> float:
+    """Imaginary part of the Futaki character, 2 pi alpha times :func:`futaki_exact`."""
+    return 2.0 * math.pi * float(config.alpha) * float(futaki_exact(config))
 
 
 def abelian_coupled_obstructions(config: HiggsConfig, alpha: float) -> list[str]:
@@ -101,7 +92,7 @@ def abelian_coupled_obstructions(config: HiggsConfig, alpha: float) -> list[str]
             "the Higgs field has only one zero, so the automorphism group is "
             "non-reductive (C* x| C) and the coupled equations admit no solution"
         )
-    futaki = _abelian_futaki_exact(config)
+    futaki = futaki_exact(config)
     if alpha > 0 and futaki != 0:
         reasons.append(
             "the Futaki character 2 pi alpha (2N - tau)(2l - N) = "
@@ -109,24 +100,6 @@ def abelian_coupled_obstructions(config: HiggsConfig, alpha: float) -> list[str]
             "equations admit no solution"
         )
     return reasons
-
-
-def futaki_closed_form_exact(
-    n1: int, n2: int, l1: int, l2: int, tau: Fraction
-) -> Fraction:
-    """Closed form divided by 2 pi alpha, in exact rational arithmetic."""
-    tau = as_fraction(tau)
-    return (2 * n1 - tau) * (2 * l1 - n1) + (2 * n2 - tau) * (2 * l2 - n2)
-
-
-@dataclass(frozen=True, eq=False)
-class FutakiInput:
-    """Rank-2 configuration plus an axisymmetric ansatz (u, v1, v2)."""
-
-    config: HiggsConfig
-    u: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
 
 
 def _require_normalized(grid: AxisymGrid, metric: ConformalMetric) -> None:
@@ -152,12 +125,24 @@ def moment_map_form(
     return s_field + alpha * lap_phi_sq - 2.0 * alpha * tau * curv_trace
 
 
-def _futaki_quadrature_terms(
-    grid: AxisymGrid,
-    metric: ConformalMetric,
-    config: HiggsConfig,
-    potentials: list[np.ndarray],
+def futaki_quadrature(
+    grid: AxisymGrid, config: HiggsConfig, u: np.ndarray, potentials
 ) -> float:
+    """Numerical Futaki character at the ansatz (u, v_1, ..., v_rank).
+
+    ``potentials`` holds one bundle potential per Higgs component.  The
+    value is independent of the volume-normalized ansatz and matches
+    :func:`futaki_closed_form` to quadrature accuracy.
+    """
+    if None in config.exponents:
+        raise ConfigurationError("quadrature requires every Higgs component nonzero")
+    if len(potentials) != config.rank:
+        raise ConfigurationError(
+            f"quadrature needs one potential per component, got {len(potentials)} "
+            f"for rank {config.rank}"
+        )
+    metric = ConformalMetric(u=np.asarray(u, dtype=float))
+    _require_normalized(grid, metric)
     s = grid.nodes
     tau = float(config.tau)
     alpha = float(config.alpha)
@@ -167,6 +152,7 @@ def _futaki_quadrature_terms(
     curv_trace = np.zeros(grid.n)
     phi_sq_total = np.zeros(grid.n)
     for j, vj in enumerate(potentials):
+        vj = np.asarray(vj, dtype=float)
         n_deg = config.degrees[j]
         ell = config.exponents[j]
         profile = higgs_profile(grid, config, j)
@@ -188,34 +174,6 @@ def _futaki_quadrature_terms(
     return 4.0 * alpha * integrate(grid, metric, pairing_sum) - integrate(
         grid, metric, ham * g_field
     )
-
-
-def futaki_quadrature(grid: AxisymGrid, fin: FutakiInput) -> float:
-    """Numerical Futaki character of a rank-2 pair at the given ansatz.
-
-    Independent of the volume-normalized ansatz; matches the closed form to
-    quadrature accuracy.
-    """
-    config = fin.config
-    config.require_rank2("futaki_quadrature")
-    if any(e is None for e in config.exponents):
-        raise ConfigurationError("quadrature requires both Higgs components nonzero")
-    metric = ConformalMetric(u=np.asarray(fin.u, dtype=float))
-    _require_normalized(grid, metric)
-    potentials = [np.asarray(fin.v1, dtype=float), np.asarray(fin.v2, dtype=float)]
-    return _futaki_quadrature_terms(grid, metric, config, potentials)
-
-
-def abelian_futaki_quadrature(
-    grid: AxisymGrid, config: HiggsConfig, u: np.ndarray, v: np.ndarray
-) -> float:
-    """Futaki character of an abelian configuration (single check field)."""
-    config.require_abelian("abelian_futaki_quadrature")
-    if config.exponents[0] is None:
-        raise ConfigurationError("quadrature requires a nonzero Higgs component")
-    metric = ConformalMetric(u=np.asarray(u, dtype=float))
-    _require_normalized(grid, metric)
-    return _futaki_quadrature_terms(grid, metric, config, [np.asarray(v, dtype=float)])
 
 
 def balancing_condition(config: HiggsConfig) -> tuple[Fraction, bool]:
@@ -334,6 +292,8 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
     report = StabilityReport(config_echo=echo)
     tau = config.tau_fraction
     reasons = report.reasons
+    if None not in config.exponents:
+        report.futaki_value = futaki_closed_form(config)
 
     if config.is_abelian:
         n_deg = config.degrees[0]
@@ -345,7 +305,6 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
             )
         if config.exponents[0] is not None:
             report.matsushima = classify_automorphisms(higgs_divisor(config))
-            report.futaki_value = abelian_futaki_closed_form(config)
             coupled = abelian_coupled_obstructions(config, float(config.alpha))
             report.obstructed = report.obstructed or bool(coupled)
             reasons.extend(coupled)
@@ -399,7 +358,6 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
     except PoleError:
         report.balanced = None
         report.balancing_lhs = "undefined (tau = 2N pole)"
-    report.futaki_value = futaki_closed_form(config)
     report.verdict = (
         "no solution of the coupled equations: " + "; ".join(reasons)
         if report.obstructed

@@ -116,6 +116,16 @@ def bundle_curvature(
     return np.exp(-2.0 * u) * (degree + grid.apply_lap_fs(v))
 
 
+def grid_vector(grid: AxisymGrid, values, name: str) -> np.ndarray:
+    """values as a finite float grid vector; raises on a shape or finiteness defect."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (grid.n,):
+        raise ConfigurationError(f"{name} resolution does not match the grid")
+    if not np.all(np.isfinite(arr)):
+        raise NumericInputError(f"{name} contains non-finite entries")
+    return arr
+
+
 def vortex_residual(
     grid: AxisymGrid,
     metric: ConformalMetric | None,
@@ -124,14 +134,11 @@ def vortex_residual(
 ) -> np.ndarray:
     """Residual of the abelian vortex equation at fixed Kaehler metric."""
     config.require_abelian("vortex_residual")
-    v = np.asarray(pot.v, dtype=float)
-    if v.shape != (grid.n,):
-        raise ConfigurationError("potential resolution does not match the grid")
-    if not np.all(np.isfinite(v)):
-        raise NumericInputError("bundle potential contains non-finite entries")
-    profile = higgs_profile(grid, config, 0)
-    curv = bundle_curvature(grid, metric, config.degrees[0], v)
-    return vortex_equation(curv, np.exp(2.0 * v) * profile, float(config.tau))
+    v = grid_vector(grid, pot.v, "bundle potential")
+    if metric is None:
+        metric = round_metric(grid)
+    residual, _ = _vortex_system(grid, metric, config)
+    return residual(v)
 
 
 def check_vortex_window(config: HiggsConfig) -> None:
@@ -144,18 +151,21 @@ def check_vortex_window(config: HiggsConfig) -> None:
 
 
 def _vortex_system(grid: AxisymGrid, metric: ConformalMetric, config: HiggsConfig):
-    """R1 as a map of v at a fixed metric, and its Jacobian Delta_omega + |phi|^2_H."""
+    """R1 as a map of v at a fixed metric, and its Jacobian Delta_omega + |phi|^2_H.
+
+    The residual applies the Laplacian matrix-free; only the Jacobian reads
+    the dense :attr:`AxisymGrid.lap_fs`.
+    """
     profile = higgs_profile(grid, config, 0)
     tau = float(config.tau)
     n_deg = config.degrees[0]
-    emu = np.exp(-2.0 * metric.u)
-    lap = emu[:, None] * grid.lap_fs
 
     def residual(v: np.ndarray) -> np.ndarray:
-        return vortex_equation(n_deg * emu + lap @ v, np.exp(2.0 * v) * profile, tau)
+        curv = bundle_curvature(grid, metric, n_deg, v)
+        return vortex_equation(curv, np.exp(2.0 * v) * profile, tau)
 
     def jacobian(v: np.ndarray) -> np.ndarray:
-        jac = lap.copy()
+        jac = np.exp(-2.0 * metric.u)[:, None] * grid.lap_fs
         jac.flat[:: grid.n + 1] += np.exp(2.0 * v) * profile
         return jac
 
@@ -427,13 +437,8 @@ def nonabelian_residual(
     if metric is None:
         metric = round_metric(grid)
     u = metric.u
-    v1 = np.asarray(hdata.v1, dtype=float)
-    v2 = np.asarray(hdata.v2, dtype=float)
-    for name, arr in (("v1", v1), ("v2", v2)):
-        if arr.shape != (grid.n,):
-            raise ConfigurationError(f"{name} resolution does not match the grid")
-        if not np.all(np.isfinite(arr)):
-            raise NumericInputError(f"{name} contains non-finite entries")
+    v1 = grid_vector(grid, hdata.v1, "v1")
+    v2 = grid_vector(grid, hdata.v2, "v2")
     off = hdata.offdiag_cofactor
     has_off = off is not None and bool(np.any(np.asarray(off) != 0.0))
     if has_off and n1 != n2:
@@ -470,16 +475,13 @@ def nonabelian_residual(
     m12 = curv12 + 0.5 * phih[0, 1]
     m21 = curv21 + 0.5 * phih[1, 0]
 
-    # H-unitary frame: conjugate by the pointwise Cholesky factor of Hhat
-    r11 = np.empty(grid.n)
-    r22 = np.empty(grid.n)
-    r12 = np.empty(grid.n)
-    for i in range(grid.n):
-        hmat = np.array([[hh[0, 0][i], hh[0, 1][i]], [hh[1, 0][i], hh[1, 1][i]]])
-        mmat = np.array([[m11[i], m12[i]], [m21[i], m22[i]]])
-        upper = np.linalg.cholesky(hmat).T
-        muni = upper @ mmat @ np.linalg.inv(upper)
-        r11[i], r22[i], r12[i] = muni[0, 0], muni[1, 1], muni[0, 1]
+    # H-unitary frame: U M U^-1 with the transposed Cholesky factor of Hhat,
+    # U = [[sqrt(a), b/sqrt(a)], [0, sqrt(d - b^2/a)]] for Hhat = [[a, b], [b, d]]
+    a, b, d = hh[0, 0], hh[0, 1], hh[1, 1]
+    t = b / a
+    r11 = m11 + t * m21
+    r22 = m22 - t * m21
+    r12 = np.sqrt(a / (d - b * t)) * (m12 + t * (m22 - m11) - t * t * m21)
 
     phi_sq = phih[0, 0] + phih[1, 1]
     chern = integrate(grid, metric, curv11 + curv22)

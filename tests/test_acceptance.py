@@ -14,13 +14,13 @@ import numpy as np
 
 from gravortex import (
     ContinuationSchedule,
-    FutakiInput,
     HiggsConfig,
     NewtonOptions,
     build_grid,
     classify_automorphisms,
     divisor_gcd_degree,
     einstein_bogomolnyi_solve,
+    futaki_exact,
     futaki_quadrature,
     gravitating_residual,
     higgs_divisor,
@@ -33,7 +33,6 @@ from gravortex import (
 )
 from gravortex.cli import EXIT_OBSTRUCTED, main
 from gravortex.gravitating import c_from_integral_identity
-from gravortex.obstructions import futaki_closed_form_exact
 from gravortex.quiver import gravitating_vortex_spec, quiver_vortex_residual
 from gravortex.vortex import BundleMetricPotential, bundle_curvature, vortex_residual
 from gravortex import Arrow, Quiver, trace_identity_check
@@ -51,7 +50,7 @@ def test_criterion_01_futaki_closed_form_reproduction():
     grid = build_grid(257)
     cfg = HiggsConfig(degrees=(2, 2), exponents=(1, 0), tau=5.0, alpha=1.0)
     zeros = np.zeros(257)
-    quad = futaki_quadrature(grid, FutakiInput(config=cfg, u=zeros, v1=zeros, v2=zeros))
+    quad = futaki_quadrature(grid, cfg, zeros, [zeros, zeros])
     elapsed = time.perf_counter() - start
     rel = abs(quad - FOUR_PI) / FOUR_PI
     assert rel <= 1e-6, f"relative error {rel}"
@@ -73,7 +72,7 @@ def test_criterion_02_futaki_metric_independence():
         v1 = rng.uniform(-0.2, 0.2) * np.sin(rng.integers(1, 4) * s)
         v2 = rng.uniform(-0.2, 0.2) * np.cos(rng.integers(1, 4) * s)
         values.append(
-            futaki_quadrature(grid, FutakiInput(config=cfg, u=metric.u, v1=v1, v2=v2))
+            futaki_quadrature(grid, cfg, metric.u, [v1, v2])
         )
     spread = (max(values) - min(values)) / FOUR_PI
     assert spread <= 1e-6, f"spread {spread}"
@@ -92,7 +91,9 @@ def test_criterion_03_balanced_lattice_equivalence():
                     for tau in taus:
                         if tau == 2 * n1 or tau == 2 * n2:
                             continue
-                        closed = futaki_closed_form_exact(n1, n2, l1, l2, tau)
+                        closed = futaki_exact(
+                            HiggsConfig(degrees=(n1, n2), exponents=(l1, l2), tau=tau)
+                        )
                         balancing = Fraction(2 * l1 - n1, 1) / (2 * n2 - tau) + Fraction(
                             2 * l2 - n2, 1
                         ) / (2 * n1 - tau)

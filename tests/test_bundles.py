@@ -52,6 +52,10 @@ class TestHiggsConfig:
             ((1,), (0,), 0.0),
             ((1,), (0,), -1.0),
             ((1, 2, 3), (0, 0, 0), 3.0),
+            # booleans are not numbers, although Python treats them as 0 and 1
+            ((True,), (0,), 3.0),
+            ((2,), (True,), 5.0),
+            ((1,), (0,), True),
         ],
     )
     def test_invalid_configs_rejected(self, degrees, exponents, tau):

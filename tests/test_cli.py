@@ -319,12 +319,24 @@ class TestExecuteAndExitCodes:
         [
             ("tau", "abc", "tau must be a positive number, got 'abc'"),
             ("alpha", "x", "alpha must be a number, got 'x'"),
+            # JSON booleans are not numbers, although Python's float() takes them
+            ("tau", True, "tau must be a positive number, got True"),
+            ("alpha", False, "alpha must be a number, got False"),
+            ("degrees", [True], "degrees must be positive integers, got True"),
+            ("exponents", [True], "exponents must satisfy 0 <= l <= N, got l=True for N=2"),
+            ("tolerance", True, "tolerance must be a positive number, got True"),
+            ("max_iter", True, "max_iter must be a positive integer, got True"),
+            ("schedule", [0, True], "schedule entries must be numbers, got True"),
         ],
     )
     def test_non_numeric_coupling_reported_once(self, tmp_path, capsys, key, value, message):
-        problem = {"degrees": [2], "exponents": [1], "tau": 5, key: value}
+        problem = {"degrees": [2], "exponents": [1], "tau": 5}
+        numerics = {}
+        (numerics if key in ("tolerance", "max_iter", "schedule") else problem)[key] = value
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"command": "solve-vortex", "problem": problem}))
+        path.write_text(
+            json.dumps({"command": "solve-vortex", "problem": problem, "numerics": numerics})
+        )
         assert main(["--config", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 

@@ -192,6 +192,15 @@ class TestSolveGravitating:
         interp_u = coarse.interpolate(s_c.metric.u, fine.nodes)
         assert np.max(np.abs(interp_u - s_f.metric.u)) <= 1e-7
 
+    def test_degree_four_continuation_converges_at_n257(self):
+        # the alpha = 0 solve ends close to the 1e-10 tolerance at n = 257;
+        # a residual evaluated through the dense Laplacian stalls above it
+        cfg = HiggsConfig(degrees=(4,), exponents=(2,), tau=9.0)
+        schedule = ContinuationSchedule(alphas=tuple(k / 90 for k in range(6)))
+        _, report = solve_gravitating(cfg, schedule, build_grid(257))
+        assert report.converged
+        assert [step.converged for step in report.steps] == [True] * 6
+
 
 def planted(singular_values, seed):
     """A matrix with the given singular values and random orthogonal factors."""

@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 from gravortex import (
     BundleMetricPotential,
     ConfigurationError,
-    FutakiInput,
     GravitatingState,
     HiggsConfig,
     PoleError,
-    WrongRankError,
-    abelian_futaki_closed_form,
-    abelian_futaki_quadrature,
     balancing_condition,
     build_grid,
     futaki_closed_form,
+    futaki_exact,
     futaki_quadrature,
     gravitating_residual,
     laplacian,
@@ -28,13 +25,10 @@ from gravortex import (
     quiver_vortex_residual,
     scalar_curvature,
     stability_check,
+    vortex_residual,
 )
 from gravortex.quiver import gravitating_vortex_spec
-from gravortex.obstructions import (
-    abelian_coupled_obstructions,
-    futaki_closed_form_exact,
-    z_stability_check,
-)
+from gravortex.obstructions import abelian_coupled_obstructions, z_stability_check
 
 FOUR_PI = 4.0 * math.pi
 
@@ -44,9 +38,10 @@ def grid257():
     return build_grid(257)
 
 
-def fs_input(config, n):
-    zeros = np.zeros(n)
-    return FutakiInput(config=config, u=zeros, v1=zeros.copy(), v2=zeros.copy())
+def fs_quadrature(grid, config):
+    """Futaki quadrature at the round metric and zero bundle potentials."""
+    zeros = np.zeros(grid.n)
+    return futaki_quadrature(grid, config, zeros, [zeros] * config.rank)
 
 
 class TestClosedForm:
@@ -63,22 +58,29 @@ class TestClosedForm:
             cfg = HiggsConfig(degrees=(2, 2), exponents=(1, 1), tau=tau, alpha=2.0)
             assert futaki_closed_form(cfg) == 0.0
 
-    def test_abelian_rejected(self):
-        with pytest.raises(WrongRankError):
-            futaki_closed_form(HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0))
+    @pytest.mark.parametrize(
+        "degrees, exponents, tau, expected",
+        [((3,), (1,), 7.0, 1), ((2, 3), (0, 2), 7.0, 5)],
+        ids=["abelian", "rank2"],
+    )
+    def test_value_for_either_rank(self, degrees, exponents, tau, expected):
+        # (2N - tau)(2l - N) summed over the components: (-1)(-1), (-3)(-2) + (-1)(1)
+        cfg = HiggsConfig(degrees=degrees, exponents=exponents, tau=tau, alpha=0.5)
+        assert futaki_exact(cfg) == expected
+        assert futaki_closed_form(cfg) == pytest.approx(math.pi * expected, rel=1e-15)
 
 
 class TestQuadrature:
     def test_fubini_study_reference_value(self, grid257):
         cfg = HiggsConfig(degrees=(2, 2), exponents=(1, 0), tau=5.0, alpha=1.0)
-        value = futaki_quadrature(grid257, fs_input(cfg, 257))
+        value = fs_quadrature(grid257, cfg)
         assert abs(value - FOUR_PI) / FOUR_PI <= 1e-6
 
     def test_metric_independence(self, grid257):
         cfg = HiggsConfig(degrees=(2, 2), exponents=(1, 0), tau=5.0, alpha=1.0)
         rng = np.random.default_rng(23)
         s = grid257.nodes
-        values = [futaki_quadrature(grid257, fs_input(cfg, 257))]
+        values = [fs_quadrature(grid257, cfg)]
         for _ in range(5):
             u_raw = rng.uniform(-0.3, 0.3) * np.exp(
                 -rng.uniform(1, 5) * (s - rng.uniform(-0.5, 0.5)) ** 2
@@ -87,26 +89,21 @@ class TestQuadrature:
             v1 = rng.uniform(-0.2, 0.2) * np.sin(rng.integers(1, 4) * s)
             v2 = rng.uniform(-0.2, 0.2) * np.cos(rng.integers(1, 4) * s)
             values.append(
-                futaki_quadrature(
-                    grid257, FutakiInput(config=cfg, u=metric.u, v1=v1, v2=v2)
-                )
+                futaki_quadrature(grid257, cfg, metric.u, [v1, v2])
             )
         spread = (max(values) - min(values)) / FOUR_PI
         assert spread <= 1e-6
 
     def test_balanced_pair_vanishes_any_ansatz(self, grid257):
         cfg = HiggsConfig(degrees=(1, 1), exponents=(0, 1), tau=3.0, alpha=1.0)
-        value = futaki_quadrature(grid257, fs_input(cfg, 257))
+        value = fs_quadrature(grid257, cfg)
         assert abs(value) <= 1e-8
         metric = normalize_volume(grid257, 0.2 * np.exp(-3 * grid257.nodes**2))
         perturbed = futaki_quadrature(
             grid257,
-            FutakiInput(
-                config=cfg,
-                u=metric.u,
-                v1=0.1 * np.sin(grid257.nodes),
-                v2=0.05 * grid257.nodes**2,
-            ),
+            cfg,
+            metric.u,
+            [0.1 * np.sin(grid257.nodes), 0.05 * grid257.nodes**2],
         )
         assert abs(perturbed) <= 1e-8
 
@@ -126,26 +123,21 @@ class TestQuadrature:
         for degrees, exponents, tau, alpha in cases:
             cfg = HiggsConfig(degrees=degrees, exponents=exponents, tau=tau, alpha=alpha)
             closed = futaki_closed_form(cfg)
-            quad = futaki_quadrature(grid257, fs_input(cfg, 257))
+            quad = fs_quadrature(grid257, cfg)
             scale = max(abs(closed), 1.0)
             assert abs(quad - closed) / scale <= 1e-6
 
     def test_non_normalized_ansatz_rejected(self, grid257):
         cfg = HiggsConfig(degrees=(2, 2), exponents=(1, 0), tau=5.0, alpha=1.0)
-        bad = FutakiInput(
-            config=cfg,
-            u=0.5 * np.ones(257),
-            v1=np.zeros(257),
-            v2=np.zeros(257),
-        )
+        zeros = np.zeros(257)
         with pytest.raises(ConfigurationError):
-            futaki_quadrature(grid257, bad)
+            futaki_quadrature(grid257, cfg, 0.5 * np.ones(257), [zeros, zeros])
 
 
 class TestAbelianQuadrature:
     def test_symmetric_configuration_vanishes(self, grid257):
         cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0, alpha=1.0)
-        value = abelian_futaki_quadrature(grid257, cfg, np.zeros(257), np.zeros(257))
+        value = fs_quadrature(grid257, cfg)
         assert abs(value) <= 1e-8
 
     def test_single_zero_value_richardson_stable(self):
@@ -155,10 +147,7 @@ class TestAbelianQuadrature:
         cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0, alpha=1.0)
         values = []
         for n in (129, 257, 513):
-            grid = build_grid(n)
-            values.append(
-                abelian_futaki_quadrature(grid, cfg, np.zeros(n), np.zeros(n))
-            )
+            values.append(fs_quadrature(build_grid(n), cfg))
         assert values[0] == pytest.approx(2.0 * math.pi, rel=1e-6)
         # successive refinements agree to far better than six digits
         assert abs(values[1] - values[0]) <= 1e-8
@@ -170,17 +159,15 @@ class TestAbelianQuadrature:
         doubled = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0, alpha=2.0)
         u = normalize_volume(grid257, 0.1 * np.exp(-2 * grid257.nodes**2)).u
         v = 0.1 * np.sin(grid257.nodes)
-        one = abelian_futaki_quadrature(grid257, base, u, v)
-        two = abelian_futaki_quadrature(grid257, doubled, u, v)
+        one = futaki_quadrature(grid257, base, u, [v])
+        two = futaki_quadrature(grid257, doubled, u, [v])
         assert two == pytest.approx(2.0 * one, rel=1e-7)
 
     def test_metric_independence(self, grid257):
         cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0, alpha=1.0)
-        ref = abelian_futaki_quadrature(grid257, cfg, np.zeros(257), np.zeros(257))
+        ref = fs_quadrature(grid257, cfg)
         metric = normalize_volume(grid257, 0.25 * np.exp(-4 * (grid257.nodes - 0.3) ** 2))
-        moved = abelian_futaki_quadrature(
-            grid257, cfg, metric.u, 0.15 * np.cos(grid257.nodes)
-        )
+        moved = futaki_quadrature(grid257, cfg, metric.u, [0.15 * np.cos(grid257.nodes)])
         assert abs(moved - ref) / abs(ref) <= 1e-6
 
 
@@ -222,7 +209,7 @@ class TestBalancing:
             return
         cfg = HiggsConfig(degrees=(n1, n2), exponents=(l1, l2), tau=float(tau))
         lhs, balanced = balancing_condition(cfg)
-        closed = futaki_closed_form_exact(n1, n2, l1, l2, tau)
+        closed = futaki_exact(HiggsConfig(degrees=(n1, n2), exponents=(l1, l2), tau=tau))
         assert balanced == (closed == 0)
 
 
@@ -308,8 +295,8 @@ class TestAbelianFutakiGate:
     def test_closed_form_matches_quadrature(self, grid257, degree, exponent, tau):
         cfg = HiggsConfig(degrees=(degree,), exponents=(exponent,), tau=tau, alpha=1.0)
         expected = 2.0 * math.pi * (2 * degree - tau) * (2 * exponent - degree)
-        assert abelian_futaki_closed_form(cfg) == pytest.approx(expected, rel=1e-14)
-        quad = abelian_futaki_quadrature(grid257, cfg, np.zeros(257), np.zeros(257))
+        assert futaki_closed_form(cfg) == pytest.approx(expected, rel=1e-14)
+        quad = fs_quadrature(grid257, cfg)
         assert quad == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("degree, exponent, tau", ASYMMETRIC_TWO_ZERO)
@@ -320,7 +307,7 @@ class TestAbelianFutakiGate:
         assert report.matsushima.kind == "torus"
         assert report.obstructed
         assert any("Futaki character" in reason for reason in report.reasons)
-        assert report.futaki_value == pytest.approx(abelian_futaki_closed_form(cfg))
+        assert report.futaki_value == pytest.approx(futaki_closed_form(cfg))
         assert report.futaki_value != 0.0
 
     @pytest.mark.parametrize("degree, exponent, tau", ASYMMETRIC_TWO_ZERO)
@@ -346,16 +333,13 @@ class TestAbelianFutakiGate:
         reasons = abelian_coupled_obstructions(cfg, 1.0)
         assert len(reasons) == 2 and "only one zero" in reasons[0]
 
-    def test_rank2_closed_form_unchanged(self):
-        with pytest.raises(WrongRankError):
-            abelian_futaki_closed_form(HiggsConfig(degrees=(1, 1), exponents=(0, 1), tau=3.0))
-
 
 class TestMatrixFreeEvaluation:
     """Residuals and the Futaki quadrature never build the dense Laplacian.
 
     ``AxisymGrid.lap_fs`` caches its O(n^3) matrix in ``_lap_fs`` on first
-    access; only the Newton Jacobians should pay for it.
+    access; only the Newton Jacobians should pay for it.  ``vortex_residual``
+    and ``gravitating_residual`` evaluate the solvers' own residual maps.
     """
 
     @staticmethod
@@ -373,10 +357,13 @@ class TestMatrixFreeEvaluation:
             "laplacian": lambda: laplacian(grid, metric, s**2),
             "scalar_curvature": lambda: scalar_curvature(grid, metric),
             "futaki_quadrature": lambda: futaki_quadrature(
-                grid, FutakiInput(config=rank2, u=metric.u, v1=0.1 * s, v2=zeros)
+                grid, rank2, metric.u, [0.1 * s, zeros]
             ),
-            "abelian_futaki_quadrature": lambda: abelian_futaki_quadrature(
-                grid, abelian, metric.u, 0.1 * s
+            "futaki_rank1": lambda: futaki_quadrature(
+                grid, abelian, metric.u, [0.1 * s]
+            ),
+            "vortex_residual": lambda: vortex_residual(
+                grid, metric, BundleMetricPotential(0.1 * s), abelian
             ),
             "quiver_vortex_residual": lambda: quiver_vortex_residual(
                 spec, {"src": zeros, "dst": 0.1 * s}, metric, grid
@@ -390,7 +377,8 @@ class TestMatrixFreeEvaluation:
             "laplacian",
             "scalar_curvature",
             "futaki_quadrature",
-            "abelian_futaki_quadrature",
+            "futaki_rank1",
+            "vortex_residual",
             "quiver_vortex_residual",
             "gravitating_residual",
         ],

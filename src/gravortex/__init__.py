@@ -9,7 +9,6 @@ from .bundles import (
     AutVerdict,
     Divisor,
     HiggsConfig,
-    background_curvature,
     classify_automorphisms,
     divisor_from_binary_form,
     divisor_from_monomial,

@@ -129,16 +129,6 @@ def higgs_profile(grid: AxisymGrid, config: HiggsConfig, j: int = 0) -> np.ndarr
     return (1.0 + s) ** ell * (1.0 - s) ** (n_deg - ell) / 2.0**n_deg
 
 
-def background_curvature(config: HiggsConfig, j: int = 0) -> float:
-    """Constant i Lambda_FS F of the FS metric on the degree-N_j bundle.
-
-    With volume 2*pi the Chern normalization forces the constant N_j.
-    """
-    if not (0 <= j < config.rank):
-        raise ConfigurationError(f"component index {j} out of range for rank {config.rank}")
-    return float(config.degrees[j])
-
-
 # ---------------------------------------------------------------------------
 # divisors and exact binary-form arithmetic
 

@@ -130,16 +130,14 @@ class RunConfig:
 def _as_number(problem: dict, key: str, default: float, message: str, errors: list[str]):
     """problem[key] as a float, default when absent, None after an error.
 
-    JSON booleans are not numbers, although Python's float() accepts them.
+    Only JSON numbers are numbers: not booleans, although Python's float()
+    accepts them, and not numeric strings.
     """
     if key not in problem:
         return default
     value = problem[key]
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
     errors.append(f"{message}, got {value!r}")
     return None
 
@@ -245,12 +243,18 @@ def parse_config(text: str) -> RunConfig:
 
     if command == "sweep":
         sweep = raw.get("sweep")
-        if not isinstance(sweep, dict) or "over" not in sweep:
-            errors.append("sweep requires a 'sweep' object with an 'over' map")
-            swept_keys = set()
-        else:
-            swept_keys = set(sweep["over"])
-        _validate_problem(problem, errors, want_quiver=False, supplied_later=swept_keys)
+        over = sweep.get("over") if isinstance(sweep, dict) else None
+        if not isinstance(over, dict) or not all(isinstance(v, list) for v in over.values()):
+            errors.append("sweep requires a 'sweep' object with an 'over' map of value lists")
+            over = {}
+        _validate_problem(problem, errors, want_quiver=False, supplied_later=set(over))
+        # every swept point is validated here, so a bad value fails the parse
+        # with the other config errors instead of aborting the sweep midway
+        keys = sorted(over)
+        for combo in itertools.product(*(over[k] for k in keys)):
+            point_errors: list[str] = []
+            _validate_problem({**problem, **dict(zip(keys, combo))}, point_errors, want_quiver=False)
+            errors.extend(e for e in point_errors if e not in errors)
     elif command == "quiver-check":
         _validate_problem(problem, errors, want_quiver=True)
     elif command in COMMANDS:
@@ -274,10 +278,6 @@ def parse_config(text: str) -> RunConfig:
         ),
         sweep=raw.get("sweep"),
     )
-
-
-def serialize_config(config: RunConfig) -> str:
-    return json.dumps(config.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _higgs_from_problem(problem: dict) -> HiggsConfig:

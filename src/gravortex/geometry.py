@@ -5,12 +5,14 @@ coordinate s = (|w|^2 - 1)/(|w|^2 + 1) of the affine coordinate w, so
 Chebyshev collocation on Gauss--Lobatto nodes in s gives spectral accuracy
 and the poles s = +-1 need no special treatment.
 
-The grid stores one dense n x n matrix, the first derivative ``d1``.  Grid
-vectors are otherwise handled without dense n x n algebra: the Laplacian
-is two ``d1`` products and the antiderivative works on FFT-computed
-Chebyshev coefficients.  Every residual, the solvers' own included, applies
-the Laplacian this way; the dense matrix :attr:`AxisymGrid.lap_fs` is read
-only where the Newton Jacobians are assembled.
+The grid stores one dense n x n matrix, the first derivative ``d1``, built
+on half its rows and mirrored; the quadrature weights come from one FFT.
+Grid vectors are otherwise handled without dense n x n algebra: the
+Laplacian is two ``d1`` products and the antiderivative works on
+FFT-computed Chebyshev coefficients.  Every residual, the solvers' own
+included, applies the Laplacian this way; the dense matrix
+:attr:`AxisymGrid.lap_fs` is read only where the Newton Jacobians are
+assembled.
 
 Conventions (see CONVENTIONS.md for the full ledger):
 
@@ -53,7 +55,9 @@ class AxisymGrid:
 
     ``d1`` differentiates the degree n-1 interpolant exactly.  ``weights``
     are Clenshaw--Curtis weights matched to the nodes (exact for polynomials
-    of degree <= n-1, summing to 2).
+    of degree <= n-1, summing to 2).  Nodes, weights and ``d1`` are exactly
+    symmetric under s -> -s: ``weights == weights[::-1]`` and
+    ``d1 == -d1[::-1, ::-1]``.
 
     The round Laplacian is applied matrix-free by :meth:`apply_lap_fs`, two
     O(n^2) products with ``d1``.  The dense matrix :attr:`lap_fs` costs an
@@ -141,11 +145,16 @@ def _row_sums(a: np.ndarray, work: np.ndarray) -> np.ndarray:
 def build_grid(n: int) -> AxisymGrid:
     """Build the collocation grid, derivative operator and quadrature weights.
 
+    The weights are one DCT-I of the Chebyshev moments (Waldvogel, "Fast
+    construction of the Fejer and Clenshaw-Curtis quadrature rules", BIT 46,
+    2006), O(n log n) and exactly symmetric.  ``d1`` is computed on its upper
+    half of rows, the middle row included, and the rest is mirrored from it.
     Deterministic for fixed n; the resolution is validated by
     :func:`check_resolution`.
     """
     check_resolution(n)
     m = n - 1
+    mid = n // 2
     j = np.arange(n)
     # sin form keeps the node set exactly symmetric in floating point
     s = np.sin(np.pi * (2 * j - m) / (2 * m))
@@ -153,19 +162,21 @@ def build_grid(n: int) -> AxisymGrid:
     bary[0] = bary[-1] = 0.5
     bary *= (-1.0) ** j
 
-    k = np.arange(1, m // 2 + 1)
-    b = np.where(2 * k == m, 1.0, 2.0)
-    coef = -(b / (4.0 * k * k - 1.0))
-    theta = np.pi * j / m
+    # moments 1 / (1 - l^2) of the even l, the DCT-I counting l = m once
+    moments = np.zeros(n)
+    moments[::2] = 1.0 / (1.0 - j[::2] * j[::2])
+    weights = np.fft.rfft(np.concatenate([moments, moments[-2:0:-1]])).real * (2.0 / m)
+    weights[[0, m]] *= 0.5
+    weights = 0.5 * (weights + weights[::-1])
+
     d1 = np.empty((n, n))
-    weights = np.empty(n)
     # Row blocks bound the temporaries.  The diagonal is the negated sum of
     # the row's off-diagonal entries to within one rounding, so d1 @ const
     # vanishes to round-off; the sums are elementwise numpy work, not BLAS
     # products, so d1 depends on neither the block split nor the BLAS thread
     # count.
-    for r0 in range(0, n, _ROW_BLOCK):
-        rows = slice(r0, min(r0 + _ROW_BLOCK, n))
+    for r0 in range(0, mid + 1, _ROW_BLOCK):
+        rows = slice(r0, min(r0 + _ROW_BLOCK, mid + 1))
         blk = d1[rows]
         diag = (np.arange(blk.shape[0]), j[rows])
         dx = s[rows, None] - s[None, :]
@@ -173,11 +184,9 @@ def build_grid(n: int) -> AxisymGrid:
         np.divide(bary[None, :] / bary[rows, None], dx, out=blk)
         blk[diag] = 0.0
         blk[diag] = -_row_sums(blk, work=dx)  # dx is free after the divide
-
-        terms = coef[None, :] * np.cos(2.0 * np.outer(theta[rows], k))
-        for i, row in zip(j[rows], terms):
-            c = 1.0 if i in (0, m) else 2.0
-            weights[i] = c * math.fsum([1.0, *row.tolist()]) / m
+    # s and bary are exactly symmetric, so d1[m - i, m - j] = -d1[i, j]
+    # exactly; writing through out= needs no half-size temporary
+    np.negative(d1[mid - 1 :: -1, ::-1], out=d1[mid + 1 :])
 
     return AxisymGrid(n=n, nodes=s, d1=d1, weights=weights, bary=bary)
 

@@ -13,7 +13,6 @@ from gravortex import (
     DegeneratePairError,
     HiggsConfig,
     WrongRankError,
-    background_curvature,
     build_grid,
     classify_automorphisms,
     divisor_from_binary_form,
@@ -101,14 +100,10 @@ class TestHiggsProfile:
 
 
 class TestBackgroundCurvature:
-    def test_degree_one(self):
-        assert background_curvature(HiggsConfig((1,), (0,), 3.0)) == 1.0
-
     def test_degree_three_chern_quadrature(self, grid):
-        cfg = HiggsConfig(degrees=(3,), exponents=(0,), tau=9.0)
-        const = background_curvature(cfg)
-        assert const == 3.0
-        total = integrate(grid, None, const * np.ones(grid.n))
+        # with volume 2*pi the Chern normalization makes i Lambda_FS F of the
+        # FS metric on the degree-3 bundle the constant 3
+        total = integrate(grid, None, 3.0 * np.ones(grid.n))
         assert total == pytest.approx(6.0 * math.pi, abs=1e-12)
 
 

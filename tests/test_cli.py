@@ -15,7 +15,6 @@ from gravortex.cli import (
     ConfigValidationError,
     main,
     parse_config,
-    serialize_config,
 )
 from gravortex.reporting import conventions_hash, report_schema
 
@@ -70,6 +69,14 @@ class TestParseConfig:
         assert "missing required key: problem.degrees" in text
         assert "missing required key: problem.exponents" in text
 
+    def test_sweep_values_must_be_lists(self):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(
+                '{"command": "sweep", "degrees": [2], "exponents": [1],'
+                ' "sweep": {"over": {"tau": 5}}}'
+            )
+        assert "sweep requires a 'sweep' object with an 'over' map of value lists" in err.value.errors
+
     def test_round_trip_identity(self):
         source = {
             "command": "solve-gravitating",
@@ -78,8 +85,9 @@ class TestParseConfig:
             "output": {"directory": "somewhere", "formats": ["json"]},
         }
         cfg = parse_config(json.dumps(source))
-        again = parse_config(serialize_config(cfg))
-        assert serialize_config(again) == serialize_config(cfg)
+        text = json.dumps(cfg.to_json_dict(), sort_keys=True)
+        again = parse_config(text)
+        assert json.dumps(again.to_json_dict(), sort_keys=True) == text
 
     def test_schedule_must_start_at_zero(self):
         with pytest.raises(ConfigValidationError) as err:
@@ -306,6 +314,25 @@ class TestExecuteAndExitCodes:
         assert all(len(row) == len(header) for row in rows)
         assert [row[header.index("exponents")] for row in rows] == ["[1, 0]", "[1, 1]"]
 
+    @pytest.mark.parametrize(
+        "taus, message",
+        [
+            ([True, 3], "tau must be a positive number, got True"),
+            (["5", 3], "tau must be a positive number, got '5'"),
+        ],
+    )
+    def test_sweep_values_checked_before_any_row(self, tmp_path, capsys, taus, message):
+        code, report = run_config(
+            tmp_path,
+            {
+                "command": "sweep",
+                "problem": {"degrees": [2, 2], "exponents": [1, 0], "alpha": 1.0},
+                "sweep": {"over": {"tau": taus}},
+            },
+        )
+        assert code == EXIT_USAGE and report is None
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
     def test_usage_error_exit_one(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"command": "no-such-command"}')
@@ -327,6 +354,9 @@ class TestExecuteAndExitCodes:
             ("tolerance", True, "tolerance must be a positive number, got True"),
             ("max_iter", True, "max_iter must be a positive integer, got True"),
             ("schedule", [0, True], "schedule entries must be numbers, got True"),
+            # numeric strings are not JSON numbers either
+            ("tau", "5", "tau must be a positive number, got '5'"),
+            ("alpha", "0.1", "alpha must be a number, got '0.1'"),
         ],
     )
     def test_non_numeric_coupling_reported_once(self, tmp_path, capsys, key, value, message):

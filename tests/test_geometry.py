@@ -22,6 +22,7 @@ from gravortex import (
 )
 from gravortex.geometry import (
     GAUSS_BONNET_TOTAL,
+    _row_sums,
     cumulative_antiderivative,
     hamiltonian_potential,
     write_profile_csv,
@@ -35,6 +36,33 @@ def random_bump(rng, s):
     b = rng.uniform(1.0, 6.0)
     s0 = rng.uniform(-0.7, 0.7)
     return a * np.exp(-b * (s - s0) ** 2)
+
+
+def reference_d1(n):
+    """d1 with every row computed: off-diagonal quotients, row-sum diagonal."""
+    m = n - 1
+    j = np.arange(n)
+    s = np.sin(np.pi * (2 * j - m) / (2 * m))
+    bary = np.ones(n)
+    bary[0] = bary[-1] = 0.5
+    bary *= (-1.0) ** j
+    dx = s[:, None] - s[None, :]
+    dx[j, j] = 1.0
+    d1 = (bary[None, :] / bary[:, None]) / dx
+    d1[j, j] = 0.0
+    d1[j, j] = -_row_sums(d1, work=dx)
+    return d1
+
+
+def reference_weights(n):
+    """Clenshaw--Curtis weights summed node by node from their cosine series."""
+    m = n - 1
+    k = np.arange(1, m // 2 + 1)
+    coef = -(np.where(2 * k == m, 1.0, 2.0) / (4.0 * k * k - 1.0))
+    terms = coef[None, :] * np.cos(2.0 * np.outer(np.pi * np.arange(n) / m, k))
+    weights = np.array([2.0 * math.fsum([1.0, *row.tolist()]) / m for row in terms])
+    weights[[0, m]] *= 0.5
+    return weights
 
 
 @pytest.fixture(scope="module")
@@ -82,14 +110,31 @@ class TestBuildGrid:
         value = math.fsum((grid.weights * grid.nodes**2).tolist())
         assert abs(value - 2.0 / 3.0) <= 1e-12
 
-    def test_quadrature_exact_to_induced_degree(self):
+    def test_quadrature_exact_to_induced_degree(self, grid_ladder):
         # n-point weights integrate polynomials up to degree n-1 exactly
-        grid = build_grid(33)
-        for power in (30, 32):
-            value = math.fsum((grid.weights * grid.nodes**power).tolist())
-            assert abs(value - 2.0 / (power + 1)) <= 1e-12
-        value = math.fsum((grid.weights * grid.nodes**31).tolist())
-        assert abs(value) <= 1e-12
+        for grid in [build_grid(33), *grid_ladder]:
+            m = grid.n - 1
+            for power in (m - 2, m):
+                value = math.fsum((grid.weights * grid.nodes**power).tolist())
+                assert abs(value - 2.0 / (power + 1)) <= 1e-12
+            value = math.fsum((grid.weights * grid.nodes ** (m - 1)).tolist())
+            assert abs(value) <= 1e-12
+
+    @pytest.mark.parametrize("n", (33, 129, 1025))
+    def test_matches_reference_construction(self, n):
+        # d1 mirrored from its upper rows is the full-row d1 bit for bit;
+        # the FFT weights agree with the cosine series to round-off
+        grid = build_grid(n)
+        assert np.array_equal(grid.d1, reference_d1(n))
+        assert np.max(np.abs(grid.weights - reference_weights(n))) <= 1e-16
+
+    def test_exact_mirror_symmetry(self, grid_ladder):
+        # on the ladder n - 1 is a power of two, where the FFT already rounds
+        # both halves of the weights alike; at n = 1043 (n - 1 = 2 * 521) it
+        # does not, so there only the symmetrisation makes them equal
+        for grid in [*grid_ladder, build_grid(1043)]:
+            assert np.array_equal(grid.weights, grid.weights[::-1])
+            assert np.array_equal(grid.d1, -grid.d1[::-1, ::-1])
 
     def test_d2_is_d1_composed(self):
         # second derivatives are d1 applied twice, accurate on polynomials

@@ -104,6 +104,10 @@ class RunConfig:
     numerics: Numerics = field(default_factory=Numerics)
     output: OutputSpec = field(default_factory=OutputSpec)
     sweep: dict | None = None
+    # (swept values, HiggsConfig) per sweep point, built once by parse_config
+    sweep_points: list[tuple[tuple, HiggsConfig]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
     override_obstruction: bool = False
 
     def to_json_dict(self) -> dict:
@@ -144,14 +148,15 @@ def _as_number(problem: dict, key: str, default: float, message: str, errors: li
 
 def _validate_problem(
     problem: dict, errors: list[str], want_quiver: bool, supplied_later: set | None = None
-) -> None:
+) -> HiggsConfig | None:
+    """Append problem's config errors to ``errors``; return its trial HiggsConfig, if built."""
     unknown = set(problem) - _PROBLEM_KEYS
     for key in sorted(unknown):
         errors.append(f"unknown problem key: {key!r}")
     if want_quiver:
         if "quiver" not in problem:
             errors.append("missing required key: problem.quiver")
-        return
+        return None
     supplied_later = supplied_later or set()
     for key in ("degrees", "exponents", "tau"):
         if key not in problem and key not in supplied_later:
@@ -165,7 +170,7 @@ def _validate_problem(
         tau = 1.0
     if tau is not None and alpha is not None and "degrees" in problem and "exponents" in problem:
         try:
-            HiggsConfig(
+            return HiggsConfig(
                 degrees=tuple(problem["degrees"]),
                 exponents=tuple(problem["exponents"]),
                 tau=tau,
@@ -173,6 +178,7 @@ def _validate_problem(
             )
         except (ConfigurationError, TypeError, ValueError) as exc:
             errors.append(str(exc))
+    return None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -241,6 +247,7 @@ def parse_config(text: str) -> RunConfig:
         if fmt not in ("json", "csv"):
             errors.append(f"unknown output format: {fmt!r}")
 
+    sweep_points: list[tuple[tuple, HiggsConfig]] = []
     if command == "sweep":
         sweep = raw.get("sweep")
         over = sweep.get("over") if isinstance(sweep, dict) else None
@@ -249,12 +256,16 @@ def parse_config(text: str) -> RunConfig:
             over = {}
         _validate_problem(problem, errors, want_quiver=False, supplied_later=set(over))
         # every swept point is validated here, so a bad value fails the parse
-        # with the other config errors instead of aborting the sweep midway
+        # with the other config errors instead of aborting the sweep midway;
+        # the sweep runs on the HiggsConfig each validation builds
         keys = sorted(over)
         for combo in itertools.product(*(over[k] for k in keys)):
             point_errors: list[str] = []
-            _validate_problem({**problem, **dict(zip(keys, combo))}, point_errors, want_quiver=False)
+            higgs = _validate_problem(
+                {**problem, **dict(zip(keys, combo))}, point_errors, want_quiver=False
+            )
             errors.extend(e for e in point_errors if e not in errors)
+            sweep_points.append((combo, higgs))
     elif command == "quiver-check":
         _validate_problem(problem, errors, want_quiver=True)
     elif command in COMMANDS:
@@ -264,7 +275,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigValidationError(errors)
 
     default_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
-    return RunConfig(
+    config = RunConfig(
         command=command,
         problem=problem,
         numerics=Numerics(
@@ -278,6 +289,8 @@ def parse_config(text: str) -> RunConfig:
         ),
         sweep=raw.get("sweep"),
     )
+    config.sweep_points = sweep_points
+    return config
 
 
 def _higgs_from_problem(problem: dict) -> HiggsConfig:
@@ -349,7 +362,7 @@ def _run_solve_gravitating(config: RunConfig, report: dict, outdir: str) -> int:
     }
     if _want(config, "csv"):
         for k, step in enumerate(cont.steps):
-            if step.u is None:
+            if not step.converged:
                 continue
             for name, values in (("u", step.u), ("v", step.v)):
                 path = os.path.join(outdir, f"gravitating_{name}_step{k:02d}.csv")
@@ -437,11 +450,12 @@ def _run_quiver_check(config: RunConfig, report: dict, outdir: str) -> int:
 def _run_sweep(config: RunConfig, report: dict, outdir: str) -> int:
     over = config.sweep["over"]
     keys = sorted(over)
+    if len(config.sweep_points) != math.prod(len(over[k]) for k in keys):
+        raise ConfigurationError(
+            "sweep points do not match sweep.over; build the config with parse_config"
+        )
     rows = []
-    for combo in itertools.product(*(over[k] for k in keys)):
-        problem = dict(config.problem)
-        problem.update(dict(zip(keys, combo)))
-        higgs = _higgs_from_problem(problem)
+    for combo, higgs in config.sweep_points:
         verdict = stability_check(higgs)
         row = {k: v for k, v in zip(keys, combo)}
         row.update(

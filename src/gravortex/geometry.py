@@ -41,7 +41,9 @@ ROUND_SCALAR_CURVATURE = 4.0
 
 MIN_NODES = 33
 MAX_NODES = 4097
-_ROW_BLOCK = 256  # rows per block when build_grid fills d1
+# rows per block when build_grid fills d1; at n = 4097 a block's two
+# temporaries are 4 MiB each, below the size of the n = 1025 matrices
+_ROW_BLOCK = 128
 
 
 def _check_finite(f: np.ndarray, name: str) -> None:
@@ -75,9 +77,14 @@ class AxisymGrid:
         """Dense round-metric Laplacian in divergence form, -2 d1 (1-s^2) d1."""
         cached = getattr(self, "_lap_fs", None)
         if cached is None:
-            cached = -2.0 * (self.d1 @ ((1.0 - self.nodes**2)[:, None] * self.d1))
+            cached = self._dense_lap_fs()
             object.__setattr__(self, "_lap_fs", cached)
         return cached
+
+    def _dense_lap_fs(self) -> np.ndarray:
+        lap = self.d1 @ ((1.0 - self.nodes**2)[:, None] * self.d1)
+        lap *= -2.0  # in place: one n x n temporary fewer
+        return lap
 
     @property
     def lap_fs_even(self) -> np.ndarray:
@@ -87,13 +94,22 @@ class AxisymGrid:
         mid +- a and sums the columns of the mirror nodes mid +- b (the middle
         node is its own mirror), so ``lap_fs_even @ f[mid:]`` is the mirror
         average of ``(lap_fs @ f)[mid:]`` for every even f.  Cached like
-        :attr:`lap_fs`; the parity-reduced Newton Jacobian reads it.
+        :attr:`lap_fs`; the parity-reduced Newton Jacobian reads it.  It
+        folds :attr:`lap_fs` without caching it when it is not cached yet:
+        a parity-reduced solve never reads the full matrix, which would hold
+        8 n^2 bytes through the solve.
         """
         cached = getattr(self, "_lap_fs_even", None)
         if cached is None:
+            full = getattr(self, "_lap_fs", None)
+            if full is None:
+                full = self._dense_lap_fs()
             hi = np.arange(self.n // 2, self.n)
             lo = self.n - 1 - hi
-            rows = 0.5 * (self.lap_fs[hi] + self.lap_fs[lo])
+            rows = full[hi]
+            rows += full[lo]
+            rows *= 0.5
+            del full  # before the column fold allocates
             cached = rows[:, hi] + rows[:, lo]
             cached[:, 0] *= 0.5  # the middle column was added to itself
             object.__setattr__(self, "_lap_fs_even", cached)
@@ -103,9 +119,26 @@ class AxisymGrid:
         """Round-metric Laplacian of a grid vector, -2 d1 ((1-s^2) (d1 f))."""
         return -2.0 * (self.d1 @ ((1.0 - self.nodes**2) * (self.d1 @ f)))
 
-    def interpolate(self, values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Barycentric evaluation of the nodal interpolant at new points."""
-        return barycentric_interpolate(self.nodes, self.bary, values, targets)
+    def prolong(self, values: np.ndarray, n: int) -> np.ndarray:
+        """The nodal interpolant of ``values``, evaluated at the nodes of ``build_grid(n)``.
+
+        Zero-pads the Chebyshev coefficients (one DCT-I, as in
+        :func:`cumulative_antiderivative`) and returns to nodal values with
+        one inverse FFT, O(n log n); exact for polynomials of degree
+        <= self.n - 1.  ``n`` may not be coarser than this grid.
+        """
+        f = np.asarray(values, dtype=float)
+        if f.shape != (self.n,):
+            raise ConfigurationError("prolonged values do not match the grid")
+        _check_finite(f, "prolonged values")
+        if n < self.n:
+            raise ConfigurationError(f"cannot prolong from n={self.n} to the coarser n={n}")
+        m, m_fine = self.n - 1, n - 1
+        c = np.zeros(m_fine + 1)
+        c[: m + 1] = _chebyshev_coefficients(f)
+        if m_fine > m:
+            c[m] *= 0.5  # the top coefficient of the interpolant is halved
+        return m_fine * np.fft.irfft(c, 2 * m_fine)[: m_fine + 1]
 
 
 def check_resolution(n) -> None:
@@ -189,21 +222,6 @@ def build_grid(n: int) -> AxisymGrid:
     np.negative(d1[mid - 1 :: -1, ::-1], out=d1[mid + 1 :])
 
     return AxisymGrid(n=n, nodes=s, d1=d1, weights=weights, bary=bary)
-
-
-def barycentric_interpolate(
-    nodes: np.ndarray, bary: np.ndarray, values: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    out = np.empty_like(targets)
-    for i, t in enumerate(targets):
-        hit = np.nonzero(nodes == t)[0]
-        if hit.size:
-            out[i] = values[hit[0]]
-            continue
-        r = bary / (t - nodes)
-        out[i] = np.dot(r, values) / r.sum()
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,6 +313,17 @@ def scalar_curvature(grid: AxisymGrid, metric: ConformalMetric) -> CurvatureRepo
     return CurvatureReport(s_field=s_field, total=total, mean=total / vol)
 
 
+def _chebyshev_coefficients(f: np.ndarray) -> np.ndarray:
+    """The DCT-I of nodal values f over m = n - 1, by one real FFT of the even extension.
+
+    The nodes are s_j = -cos(pi j / m), so these are the coefficients a_k of
+    the interpolant f(-x) = sum a_k T_k(x), except that a_0 and a_m come
+    doubled.
+    """
+    m = f.shape[0] - 1
+    return np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / m
+
+
 def cumulative_antiderivative(grid: AxisymGrid, f: np.ndarray) -> np.ndarray:
     """Antiderivative of the nodal interpolant of f, pinned to 0 at s = -1.
 
@@ -311,7 +340,7 @@ def cumulative_antiderivative(grid: AxisymGrid, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     _check_finite(f, "antiderivative input")
     m = grid.n - 1
-    a = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / m
+    a = _chebyshev_coefficients(f)
     a[m] *= 0.5
     a = np.concatenate([a, [0.0, 0.0]])
     k = np.arange(1, m + 2)

@@ -47,6 +47,7 @@ from .geometry import (
     ConformalMetric,
     ROUND_SCALAR_CURVATURE,
     ROUND_VOLUME,
+    build_grid,
     integrate,
     laplacian,
     scalar_curvature,
@@ -54,6 +55,8 @@ from .geometry import (
 )
 from .obstructions import abelian_coupled_obstructions, moment_map_form
 from .vortex import (
+    NESTED_ABOVE_N,
+    NESTED_COARSE_N,
     BundleMetricPotential,
     NewtonOptions,
     SolveReport,
@@ -105,13 +108,16 @@ class ContinuationStep:
     residual_sup: float
     c_est: float
     bordered_steps: int  # Newton steps that took the bordered solve
-    u: np.ndarray | None = None  # accepted profiles, for CSV export
+    stop_reason: str  # see vortex.damped_newton
+    # the last iterate, kept when it converged or stopped on the round-off floor
+    u: np.ndarray | None = None
     v: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "alpha": self.alpha,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "iterations": self.iterations,
             "residual_sup": self.residual_sup,
             "c_est": self.c_est,
@@ -139,6 +145,7 @@ class ContinuationReport:
             iterations=sum(s.iterations for s in self.steps),
             residual_sup=last.residual_sup,
             resolution=self.resolution,
+            stop_reason=last.stop_reason,
             diagnostics=[s.residual_sup for s in self.steps],
         )
 
@@ -318,9 +325,10 @@ class _CoupledSystem:
         r2 = metric_equation(s_field, self.alpha, lap_phih, phih, self.tau, c)
         return (r1, r2, volume_row(grid, u)), (u, emu, phih, s_field, curv, lap_phih)
 
-    def sup_norm(self, x: np.ndarray) -> float:
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """(R1, R2, volume row) as one vector on the full grid."""
         r1, r2, r3 = self.equations(x)[0]
-        return max(float(np.abs(r1).max()), float(np.abs(r2).max()), abs(r3))
+        return np.concatenate([r1, r2, [r3]])
 
     def linearization(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Jacobian and negated residual of the (reduced) system at x."""
@@ -365,30 +373,45 @@ def solve_gravitating(
     scheduled coupling (a single-zero Higgs field, or a nonzero Futaki
     character) unless explicitly overridden; the override exists because
     numerical divergence is not a theorem and must not be asserted as one.
-    Failure at any alpha returns the last converged state with
+    Without ``initial`` the first step starts from the round metric, except
+    at n > NESTED_ABOVE_N: there the alpha = 0 step is first solved at
+    NESTED_COARSE_N nodes and, when that converged or stopped on its
+    round-off floor, the first fine step starts from it, prolonged by
+    Chebyshev coefficients (:meth:`AxisymGrid.prolong`).  Every later step
+    starts from the previous fine state.  The report covers the fine steps
+    only; the coarse solve's Newton steps are not in their ``iterations``.
+    The continuation stops at the first step that does not converge (its
+    ``stop_reason`` says why) and returns the last converged state with
     converged=False.
     """
     config.require_abelian("solve_gravitating")
     check_vortex_window(config)
     _refuse_obstructed(config, schedule.alphas[-1], override_obstruction)
     symmetric = 2 * config.exponents[0] == config.degrees[0]
+    start = None  # the first step's start, when it is not (u, v, c)
     if initial is not None:
         u = initial.metric.u.copy()
         v = initial.bundle.v.copy()
         c = initial.c_value
     else:
         u, v, c = np.zeros(grid.n), np.zeros(grid.n), CONVENTION_C_COEFF
+        if grid.n > NESTED_ABOVE_N:
+            start = _coarse_start(config, schedule.newton, grid.n, override_obstruction)
 
     steps: list[ContinuationStep] = []
     alpha_fin = 0.0
     for alpha in schedule.alphas:
+        u0, v0, c0 = start or (u, v, c)
+        start = None
         system = _CoupledSystem(grid, config, alpha, symmetric)
-        x, history, ok, iters = damped_newton(
-            system.restrict(np.concatenate([u, v, [c]])),
-            system.sup_norm,
+        x, history, stop_reason, iters = damped_newton(
+            system.restrict(np.concatenate([u0, v0, [c0]])),
+            system.residual,
             system.newton_step,
             schedule.newton,
         )
+        ok = stop_reason == "converged"
+        keep = ok or stop_reason == "roundoff_floor"
         u_new, v_new, c_new = system.unpack(x)
         steps.append(
             ContinuationStep(
@@ -398,8 +421,9 @@ def solve_gravitating(
                 residual_sup=history[-1],
                 c_est=float(c_new),
                 bordered_steps=system.bordered_steps,
-                u=u_new.copy() if ok else None,
-                v=v_new.copy() if ok else None,
+                stop_reason=stop_reason,
+                u=u_new.copy() if keep else None,
+                v=v_new.copy() if keep else None,
             )
         )
         if not ok:
@@ -414,6 +438,20 @@ def solve_gravitating(
     )
     report = ContinuationReport(converged=steps[-1].converged, steps=steps, resolution=grid.n)
     return state, report
+
+
+def _coarse_start(config, newton, n, override_obstruction):
+    """The alpha = 0 step solved at NESTED_COARSE_N nodes, as (u, v, c) on n nodes.
+
+    None when the coarse step neither converged nor stopped on its floor.
+    """
+    coarse = build_grid(NESTED_COARSE_N)
+    schedule = ContinuationSchedule(alphas=(0.0,), newton=newton)
+    _, report = solve_gravitating(config, schedule, coarse, override_obstruction)
+    step = report.steps[0]
+    if step.u is None:
+        return None
+    return coarse.prolong(step.u, n), coarse.prolong(step.v, n), step.c_est
 
 
 def _refuse_obstructed(config: HiggsConfig, alpha: float, override: bool) -> None:

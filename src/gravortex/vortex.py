@@ -26,6 +26,7 @@ from .errors import ConfigurationError, InfeasibleError, NumericInputError
 from .geometry import (
     AxisymGrid,
     ConformalMetric,
+    build_grid,
     integrate,
     round_metric,
 )
@@ -51,17 +52,27 @@ class NewtonOptions:
             raise ConfigurationError("max_iter must be >= 1")
 
 
+NESTED_ABOVE_N = 257  # solves on finer grids are seeded from a coarse solve
+NESTED_COARSE_N = 129  # the resolution of that coarse solve
+
+_ROUNDOFF_STEP = 1e-12  # a Newton increment below this, relative to 1 + |x|, is round-off
+_FLOOR_FACTOR = 4.0  # a residual within this factor of its floor estimate is on the floor
+_FLOOR_PROBES = 3  # one-ulp perturbations per floor estimate
+
+
 @dataclass
 class SolveReport:
     converged: bool
     iterations: int
     residual_sup: float
     resolution: int
+    stop_reason: str
     diagnostics: list[float] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "iterations": self.iterations,
             "residual_sup": self.residual_sup,
             "resolution": self.resolution,
@@ -69,34 +80,79 @@ class SolveReport:
         }
 
 
-def damped_newton(x: np.ndarray, sup_norm, newton_step, opts: NewtonOptions):
+def sup_norm(r: np.ndarray) -> float:
+    return float(np.max(np.abs(r)))
+
+
+def roundoff_floor(residual, x: np.ndarray, r: np.ndarray) -> float:
+    """Estimate of the smallest residual sup-norm evaluable near x in double precision.
+
+    The sup-norm change of ``residual`` from ``r = residual(x)`` under random
+    one-ulp perturbations of every entry of x (fixed seed, so the estimate
+    is deterministic).
+    """
+    rng = np.random.default_rng(0)
+    ulp = np.spacing(x)
+    return max(
+        sup_norm(residual(x + rng.choice((-1.0, 1.0), size=x.shape) * ulp) - r)
+        for _ in range(_FLOOR_PROBES)
+    )
+
+
+def damped_newton(x: np.ndarray, residual, newton_step, opts: NewtonOptions):
     """The damped Newton iteration shared by the vortex and coupled solvers.
 
-    ``sup_norm(x)`` is the residual sup-norm and ``newton_step(x)`` the full
-    Newton step at x.  Each step is halved until the sup-norm decreases; when
-    ``max_halvings`` halvings find no decrease (stagnation at the round-off
-    floor) the iteration stops unconverged.  Returns (x, history, converged,
-    iterations), where history holds the sup-norm of every accepted iterate.
+    ``residual(x)`` is the residual vector, whose sup-norm is driven below
+    ``opts.tolerance``, and ``newton_step(x)`` the full Newton step at x.
+    Each step is halved until the sup-norm decreases.  The iteration stops
+    for one of four reasons:
+
+    * ``converged``: the sup-norm is below the tolerance;
+    * ``roundoff_floor``: the full Newton step is at round-off,
+      ``|step| <= 1e-12 (1 + |x|)`` in the sup-norm, and the residual is
+      within a factor 4 of :func:`roundoff_floor`, the change a one-ulp
+      perturbation of x makes to it.  The residual cannot be evaluated
+      much lower, so further steps only crawl along the floor.  Tested
+      after every accepted step that does not converge, and when the
+      halvings find no decrease; it costs three residual evaluations and
+      runs only when the step is at round-off;
+    * ``line_search_stall``: ``max_halvings`` halvings find no decrease and
+      the iterate is not on the floor;
+    * ``max_iter``: ``max_iter`` steps were accepted without converging.
+
+    Returns (x, history, stop_reason, iterations), where history holds the
+    sup-norm of every accepted iterate.
     """
-    history = [sup_norm(x)]
-    converged = history[-1] < opts.tolerance
+
+    def on_floor(z, step, r_z) -> bool:
+        if not sup_norm(step) <= _ROUNDOFF_STEP * (1.0 + sup_norm(z)):
+            return False
+        return sup_norm(r_z) <= _FLOOR_FACTOR * roundoff_floor(residual, z, r_z)
+
+    r = residual(x)
+    history = [sup_norm(r)]
     iterations = 0
-    while not converged and iterations < opts.max_iter:
+    while not history[-1] < opts.tolerance:  # a NaN residual never converges
+        if iterations >= opts.max_iter:
+            return x, history, "max_iter", iterations
         step = newton_step(x)
         lam = 1.0
         for _ in range(opts.max_halvings):
             trial = x + lam * step
-            trial_sup = sup_norm(trial)
+            trial_r = residual(trial)
+            trial_sup = sup_norm(trial_r)
             if trial_sup < history[-1]:
                 break
             lam *= 0.5
         else:
-            break
-        x = trial
+            reason = "roundoff_floor" if on_floor(x, step, r) else "line_search_stall"
+            return x, history, reason, iterations
+        x, r = trial, trial_r
         iterations += 1
         history.append(trial_sup)
-        converged = trial_sup < opts.tolerance
-    return x, history, converged, iterations
+        if trial_sup >= opts.tolerance and on_floor(x, step, r):
+            return x, history, "roundoff_floor", iterations
+    return x, history, "converged", iterations
 
 
 def vortex_equation(curv: np.ndarray, phi_sq: np.ndarray, tau: float) -> np.ndarray:
@@ -182,30 +238,45 @@ def solve_vortex(
     """Damped Newton iteration for the abelian vortex equation.
 
     The solution is unique, so the converged result does not depend on the
-    initial guess.  Stagnation (no decrease found along the halved step)
-    ends the iteration with converged=False; the report is never silently
-    wrong.
+    initial guess.  Without ``v0`` the iteration starts from zero, except on
+    the round metric at n > NESTED_ABOVE_N: there it starts from a solve at
+    NESTED_COARSE_N nodes that converged or stopped on its round-off floor,
+    prolonged by its Chebyshev coefficients (:meth:`AxisymGrid.prolong`),
+    which is already accurate to the fine grid's round-off floor.  The
+    report covers the fine iteration only; the coarse solve's steps are not
+    in its ``iterations`` or history.  Every stop that is not ``converged``
+    (see :func:`damped_newton`) reports converged=False, a NaN residual
+    included; the report is never silently wrong.
     """
     config.require_abelian("solve_vortex")
     check_vortex_window(config)
     opts = options or NewtonOptions()
-    v = np.zeros(grid.n) if v0 is None else np.asarray(v0, dtype=float).copy()
+    if v0 is not None:
+        v = np.asarray(v0, dtype=float).copy()
+    elif grid.n > NESTED_ABOVE_N and (metric is None or not np.any(metric.u)):
+        coarse = build_grid(NESTED_COARSE_N)
+        pot, report = solve_vortex(coarse, None, config, opts)
+        usable = report.stop_reason in ("converged", "roundoff_floor")
+        v = coarse.prolong(pot.v, grid.n) if usable else np.zeros(grid.n)
+    else:
+        v = np.zeros(grid.n)
     if not np.all(np.isfinite(v)):
         raise NumericInputError("initial guess contains non-finite entries")
     if metric is None:
         metric = round_metric(grid)
     residual, jacobian = _vortex_system(grid, metric, config)
-    v, history, converged, iterations = damped_newton(
+    v, history, stop_reason, iterations = damped_newton(
         v,
-        lambda vv: float(np.max(np.abs(residual(vv)))),
+        residual,
         lambda vv: np.linalg.solve(jacobian(vv), -residual(vv)),
         opts,
     )
     report = SolveReport(
-        converged=converged,
+        converged=stop_reason == "converged",
         iterations=iterations,
         residual_sup=history[-1],
         resolution=grid.n,
+        stop_reason=stop_reason,
         diagnostics=history,
     )
     return BundleMetricPotential(v=v), report

@@ -116,7 +116,7 @@ def test_criterion_04_abelian_vortex_solve():
     fine = build_grid(257)
     pot_f, rep_f = solve_vortex(fine, None, cfg, NewtonOptions(tolerance=1e-9))
     assert rep_f.converged
-    agreement = np.max(np.abs(coarse.interpolate(pot.v, fine.nodes) - pot_f.v))
+    agreement = np.max(np.abs(coarse.prolong(pot.v, fine.n) - pot_f.v))
     assert agreement <= 1e-8, f"two-resolution disagreement {agreement}"
     chern = integrate(coarse, None, bundle_curvature(coarse, None, 1, pot.v))
     assert abs(chern - TWO_PI) <= 1e-8

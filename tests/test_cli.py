@@ -13,6 +13,8 @@ from gravortex.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ConfigValidationError,
+    RunConfig,
+    execute,
     main,
     parse_config,
 )
@@ -297,6 +299,18 @@ class TestExecuteAndExitCodes:
         csv_path = [p for p in report["outputs"] if p.endswith("sweep_summary.csv")]
         assert csv_path and os.path.exists(csv_path[0])
 
+    def test_sweep_config_built_without_parse_config_fails_loudly(self, tmp_path):
+        # the HiggsConfig of each sweep point is built once, by parse_config
+        config = RunConfig(
+            command="sweep",
+            problem={"degrees": [2, 2], "exponents": [1, 0], "alpha": 1.0},
+            sweep={"over": {"tau": [5, 11]}},
+        )
+        config.output.directory = str(tmp_path)
+        report, code = execute(config)
+        assert code == EXIT_USAGE and "sweep" not in report
+        assert "parse_config" in report["reasons"][0]
+
     def test_sweep_csv_quotes_list_values(self, tmp_path):
         code, report = run_config(
             tmp_path,
@@ -367,7 +381,8 @@ class TestExecuteAndExitCodes:
         path.write_text(
             json.dumps({"command": "solve-vortex", "problem": problem, "numerics": numerics})
         )
-        assert main(["--config", str(path)]) == EXIT_USAGE
+        # --out keeps a config that wrongly parses from writing into the working directory
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
 
@@ -389,6 +404,22 @@ class TestReportContract:
         ):
             _, report = run_config(tmp_path, payload)
             jsonschema.validate(report, schema)
+
+    def test_floor_stop_named_and_exits_three(self, tmp_path):
+        payload = {
+            "command": "solve-gravitating",
+            "problem": {"degrees": [2], "exponents": [1], "tau": 5},
+            # a tolerance far below the n = 513 floor of about 1.5e-10
+            "numerics": {"n": 513, "schedule": [0, 0.05], "tolerance": 1e-12},
+        }
+        code, report = run_config(tmp_path, payload)
+        assert code == 3 and report["status"] == "not_converged"
+        assert report["solver"]["stop_reason"] == "roundoff_floor"
+        assert not report["solver"]["converged"]
+        assert [s["stop_reason"] for s in report["continuation"]["steps"]] == ["roundoff_floor"]
+        # profiles of continuation steps are exported only when they converged
+        assert not any("_step" in path for path in report["outputs"])
+        jsonschema.validate(report, report_schema())
 
     def test_continuation_reports_bordered_steps(self, tmp_path):
         code, report = run_config(

@@ -161,6 +161,37 @@ class TestBuildGrid:
         assert np.array_equal(a.d1, b.d1)
 
 
+class TestProlong:
+    @pytest.mark.parametrize("n", (513, 1025))
+    def test_reproduces_polynomials(self, grid129, n):
+        # every monomial s^k of degree k <= 128 that the 129-node grid resolves
+        fine = build_grid(n)
+        for k in range(grid129.n):
+            values = grid129.prolong(grid129.nodes**k, n)
+            assert np.max(np.abs(values - fine.nodes**k)) <= 1e-13, k
+
+    @pytest.mark.parametrize("n", (257, 1025))
+    def test_reproduces_chebyshev_polynomials(self, grid129, n):
+        # T_k sampled at the exact Chebyshev points -cos(pi j / m), so the
+        # top coefficient k = 128 is checked without the amplified rounding
+        # of the stored nodes
+        m, m_fine = grid129.n - 1, n - 1
+        for k in range(grid129.n):
+            coarse = np.cos(k * np.pi * np.arange(m + 1) / m)
+            fine = np.cos(k * np.pi * np.arange(m_fine + 1) / m_fine)
+            assert np.max(np.abs(grid129.prolong(coarse, n) - fine)) <= 1e-13, k
+
+    def test_same_resolution_is_identity(self, grid129):
+        f = np.exp(grid129.nodes) * np.cos(3.0 * grid129.nodes)
+        assert np.max(np.abs(grid129.prolong(f, grid129.n) - f)) <= 1e-14
+
+    def test_coarser_target_refused(self, grid129):
+        with pytest.raises(ConfigurationError):
+            grid129.prolong(np.zeros(grid129.n), 65)
+        with pytest.raises(ConfigurationError):
+            grid129.prolong(np.zeros(65), 257)
+
+
 class TestIntegrate:
     def test_round_volume(self, grid129):
         assert abs(integrate(grid129, None, np.ones(129)) - TWO_PI) <= 1e-12
@@ -249,6 +280,18 @@ class TestLaplacian:
         for f in (np.sin(2.0 * s) + s**5, np.exp(-3.0 * (s - 0.2) ** 2), np.ones(n)):
             tol = 2e-14 * n * n * max(1.0, float(np.max(np.abs(f))))
             assert np.max(np.abs(grid.apply_lap_fs(f) - grid.lap_fs @ f)) <= tol
+
+    def test_even_fold_keeps_no_full_matrix(self):
+        # the fold is the same bits whether or not lap_fs was built first, and
+        # a parity-reduced solve, which reads only the fold, holds no n x n
+        fresh, warm = build_grid(129), build_grid(129)
+        full = warm.lap_fs
+        assert np.array_equal(fresh.lap_fs_even, warm.lap_fs_even)
+        assert not hasattr(fresh, "_lap_fs")
+        mid = fresh.n // 2
+        f = np.cos(fresh.nodes) + fresh.nodes**4
+        folded = fresh.lap_fs_even @ f[mid:]
+        assert np.max(np.abs(folded - (full @ f)[mid:])) <= 1e-9
 
     def test_spectral_convergence(self):
         # analytic function with a pole just outside [-1, 1]: the error decays

@@ -1,0 +1,132 @@
+"""Nested coarse-to-fine solves above n = 257, and the named stop of every solve."""
+
+import numpy as np
+import pytest
+
+from gravortex import (
+    BundleMetricPotential,
+    ConformalMetric,
+    ContinuationSchedule,
+    GravitatingState,
+    HiggsConfig,
+    NewtonOptions,
+    build_grid,
+    solve_gravitating,
+    solve_vortex,
+    vortex_residual,
+)
+from gravortex.gravitating import CONVENTION_C_COEFF, _CoupledSystem
+from gravortex.geometry import round_metric
+from gravortex.vortex import _vortex_system, damped_newton, roundoff_floor
+
+CFG = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
+SCHEDULE = ContinuationSchedule(alphas=(0.0, 0.05, 0.1))
+ACCEPTED = ("converged", "roundoff_floor")
+
+
+def vortex_map(grid):
+    return lambda v: vortex_residual(grid, None, BundleMetricPotential(v=v), CFG)
+
+
+@pytest.mark.parametrize("n", (513, 1025))
+def test_vortex_ladder(n):
+    grid = build_grid(n)
+    pot, report = solve_vortex(grid, None, CFG)
+    assert report.stop_reason in ACCEPTED
+    assert report.converged == (report.stop_reason == "converged")
+    # the n = 129 seeding solve is not counted
+    assert report.iterations <= 2 and len(report.diagnostics) == report.iterations + 1
+    residual = vortex_map(grid)
+    floor = roundoff_floor(residual, pot.v, residual(pot.v))
+    assert report.stop_reason == "converged" or report.residual_sup <= 4.0 * floor
+    zero_pot, zero_report = solve_vortex(grid, None, CFG, v0=np.zeros(n))
+    assert zero_report.stop_reason in ACCEPTED
+    assert np.max(np.abs(pot.v - zero_pot.v)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", (513, 1025))
+def test_coupled_ladder(n):
+    grid = build_grid(n)
+    _, report = solve_gravitating(CFG, SCHEDULE, grid)
+    start = GravitatingState(
+        metric=ConformalMetric(u=np.zeros(n)),
+        bundle=BundleMetricPotential(v=np.zeros(n)),
+        c_value=CONVENTION_C_COEFF,
+        alpha=0.0,
+    )
+    _, zero_report = solve_gravitating(CFG, SCHEDULE, grid, initial=start)
+    assert len(report.steps) == len(zero_report.steps)
+    for step, zero_step in zip(report.steps, zero_report.steps):
+        assert step.stop_reason in ACCEPTED and zero_step.stop_reason in ACCEPTED
+        assert step.iterations <= 2
+        system = _CoupledSystem(grid, CFG, step.alpha, symmetric=True)
+        x = system.restrict(np.concatenate([step.u, step.v, [step.c_est]]))
+        floor = roundoff_floor(system.residual, x, system.residual(x))
+        assert step.stop_reason == "converged" or step.residual_sup <= 4.0 * floor
+        assert np.max(np.abs(step.u - zero_step.u)) <= 1e-12
+        assert np.max(np.abs(step.v - zero_step.v)) <= 1e-12
+    final = report.final_solve_report()
+    assert final.stop_reason == report.steps[-1].stop_reason
+    assert final.converged == (final.stop_reason == "converged")
+
+
+@pytest.mark.parametrize("scale", (1e-14, -1e-14))
+def test_planted_stall_is_not_a_floor_stop(scale):
+    # steps of round-off size on a large residual, downhill or uphill: the
+    # increment test passes, but the residual is nowhere near its floor
+    grid = build_grid(129)
+    residual, jacobian = _vortex_system(grid, round_metric(grid), CFG)
+
+    def tiny_step(v):
+        return scale * np.linalg.solve(jacobian(v), -residual(v))
+
+    # start away from zero, where one-ulp perturbations are denormal and the
+    # floor estimate would vanish
+    _, history, stop_reason, _ = damped_newton(
+        np.full(grid.n, 0.5), residual, tiny_step, NewtonOptions(max_iter=5)
+    )
+    assert history[-1] > 0.1
+    assert stop_reason in ("line_search_stall", "max_iter")
+
+
+def test_large_step_on_the_floor_is_a_line_search_stall():
+    # the residual is on its floor, but the failed step is not round-off
+    grid = build_grid(129)
+    pot, _ = solve_vortex(grid, None, CFG)
+    residual, _ = _vortex_system(grid, round_metric(grid), CFG)
+    _, _, stop_reason, iterations = damped_newton(
+        pot.v, residual, np.ones_like, NewtonOptions(tolerance=1e-15)
+    )
+    assert (stop_reason, iterations) == ("line_search_stall", 0)
+
+
+def test_tolerance_below_the_floor_stops_on_the_floor():
+    grid = build_grid(129)
+    pot, report = solve_vortex(grid, None, CFG, NewtonOptions(tolerance=1e-15))
+    assert report.stop_reason == "roundoff_floor" and not report.converged
+    residual = vortex_map(grid)
+    assert report.residual_sup <= 4.0 * roundoff_floor(residual, pot.v, residual(pot.v))
+
+
+def test_non_finite_start_is_not_converged():
+    # exp(800) overflows, and inf times the profile's zero at s = +-1 is NaN
+    grid = build_grid(129)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, report = solve_vortex(grid, None, CFG, v0=np.full(grid.n, 400.0))
+    assert not report.converged and report.stop_reason != "converged"
+    assert np.isnan(report.residual_sup)
+
+
+def test_max_iter_named():
+    _, report = solve_vortex(build_grid(129), None, CFG, NewtonOptions(max_iter=1))
+    assert report.stop_reason == "max_iter" and report.iterations == 1
+
+
+@pytest.mark.parametrize("n", (65, 129, 257))
+def test_acceptance_resolutions_converge(n):
+    grid = build_grid(n)
+    _, vortex_report = solve_vortex(grid, None, CFG)
+    assert vortex_report.stop_reason == "converged"
+    _, report = solve_gravitating(CFG, SCHEDULE, grid)
+    assert [step.stop_reason for step in report.steps] == ["converged"] * 3
+    assert report.final_solve_report().to_json_dict()["stop_reason"] == "converged"

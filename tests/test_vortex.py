@@ -126,7 +126,7 @@ class TestSolveVortex:
         pot_c, rep_c = solve_vortex(coarse, None, cfg)
         pot_f, rep_f = solve_vortex(fine, None, cfg, NewtonOptions(tolerance=1e-9))
         assert rep_c.converged and rep_f.converged
-        interp = coarse.interpolate(pot_c.v, fine.nodes)
+        interp = coarse.prolong(pot_c.v, fine.n)
         assert np.max(np.abs(interp - pot_f.v)) <= 1e-8
 
     def test_solve_on_conformal_metric(self, grid):

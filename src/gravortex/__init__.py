@@ -10,7 +10,6 @@ from .bundles import (
     Divisor,
     HiggsConfig,
     classify_automorphisms,
-    divisor_from_binary_form,
     divisor_from_monomial,
     divisor_gcd_degree,
     higgs_divisor,

@@ -351,15 +351,20 @@ def _run_solve_gravitating(config: RunConfig, report: dict, outdir: str) -> int:
     state, cont = solve_gravitating(
         higgs, schedule, grid, override_obstruction=config.override_obstruction
     )
-    r1, r2, c_est = gravitating_residual(grid, state, higgs)
     report["continuation"] = cont.to_json_dict()
     report["solver"] = cont.final_solve_report().to_json_dict()
-    report["checks"] = {
-        "c_est": c_est,
-        "c_identity": c_from_integral_identity(grid, state, higgs),
-        "c_predictions": c_predictions(higgs, state.alpha),
-        "residual_sup": max(float(np.abs(r1).max()), float(np.abs(r2).max())),
-    }
+    # with no converged step the state is the start guess, not a solution:
+    # it gets no checks and no profiles
+    solved = any(step.converged for step in cont.steps)
+    report["checks"] = None
+    if solved:
+        r1, r2, c_est = gravitating_residual(grid, state, higgs)
+        report["checks"] = {
+            "c_est": c_est,
+            "c_identity": c_from_integral_identity(grid, state, higgs),
+            "c_predictions": c_predictions(higgs, state.alpha),
+            "residual_sup": max(float(np.abs(r1).max()), float(np.abs(r2).max())),
+        }
     if _want(config, "csv"):
         for k, step in enumerate(cont.steps):
             if not step.converged:
@@ -368,10 +373,11 @@ def _run_solve_gravitating(config: RunConfig, report: dict, outdir: str) -> int:
                 path = os.path.join(outdir, f"gravitating_{name}_step{k:02d}.csv")
                 write_profile_csv(path, grid.nodes, values, header=f"s,{name}")
                 report["outputs"].append(path)
-        for name, values in (("u", state.metric.u), ("v", state.bundle.v)):
-            path = os.path.join(outdir, f"gravitating_{name}.csv")
-            write_profile_csv(path, grid.nodes, values, header=f"s,{name}")
-            report["outputs"].append(path)
+        if solved:
+            for name, values in (("u", state.metric.u), ("v", state.bundle.v)):
+                path = os.path.join(outdir, f"gravitating_{name}.csv")
+                write_profile_csv(path, grid.nodes, values, header=f"s,{name}")
+                report["outputs"].append(path)
     if not cont.converged:
         report["status"] = "not_converged"
         return EXIT_NOT_CONVERGED

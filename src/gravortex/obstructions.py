@@ -24,8 +24,11 @@ and the quadrature is independent of the chosen volume-normalized ansatz.
 One closed form (:func:`futaki_exact`, :func:`futaki_closed_form`) and one
 quadrature (:func:`futaki_quadrature`) serve both ranks.
 
-All inequality predicates (solvability windows, balancing, z-stability)
-are evaluated in exact rational arithmetic.
+All predicates (solvability windows, balancing, z-stability, the vanishing
+of the Futaki character) are decided exactly, in integers: tau is the reduced
+ratio p/q of :attr:`HiggsConfig.tau_ratio`, and each rational inequality is
+cross-multiplied by its positive denominator.  A ``Fraction`` is built only
+for a returned value or a quoted one.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ import numpy as np
 from .bundles import (
     HiggsConfig,
     classify_automorphisms,
-    divisor_gcd_degree,
     higgs_divisor,
     higgs_profile,
+    saturation_degree,
     AutVerdict,
 )
 from .errors import ConfigurationError, PoleError
@@ -59,24 +62,31 @@ from .vortex import bundle_curvature, vortex_equation
 VOLUME_TOLERANCE = 1e-8
 
 
+def _futaki_numerator(config: HiggsConfig) -> int:
+    """q times :func:`futaki_exact` at tau = p/q: sum_j (2 N_j q - p)(2 l_j - N_j)."""
+    if None in config.exponents:
+        raise ConfigurationError("closed form requires every Higgs component nonzero")
+    p, q = config.tau_ratio
+    return sum(
+        (2 * n_deg * q - p) * (2 * ell - n_deg)
+        for n_deg, ell in zip(config.degrees, config.exponents)
+    )
+
+
 def futaki_exact(config: HiggsConfig) -> Fraction:
     """sum_j (2 N_j - tau)(2 l_j - N_j): the closed form divided by 2 pi alpha.
 
     Exact for either rank; it vanishes when every exponent is symmetric,
     2 l_j = N_j.
     """
-    if None in config.exponents:
-        raise ConfigurationError("closed form requires every Higgs component nonzero")
-    # expanded as sum_j 2 N_j a_j - tau sum_j a_j with a_j = 2 l_j - N_j, so
-    # that only one product is rational
-    asym = [2 * ell - n_deg for n_deg, ell in zip(config.degrees, config.exponents)]
-    integer_part = sum(2 * n_deg * t for n_deg, t in zip(config.degrees, asym))
-    return integer_part - config.tau_fraction * sum(asym)
+    return Fraction(_futaki_numerator(config), config.tau_ratio[1])
 
 
 def futaki_closed_form(config: HiggsConfig) -> float:
     """Imaginary part of the Futaki character, 2 pi alpha times :func:`futaki_exact`."""
-    return 2.0 * math.pi * float(config.alpha) * float(futaki_exact(config))
+    # int / int is correctly rounded, so this equals float(futaki_exact(config))
+    futaki = _futaki_numerator(config) / config.tau_ratio[1]
+    return 2.0 * math.pi * float(config.alpha) * futaki
 
 
 def abelian_coupled_obstructions(config: HiggsConfig, alpha: float) -> list[str]:
@@ -86,14 +96,19 @@ def abelian_coupled_obstructions(config: HiggsConfig, alpha: float) -> list[str]
     coupling; at alpha > 0 a nonzero Futaki character obstructs as well.
     Both are decided in exact arithmetic.
     """
+    return _coupled_reasons(config, alpha, classify_automorphisms(higgs_divisor(config)))
+
+
+def _coupled_reasons(config: HiggsConfig, alpha: float, automorphisms: AutVerdict) -> list[str]:
     reasons = []
-    if classify_automorphisms(higgs_divisor(config)).obstruction:
+    if automorphisms.obstruction:
         reasons.append(
             "the Higgs field has only one zero, so the automorphism group is "
             "non-reductive (C* x| C) and the coupled equations admit no solution"
         )
-    futaki = futaki_exact(config)
-    if alpha > 0 and futaki != 0:
+    futaki_numerator = _futaki_numerator(config)
+    if alpha > 0 and futaki_numerator != 0:
+        futaki = Fraction(futaki_numerator, config.tau_ratio[1])
         reasons.append(
             "the Futaki character 2 pi alpha (2N - tau)(2l - N) = "
             f"2 pi alpha ({futaki}) is nonzero at alpha={alpha}, so the coupled "
@@ -183,17 +198,17 @@ def balancing_condition(config: HiggsConfig) -> tuple[Fraction, bool]:
     necessary for solutions of the coupled rank-2 system inside the window.
     """
     config.require_rank2("balancing_condition")
-    if any(e is None for e in config.exponents):
+    if None in config.exponents:
         raise ConfigurationError("balancing requires both Higgs components nonzero")
     (n1, n2), (l1, l2) = config.degrees, config.exponents
-    tau = config.tau_fraction
-    for nj in (n1, n2):
-        if tau == 2 * nj:
+    p, q = config.tau_ratio
+    gap1, gap2 = 2 * n1 * q - p, 2 * n2 * q - p  # q (2 N_j - tau)
+    for nj, gap in ((n1, gap1), (n2, gap2)):
+        if gap == 0:
             raise PoleError(f"balancing denominator 2N - tau vanishes at N={nj}")
-    lhs = Fraction(2 * l1 - n1, 1) / (2 * n2 - tau) + Fraction(2 * l2 - n2, 1) / (
-        2 * n1 - tau
-    )
-    return lhs, lhs == 0
+    # the sum over the common denominator (2 N1 - tau)(2 N2 - tau), times q
+    numerator = (2 * l1 - n1) * gap1 + (2 * l2 - n2) * gap2
+    return Fraction(q * numerator, gap1 * gap2), numerator == 0
 
 
 # ---------------------------------------------------------------------------
@@ -254,31 +269,36 @@ def z_stability_check(config: HiggsConfig) -> tuple[bool, dict | None]:
     For a split rank-2 bundle the supremum of deg V' + tau rk(L cap V') over
     line subbundles is attained either on the larger split factor (no
     containment of the image line) or on the saturation [phi]; both split
-    factors are listed for transparency.  The comparison is
-    (deg V' + tau rk)/1 < (N1 + N2 + tau)/2 in exact rationals.
+    factors are listed for transparency.  The comparison
+    (deg V' + tau rk)/1 < (N1 + N2 + tau)/2 is made in integers, times 2q.
     """
     config.require_rank2("z_stability_check")
+    witness = _z_witness(config, saturation_degree(config))
+    return witness is None, witness
+
+
+def _z_witness(config: HiggsConfig, sat_degree: int) -> dict | None:
+    """The first candidate subbundle that violates z-stability, or None."""
     (n1, n2) = config.degrees
-    tau = config.tau_fraction
-    _, sat_degree = divisor_gcd_degree(config)
-    bound = Fraction(n1 + n2) + tau
+    p, q = config.tau_ratio
+    bound = (n1 + n2) * q + p  # q (N1 + N2 + tau)
     candidates = [
-        ("split factor O(N1)", Fraction(n1), 0),
-        ("split factor O(N2)", Fraction(n2), 0),
-        ("saturation [phi]", Fraction(sat_degree), 1),
+        ("split factor O(N1)", n1, 0),
+        ("split factor O(N2)", n2, 0),
+        ("saturation [phi]", sat_degree, 1),
     ]
     for name, deg, rk_int in candidates:
-        slope = deg + tau * rk_int
-        if not (2 * slope < bound):
-            witness = {
+        slope = deg * q + p * rk_int  # q (deg V' + tau rk)
+        if not 2 * slope < bound:
+            # int / int is correctly rounded, as float() of the exact rational
+            return {
                 "subbundle": name,
                 "degree": float(deg),
                 "contains_image": bool(rk_int),
-                "slope_with_tau": float(slope),
-                "bound": float(bound / 2),
+                "slope_with_tau": slope / q,
+                "bound": bound / (2 * q),
             }
-            return False, witness
-    return True, None
+    return None
 
 
 def stability_check(config: HiggsConfig) -> StabilityReport:
@@ -290,14 +310,14 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
         "alpha": config.alpha,
     }
     report = StabilityReport(config_echo=echo)
-    tau = config.tau_fraction
+    p, q = config.tau_ratio
     reasons = report.reasons
     if None not in config.exponents:
         report.futaki_value = futaki_closed_form(config)
 
     if config.is_abelian:
         n_deg = config.degrees[0]
-        report.abelian_window = bool(tau > 2 * n_deg)
+        report.abelian_window = p > 2 * n_deg * q
         if not report.abelian_window:
             report.obstructed = True
             reasons.append(
@@ -305,7 +325,7 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
             )
         if config.exponents[0] is not None:
             report.matsushima = classify_automorphisms(higgs_divisor(config))
-            coupled = abelian_coupled_obstructions(config, float(config.alpha))
+            coupled = _coupled_reasons(config, float(config.alpha), report.matsushima)
             report.obstructed = report.obstructed or bool(coupled)
             reasons.extend(coupled)
         report.verdict = (
@@ -317,19 +337,20 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
         return report
 
     (n1, n2) = config.degrees
-    _, sat_degree = divisor_gcd_degree(config)
+    sat_degree = saturation_degree(config)
     report.saturation_degree = sat_degree
-    report.nonabelian_window = bool(2 * n2 < tau < 2 * (n1 + n2 - sat_degree))
-    l1, l2 = config.exponents
-    reduced_bound = n1 + n2 - min(l1, l2) - min(n1 - l1, n2 - l2)
-    report.reduced_window = bool(2 * n2 < tau < 2 * reduced_bound)
+    report.nonabelian_window = 2 * n2 * q < p < 2 * (n1 + n2 - sat_degree) * q
+    # the reduced bound N1 + N2 - min(l1, l2) - min(N1 - l1, N2 - l2) is
+    # N1 + N2 - deg[phi], so the two windows coincide on monomials
+    report.reduced_window = report.nonabelian_window
     if not report.nonabelian_window:
         report.obstructed = True
         reasons.append(
             "the rank-2 vortex window N2 < tau/2 < N1 + N2 - deg[phi] fails: "
             f"N=({n1},{n2}), deg[phi]={sat_degree}, tau={config.tau}"
         )
-    report.z_stable, report.z_witness = z_stability_check(config)
+    report.z_witness = _z_witness(config, sat_degree)
+    report.z_stable = report.z_witness is None
     if not report.z_stable:
         note = (
             "z-stability fails: a subbundle violates "

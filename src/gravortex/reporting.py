@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import cache
 from importlib import resources
 
 __version__ = "0.1.0"
@@ -15,6 +16,7 @@ def conventions_text() -> str:
     return resources.files("gravortex").joinpath("CONVENTIONS.md").read_text()
 
 
+@cache  # the packaged document cannot change under a running process
 def conventions_hash() -> str:
     """SHA-256 of the conventions document shipped with the package."""
     return hashlib.sha256(conventions_text().encode("utf-8")).hexdigest()

@@ -200,7 +200,8 @@ def vortex_residual(
 def check_vortex_window(config: HiggsConfig) -> None:
     """Strict solvability window N < tau/2; the boundary is infeasible."""
     n_deg = config.degrees[0]
-    if not (config.tau_fraction > 2 * n_deg):
+    p, q = config.tau_ratio
+    if not p > 2 * n_deg * q:
         raise InfeasibleError(
             f"vortex equation requires N < tau/2; got N={n_deg}, tau={config.tau}"
         )

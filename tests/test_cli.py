@@ -385,6 +385,35 @@ class TestExecuteAndExitCodes:
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
 
+    @pytest.mark.parametrize("command", ["stability", "sweep", "solve-vortex"])
+    @pytest.mark.parametrize(
+        "key, literal, message",
+        [
+            ("tau", "1e400", "tau must be a finite number, got inf"),
+            ("tau", "Infinity", "tau must be a finite number, got inf"),
+            ("alpha", "Infinity", "alpha must be a finite number, got inf"),
+            ("alpha", "NaN", "alpha must be a finite number, got nan"),
+        ],
+    )
+    def test_non_finite_coupling_exit_one(self, tmp_path, capsys, command, key, literal, message):
+        values = {"tau": "5", "alpha": "0.5"}
+        if command == "sweep":
+            swept = values.pop(key)
+            sweep = f', "sweep": {{"over": {{"{key}": [{literal}, {swept}]}}}}'
+        else:
+            values[key] = literal
+            sweep = ""
+        couplings = "".join(f', "{k}": {v}' for k, v in values.items())
+        path = tmp_path / "bad.json"
+        path.write_text(
+            f'{{"command": "{command}", "problem": '
+            f'{{"degrees": [2], "exponents": [1]{couplings}}}{sweep}}}'
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not (out / "report.json").exists()
+
 
 class TestReportContract:
     def test_schema_validates_reports(self, tmp_path):
@@ -419,6 +448,29 @@ class TestReportContract:
         assert [s["stop_reason"] for s in report["continuation"]["steps"]] == ["roundoff_floor"]
         # profiles of continuation steps are exported only when they converged
         assert not any("_step" in path for path in report["outputs"])
+        jsonschema.validate(report, report_schema())
+
+    @pytest.mark.parametrize(
+        "numerics",
+        [
+            # the n = 513 floor of about 1.5e-10 sits above the default tolerance
+            {"n": 513, "schedule": [0, 0.05, 0.1]},
+            {"n": 65, "schedule": [0, 0.05], "max_iter": 1},
+        ],
+    )
+    def test_unsolved_continuation_exports_no_state(self, tmp_path, numerics):
+        payload = {
+            "command": "solve-gravitating",
+            "problem": {"degrees": [2], "exponents": [1], "tau": 5},
+            "numerics": numerics,
+        }
+        code, report = run_config(tmp_path, payload)
+        assert code == 3 and report["status"] == "not_converged"
+        assert not any(step["converged"] for step in report["continuation"]["steps"])
+        # the start guess is neither checked nor exported as a solution
+        assert report["checks"] is None
+        assert report["outputs"] == []
+        assert os.listdir(tmp_path / "out") == ["report.json"]
         jsonschema.validate(report, report_schema())
 
     def test_continuation_reports_bordered_steps(self, tmp_path):

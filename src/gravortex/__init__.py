@@ -62,7 +62,6 @@ from .quiver import (
     ReductionParams,
     commutator,
     commutator_values,
-    normalized_slope,
     quiver_vortex_residual,
     reduction_parameters,
     trace_identity_check,

@@ -114,16 +114,23 @@ class HiggsConfig:
             raise WrongRankError(f"{op} requires a rank-2 configuration")
 
 
+def monomial_norm_sq(s, n_deg: int, ell: int, scale: float = 1.0):
+    """Squared FS norm of scale * x0^(N-l) x1^l on O(N) at s, a float or an array.
+
+    scale^2 (1+s)^l (1-s)^(N-l) / 2^N: the Higgs components and the quiver
+    arrow sections are all such monomials.
+    """
+    return scale**2 * (1.0 + s) ** ell * (1.0 - s) ** (n_deg - ell) / 2.0**n_deg
+
+
 def higgs_profile(grid: AxisymGrid, config: HiggsConfig, j: int = 0) -> np.ndarray:
     """Squared FS norm of the j-th monomial component on the grid."""
     if not (0 <= j < config.rank):
         raise ConfigurationError(f"component index {j} out of range for rank {config.rank}")
-    n_deg = config.degrees[j]
     ell = config.exponents[j]
     if ell is None:
         return np.zeros(grid.n)
-    s = grid.nodes
-    return (1.0 + s) ** ell * (1.0 - s) ** (n_deg - ell) / 2.0**n_deg
+    return monomial_norm_sq(grid.nodes, config.degrees[j], ell)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -82,9 +82,11 @@ class ConfigValidationError(GravortexError):
 
 @dataclass
 class Numerics:
+    """Grid size, Newton controls and continuation schedule; the defaults of every config."""
+
     n: int = 129
-    tolerance: float = 1e-10
-    max_iter: int = 50
+    tolerance: float = NewtonOptions.tolerance
+    max_iter: int = NewtonOptions.max_iter
     schedule: tuple[float, ...] | None = None
 
     def newton(self) -> NewtonOptions:
@@ -108,41 +110,101 @@ class RunConfig:
     sweep_points: list[tuple[tuple, HiggsConfig]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
+    # the quiver-check problem, built once by parse_config
+    quiver_spec: QuiverBundleSpec | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     override_obstruction: bool = False
 
     def to_json_dict(self) -> dict:
         out = {
             "command": self.command,
             "problem": dict(self.problem),
-            "numerics": {
-                "n": self.numerics.n,
-                "tolerance": self.numerics.tolerance,
-                "max_iter": self.numerics.max_iter,
-            },
-            "output": {
-                "directory": self.output.directory,
-                "formats": list(self.output.formats),
-            },
+            # a schedule is echoed only when given
+            "numerics": {k: v for k, v in asdict(self.numerics).items() if v is not None},
+            "output": asdict(self.output),
         }
-        if self.numerics.schedule is not None:
-            out["numerics"]["schedule"] = list(self.numerics.schedule)
         if self.sweep is not None:
             out["sweep"] = self.sweep
         return out
 
 
-def _as_number(problem: dict, key: str, default: float, message: str, errors: list[str]):
-    """problem[key] as a float, default when absent, None after an error.
+def _json_float(value, name: str, message: str | None = None) -> float:
+    """A JSON number as a finite float; ConfigurationError otherwise.
 
     Only JSON numbers are numbers: not booleans, although Python's float()
-    accepts them, and not numeric strings.
+    accepts them, and not numeric strings.  ``message`` replaces the
+    "<name> must be a number" of the error a non-number gets.
     """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{message or name + ' must be a number'}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigurationError(
+            f"{name} must be a finite number, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be a finite number, got {number!r}")
+    return number
+
+
+def _json_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _as_number(problem: dict, key: str, default: float, message: str, errors: list[str]):
+    """problem[key] as a float (:func:`_json_float`); default when absent, None after an error."""
     if key not in problem:
         return default
-    value = problem[key]
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    errors.append(f"{message}, got {value!r}")
+    try:
+        return _json_float(problem[key], key, message)
+    except ConfigurationError as exc:
+        errors.append(str(exc))
+        return None
+
+
+def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
+    """problem.quiver as a QuiverBundleSpec; None after appending its config error.
+
+    ``ranks`` defaults to 1 at every vertex, ``rho`` to 1 and an arrow's
+    ``scale`` to 1; an arrow without ``exponent`` carries the zero section.
+    """
+    where = "problem.quiver"
+    try:
+        if not isinstance(q, dict):
+            raise ConfigurationError(f"{where} must be an object, got {q!r}")
+        arrows = q["arrows"]
+        quiver = Quiver(
+            vertices=tuple(q["vertices"]),
+            arrows=tuple(Arrow(name=a["id"], tail=a["tail"], head=a["head"]) for a in arrows),
+        )
+        ranks = q.get("ranks", dict.fromkeys(quiver.vertices, 1))
+        return QuiverBundleSpec(
+            quiver=quiver,
+            ranks={v: _json_int(r, f"{where}.ranks.{v}") for v, r in ranks.items()},
+            degrees={v: _json_int(d, f"{where}.degrees.{v}") for v, d in q["degrees"].items()},
+            section_exponents={
+                a["id"]: None if a.get("exponent") is None
+                else _json_int(a["exponent"], f"{where} exponent of arrow {a['id']!r}")
+                for a in arrows
+            },
+            rho=_json_float(q.get("rho", 1.0), f"{where}.rho"),
+            sigma={v: _json_float(x, f"{where}.sigma.{v}") for v, x in q["sigma"].items()},
+            tau={v: _json_float(x, f"{where}.tau.{v}") for v, x in q["tau"].items()},
+            section_scales={
+                a["id"]: _json_float(a.get("scale", 1.0), f"{where} scale of arrow {a['id']!r}")
+                for a in arrows
+            },
+        )
+    except ConfigurationError as exc:
+        errors.append(str(exc))
+    except KeyError as exc:
+        errors.append(f"missing required key in {where}: {exc.args[0]!r}")
+    except (TypeError, AttributeError) as exc:
+        errors.append(f"{where} is malformed: {exc}")
     return None
 
 
@@ -190,7 +252,7 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal too long to convert
         raise ConfigValidationError([f"invalid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigValidationError(["configuration must be a JSON object"])
@@ -217,15 +279,16 @@ def parse_config(text: str) -> RunConfig:
     for key in sorted(unknown_numerics):
         errors.append(f"unknown numerics key: {key!r}")
 
-    n = numerics_raw.get("n", 129)
+    n = numerics_raw.get("n", Numerics.n)
     try:
         check_resolution(n)
     except ConfigurationError as exc:
         errors.append(str(exc))
-    tolerance = numerics_raw.get("tolerance", 1e-10)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or tolerance <= 0:
+    tolerance = numerics_raw.get("tolerance", Numerics.tolerance)
+    number = isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool)
+    if not (number and 0 < tolerance <= sys.float_info.max):  # no NaN, inf or huge integer
         errors.append(f"tolerance must be a positive number, got {tolerance!r}")
-    max_iter = numerics_raw.get("max_iter", 50)
+    max_iter = numerics_raw.get("max_iter", Numerics.max_iter)
     if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
         errors.append(f"max_iter must be a positive integer, got {max_iter!r}")
     schedule = numerics_raw.get("schedule")
@@ -234,7 +297,7 @@ def parse_config(text: str) -> RunConfig:
             ContinuationSchedule(alphas=schedule)
         except ConfigurationError as exc:
             errors.append(str(exc))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             errors.append("schedule must be a list of numbers")
             schedule = None
 
@@ -242,12 +305,13 @@ def parse_config(text: str) -> RunConfig:
     unknown_output = set(output_raw) - _OUTPUT_KEYS
     for key in sorted(unknown_output):
         errors.append(f"unknown output key: {key!r}")
-    formats = tuple(output_raw.get("formats", ("json", "csv")))
+    formats = tuple(output_raw.get("formats", OutputSpec.formats))
     for fmt in formats:
         if fmt not in ("json", "csv"):
             errors.append(f"unknown output format: {fmt!r}")
 
     sweep_points: list[tuple[tuple, HiggsConfig]] = []
+    quiver_spec = None
     if command == "sweep":
         sweep = raw.get("sweep")
         over = sweep.get("over") if isinstance(sweep, dict) else None
@@ -268,13 +332,15 @@ def parse_config(text: str) -> RunConfig:
             sweep_points.append((combo, higgs))
     elif command == "quiver-check":
         _validate_problem(problem, errors, want_quiver=True)
+        if "quiver" in problem:
+            quiver_spec = _quiver_spec(problem["quiver"], errors)
     elif command in COMMANDS:
         _validate_problem(problem, errors, want_quiver=False)
 
     if errors:
         raise ConfigValidationError(errors)
 
-    default_dir = os.environ.get(OUTPUT_DIR_ENV, ".")
+    default_dir = os.environ.get(OUTPUT_DIR_ENV, OutputSpec.directory)
     config = RunConfig(
         command=command,
         problem=problem,
@@ -290,6 +356,7 @@ def parse_config(text: str) -> RunConfig:
         sweep=raw.get("sweep"),
     )
     config.sweep_points = sweep_points
+    config.quiver_spec = quiver_spec
     return config
 
 
@@ -302,28 +369,16 @@ def _higgs_from_problem(problem: dict) -> HiggsConfig:
     )
 
 
-def _quiver_from_problem(problem: dict) -> QuiverBundleSpec:
-    q = problem["quiver"]
-    quiver = Quiver(
-        vertices=tuple(q["vertices"]),
-        arrows=tuple(
-            Arrow(name=a["id"], tail=a["tail"], head=a["head"]) for a in q["arrows"]
-        ),
-    )
-    return QuiverBundleSpec(
-        quiver=quiver,
-        ranks={v: int(r) for v, r in q.get("ranks", {v: 1 for v in q["vertices"]}).items()},
-        degrees={v: int(d) for v, d in q["degrees"].items()},
-        section_exponents={a["id"]: a.get("exponent") for a in q["arrows"]},
-        rho=float(q.get("rho", 1.0)),
-        sigma={v: float(x) for v, x in q["sigma"].items()},
-        tau={v: float(x) for v, x in q["tau"].items()},
-        section_scales={a["id"]: float(a.get("scale", 1.0)) for a in q["arrows"]},
-    )
-
-
 def _want(config: RunConfig, fmt: str) -> bool:
     return fmt in config.output.formats
+
+
+def _write_profiles(report: dict, outdir: str, grid, stem: str, **columns) -> None:
+    """Write each column as the CSV outdir/stem.format(name) and list it in the outputs."""
+    for name, values in columns.items():
+        path = os.path.join(outdir, stem.format(name))
+        write_profile_csv(path, grid.nodes, values, header=f"s,{name}")
+        report["outputs"].append(path)
 
 
 def _run_solve_vortex(config: RunConfig, report: dict, outdir: str) -> int:
@@ -332,9 +387,7 @@ def _run_solve_vortex(config: RunConfig, report: dict, outdir: str) -> int:
     pot, solve_report = solve_vortex(grid, round_metric(grid), higgs, config.numerics.newton())
     report["solver"] = solve_report.to_json_dict()
     if _want(config, "csv"):
-        path = os.path.join(outdir, "vortex_v.csv")
-        write_profile_csv(path, grid.nodes, pot.v, header="s,v")
-        report["outputs"].append(path)
+        _write_profiles(report, outdir, grid, "vortex_{}.csv", v=pot.v)
     if not solve_report.converged:
         report["status"] = "not_converged"
         return EXIT_NOT_CONVERGED
@@ -367,17 +420,12 @@ def _run_solve_gravitating(config: RunConfig, report: dict, outdir: str) -> int:
         }
     if _want(config, "csv"):
         for k, step in enumerate(cont.steps):
-            if not step.converged:
-                continue
-            for name, values in (("u", step.u), ("v", step.v)):
-                path = os.path.join(outdir, f"gravitating_{name}_step{k:02d}.csv")
-                write_profile_csv(path, grid.nodes, values, header=f"s,{name}")
-                report["outputs"].append(path)
+            if step.converged:
+                stem = f"gravitating_{{}}_step{k:02d}.csv"
+                _write_profiles(report, outdir, grid, stem, u=step.u, v=step.v)
         if solved:
-            for name, values in (("u", state.metric.u), ("v", state.bundle.v)):
-                path = os.path.join(outdir, f"gravitating_{name}.csv")
-                write_profile_csv(path, grid.nodes, values, header=f"s,{name}")
-                report["outputs"].append(path)
+            u, v = state.metric.u, state.bundle.v
+            _write_profiles(report, outdir, grid, "gravitating_{}.csv", u=u, v=v)
     if not cont.converged:
         report["status"] = "not_converged"
         return EXIT_NOT_CONVERGED
@@ -394,11 +442,10 @@ def _run_eb_solve(config: RunConfig, report: dict, outdir: str) -> int:
         override_obstruction=config.override_obstruction,
     )
     report["einstein_bogomolnyi"] = result.to_json_dict()
-    if _want(config, "csv"):
-        for name, values in (("u", result.state.metric.u), ("v", result.state.bundle.v)):
-            path = os.path.join(outdir, f"eb_{name}.csv")
-            write_profile_csv(path, grid.nodes, values, header=f"s,{name}")
-            report["outputs"].append(path)
+    # an unconverged search's state is not an EB solution: no profiles
+    if result.converged and _want(config, "csv"):
+        u, v = result.state.metric.u, result.state.bundle.v
+        _write_profiles(report, outdir, grid, "eb_{}.csv", u=u, v=v)
     if not result.converged:
         report["status"] = "not_converged"
         return EXIT_NOT_CONVERGED
@@ -430,7 +477,9 @@ def _run_stability(config: RunConfig, report: dict, outdir: str) -> int:
 
 
 def _run_quiver_check(config: RunConfig, report: dict, outdir: str) -> int:
-    spec = _quiver_from_problem(config.problem)
+    spec = config.quiver_spec
+    if spec is None:
+        raise ConfigurationError("no quiver spec; build the config with parse_config")
     grid = build_grid(config.numerics.n)
     potentials = {v: np.zeros(grid.n) for v in spec.quiver.vertices}
     res = quiver_vortex_residual(spec, potentials, None, grid)
@@ -469,7 +518,6 @@ def _run_sweep(config: RunConfig, report: dict, outdir: str) -> int:
                 "obstructed": verdict.obstructed,
                 "abelian_window": verdict.abelian_window,
                 "nonabelian_window": verdict.nonabelian_window,
-                "reduced_window": verdict.reduced_window,
                 "balanced": verdict.balanced,
                 "z_stable": verdict.z_stable,
                 "futaki_value": verdict.futaki_value,

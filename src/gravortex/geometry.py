@@ -229,11 +229,10 @@ class ConformalMetric:
     """Log-conformal factor u defining omega = exp(2u) omega_FS.
 
     Instances produced by :func:`normalize_volume` satisfy
-    ``integral exp(2u) omega_FS = vol_target`` to round-off.
+    ``integral exp(2u) omega_FS = ROUND_VOLUME`` to round-off.
     """
 
     u: np.ndarray
-    vol_target: float = ROUND_VOLUME
 
 
 def round_metric(grid: AxisymGrid) -> ConformalMetric:
@@ -263,18 +262,16 @@ def volume(grid: AxisymGrid, metric: ConformalMetric | None) -> float:
     return integrate(grid, metric, np.ones(grid.n))
 
 
-def normalize_volume(
-    grid: AxisymGrid, u_raw: np.ndarray, vol_target: float = ROUND_VOLUME
-) -> ConformalMetric:
-    """Shift u_raw by the constant making the conformal volume vol_target.
+def normalize_volume(grid: AxisymGrid, u_raw: np.ndarray) -> ConformalMetric:
+    """Shift u_raw by the constant making the conformal volume ROUND_VOLUME, 2 pi.
 
     Idempotent: normalizing an already normalized potential changes nothing.
     """
     u_raw = np.asarray(u_raw, dtype=float)
     _check_finite(u_raw, "u_raw")
     vol = volume(grid, ConformalMetric(u=u_raw))
-    shift = 0.5 * math.log(vol / vol_target)
-    return ConformalMetric(u=u_raw - shift, vol_target=vol_target)
+    shift = 0.5 * math.log(vol / ROUND_VOLUME)
+    return ConformalMetric(u=u_raw - shift)
 
 
 def laplacian(

@@ -36,7 +36,7 @@ overridden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class ContinuationSchedule:
     """Increasing coupling values starting at 0, plus Newton options."""
 
     alphas: tuple[float, ...]
-    newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(tolerance=1e-10))
+    newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
         for a in self.alphas:
@@ -114,15 +114,8 @@ class ContinuationStep:
     v: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "iterations": self.iterations,
-            "residual_sup": self.residual_sup,
-            "c_est": self.c_est,
-            "bordered_steps": self.bordered_steps,
-        }
+        """Every field but the iterate."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("u", "v")}
 
 
 @dataclass
@@ -462,10 +455,17 @@ def _refuse_obstructed(config: HiggsConfig, alpha: float, override: bool) -> Non
         )
 
 
-def _schedule_to(alpha_target: float, step_cap: float = 0.05) -> tuple[float, ...]:
+_EB_C_TOLERANCE = 1e-8  # |c| below which the secant has found the zero-constant coupling
+_EB_MAX_SECANT = 12  # secant steps after the two starting evaluations
+_EB_FIRST_ALPHA = 0.1  # the second starting coupling is min(0.1, 1 / (tau N))
+_EB_STEP_CAP = 0.05  # largest alpha step of the continuation behind each evaluation
+
+
+def _schedule_to(alpha_target: float) -> tuple[float, ...]:
+    """Equal continuation steps from 0 to alpha_target, none longer than _EB_STEP_CAP."""
     if alpha_target <= 0.0:
         return (0.0,)
-    k = max(1, math.ceil(alpha_target / step_cap))
+    k = max(1, math.ceil(alpha_target / _EB_STEP_CAP))
     return tuple(alpha_target * i / k for i in range(k + 1))
 
 
@@ -473,56 +473,44 @@ def _schedule_to(alpha_target: float, step_cap: float = 0.05) -> tuple[float, ..
 class EinsteinBogomolnyiResult:
     state: GravitatingState
     alpha_star: float
-    c_value: float
+    c_value: float | None  # None: the continuation to alpha_star did not converge
     alpha_tau_N: float
     predictions: dict
     converged: bool
-    secant_history: list[tuple[float, float]]
-    endpoint_c_values: tuple[float, float] | None = None
+    secant_history: list[tuple[float, float | None]]
+    endpoint_c_values: tuple[float | None, float | None] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha_star": self.alpha_star,
-            "c_value": self.c_value,
-            "alpha_tau_N": self.alpha_tau_N,
-            "predictions": dict(self.predictions),
-            "converged": self.converged,
-            "secant_history": [list(p) for p in self.secant_history],
-            "endpoint_c_values": (
-                list(self.endpoint_c_values) if self.endpoint_c_values else None
-            ),
-        }
+        """Every field but the state (JSON writes the tuples as lists)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "state"}
 
 
 def einstein_bogomolnyi_solve(
     config: HiggsConfig,
     grid: AxisymGrid,
     newton: NewtonOptions | None = None,
-    c_tolerance: float = 1e-8,
-    max_secant_iter: int = 12,
-    alpha_first_guess: float | None = None,
     override_obstruction: bool = False,
 ) -> EinsteinBogomolnyiResult:
     """Secant iteration on alpha for a zero topological constant.
 
-    The map alpha -> c_est at the continued solution is affine to quadrature
-    accuracy (c is topological), so the secant converges immediately.  The
-    report carries alpha* tau N next to the quoted prediction 1 and the
+    Each evaluation of c at a coupling alpha runs a continuation from 0 in
+    steps of at most 0.05; its c is None when that continuation did not
+    converge, since the state it returns then belongs to a smaller coupling
+    or is the start guess.  The secant starts from alpha = 0 and
+    min(0.1, 1 / (tau N)), takes at most 12 further steps and stops once
+    |c| <= 1e-8.  The map alpha -> c_est is affine to quadrature accuracy
+    (c is topological), so the secant converges immediately.  The report
+    carries alpha* tau N next to the quoted prediction 1 and the
     conventions-derived prediction 2; the discrepancy is documented, not
     asserted away.  Bracket/convergence failure returns converged=False with
     the endpoint c values.
     """
     config.require_abelian("einstein_bogomolnyi_solve")
     check_vortex_window(config)
-    opts = newton or NewtonOptions(tolerance=1e-10)
+    opts = newton or NewtonOptions()
     tau_n = float(config.tau) * sum(config.degrees)
 
-    cache: dict[float, tuple[GravitatingState, float, bool]] = {}
-
-    def c_at(alpha: float) -> tuple[GravitatingState, float, bool]:
-        alpha = float(alpha)
-        if alpha in cache:
-            return cache[alpha]
+    def c_at(alpha: float) -> tuple[GravitatingState, float | None]:
         cfg = HiggsConfig(
             degrees=config.degrees,
             exponents=config.exponents,
@@ -533,23 +521,21 @@ def einstein_bogomolnyi_solve(
         state, report = solve_gravitating(
             cfg, schedule, grid, override_obstruction=override_obstruction
         )
-        result = (state, state.c_value, report.converged)
-        cache[alpha] = result
-        return result
+        return state, state.c_value if report.converged else None
 
     a0 = 0.0
-    a1 = alpha_first_guess if alpha_first_guess is not None else min(0.1, 1.0 / tau_n)
+    a1 = min(_EB_FIRST_ALPHA, 1.0 / tau_n)
     _refuse_obstructed(config, a1, override_obstruction)
-    state0, c0, ok0 = c_at(a0)
-    state1, c1, ok1 = c_at(a1)
+    state0, c0 = c_at(a0)
+    state1, c1 = c_at(a1)
     history = [(a0, c0), (a1, c1)]
-    best = (state1 if ok1 else state0, a1, c1)
+    best = (state1 if c1 is not None else state0, a1, c1)
     endpoints = None  # the bracketing c values of a failed search
-    if not (ok0 and ok1):
+    if c0 is None or c1 is None:
         endpoints = (c0, c1)
     else:
-        for _ in range(max_secant_iter):
-            if abs(best[2]) <= c_tolerance:
+        for _ in range(_EB_MAX_SECANT):
+            if abs(best[2]) <= _EB_C_TOLERANCE:
                 break
             if c1 == c0:
                 endpoints = (c0, c1)
@@ -557,9 +543,9 @@ def einstein_bogomolnyi_solve(
             a2 = a1 - c1 * (a1 - a0) / (c1 - c0)
             if a2 <= 0.0:
                 a2 = 0.5 * a1
-            state2, c2, ok2 = c_at(a2)
+            state2, c2 = c_at(a2)
             history.append((a2, c2))
-            if not ok2:
+            if c2 is None:
                 endpoints = (c1, c2)
                 break
             a0, c0, a1, c1 = a1, c1, a2, c2
@@ -571,7 +557,7 @@ def einstein_bogomolnyi_solve(
         c_value=c_value,
         alpha_tau_N=alpha_star * tau_n,
         predictions=c_predictions(config, alpha_star),
-        converged=endpoints is None and abs(c_value) <= c_tolerance,
+        converged=endpoints is None and abs(c_value) <= _EB_C_TOLERANCE,
         secant_history=history,
         endpoint_c_values=endpoints,
     )

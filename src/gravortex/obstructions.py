@@ -34,7 +34,7 @@ for a returned value or a quoted one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -51,13 +51,14 @@ from .errors import ConfigurationError, PoleError
 from .geometry import (
     AxisymGrid,
     ConformalMetric,
+    ROUND_VOLUME,
     hamiltonian_potential,
     integrate,
     laplacian,
     scalar_curvature,
     volume,
 )
-from .vortex import bundle_curvature, vortex_equation
+from .vortex import bundle_curvature, vanishing_higgs_reason, vortex_equation
 
 VOLUME_TOLERANCE = 1e-8
 
@@ -118,11 +119,12 @@ def _coupled_reasons(config: HiggsConfig, alpha: float, automorphisms: AutVerdic
 
 
 def _require_normalized(grid: AxisymGrid, metric: ConformalMetric) -> None:
+    """Refuse an ansatz whose volume is not ROUND_VOLUME to a relative 1e-8."""
     vol = volume(grid, metric)
-    if abs(vol - metric.vol_target) > VOLUME_TOLERANCE * metric.vol_target:
+    if abs(vol - ROUND_VOLUME) > VOLUME_TOLERANCE * ROUND_VOLUME:
         raise ConfigurationError(
             "ansatz must be volume-normalized before evaluating the character "
-            f"(volume {vol!r}, target {metric.vol_target!r})"
+            f"(volume {vol!r}, target {ROUND_VOLUME!r})"
         )
 
 
@@ -224,10 +226,9 @@ class StabilityReport:
     applicable window.
     """
 
-    config_echo: dict
+    config: dict  # echo of the checked configuration
     abelian_window: bool | None = None
     nonabelian_window: bool | None = None
-    reduced_window: bool | None = None
     z_stable: bool | None = None
     z_witness: dict | None = None
     balanced: bool | None = None
@@ -240,27 +241,7 @@ class StabilityReport:
     reasons: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "config": self.config_echo,
-            "abelian_window": self.abelian_window,
-            "nonabelian_window": self.nonabelian_window,
-            "reduced_window": self.reduced_window,
-            "z_stable": self.z_stable,
-            "z_witness": self.z_witness,
-            "balanced": self.balanced,
-            "balancing_lhs": self.balancing_lhs,
-            "futaki_value": self.futaki_value,
-            "matsushima": (
-                {"kind": self.matsushima.kind, "obstruction": self.matsushima.obstruction}
-                if self.matsushima
-                else None
-            ),
-            "saturation_degree": self.saturation_degree,
-            "obstructed": self.obstructed,
-            "verdict": self.verdict,
-            "reasons": list(self.reasons),
-        }
-        return out
+        return asdict(self)
 
 
 def z_stability_check(config: HiggsConfig) -> tuple[bool, dict | None]:
@@ -302,16 +283,23 @@ def _z_witness(config: HiggsConfig, sat_degree: int) -> dict | None:
 
 
 def stability_check(config: HiggsConfig) -> StabilityReport:
-    """Evaluate every applicable predicate; a report is always produced."""
+    """Evaluate every applicable predicate; a report is always produced.
+
+    A Higgs field with every component zero is obstructed in either rank
+    (:func:`vanishing_higgs_reason`).  When one rank-2 component is zero the
+    saturation of phi(O) is the other summand, so deg[phi] is its degree,
+    the window is empty and the balancing condition is not defined.
+    """
     echo = {
         "degrees": list(config.degrees),
         "exponents": list(config.exponents),
         "tau": config.tau,
         "alpha": config.alpha,
     }
-    report = StabilityReport(config_echo=echo)
+    report = StabilityReport(config=echo)
     p, q = config.tau_ratio
     reasons = report.reasons
+    vanishing = vanishing_higgs_reason(config)
     if None not in config.exponents:
         report.futaki_value = futaki_closed_form(config)
 
@@ -323,7 +311,10 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
             reasons.append(
                 f"the vortex window N < tau/2 fails: N={n_deg}, tau={config.tau}"
             )
-        if config.exponents[0] is not None:
+        if vanishing:
+            report.obstructed = True
+            reasons.append(vanishing)
+        else:
             report.matsushima = classify_automorphisms(higgs_divisor(config))
             coupled = _coupled_reasons(config, float(config.alpha), report.matsushima)
             report.obstructed = report.obstructed or bool(coupled)
@@ -336,13 +327,16 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
         )
         return report
 
-    (n1, n2) = config.degrees
-    sat_degree = saturation_degree(config)
+    if vanishing:
+        report.obstructed = True
+        reasons.append(vanishing)
+        report.verdict = "no solution of the coupled equations: " + vanishing
+        return report
+    (n1, n2), (l1, l2) = config.degrees, config.exponents
+    # with one component zero, the saturation of phi(O) is the other summand
+    sat_degree = n1 if l2 is None else n2 if l1 is None else saturation_degree(config)
     report.saturation_degree = sat_degree
     report.nonabelian_window = 2 * n2 * q < p < 2 * (n1 + n2 - sat_degree) * q
-    # the reduced bound N1 + N2 - min(l1, l2) - min(N1 - l1, N2 - l2) is
-    # N1 + N2 - deg[phi], so the two windows coincide on monomials
-    report.reduced_window = report.nonabelian_window
     if not report.nonabelian_window:
         report.obstructed = True
         reasons.append(
@@ -365,20 +359,21 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
                 "the two conditions differ by a factor-2 normalization of tau"
             )
         reasons.append(note)
-    try:
-        lhs, balanced = balancing_condition(config)
-        report.balanced = balanced
-        report.balancing_lhs = str(lhs)
-        if report.nonabelian_window and not balanced:
-            report.obstructed = True
-            reasons.append(
-                "the balancing condition (2l1-N1)/(2N2-tau) + (2l2-N2)/(2N1-tau) = 0 "
-                f"fails (value {lhs}), so no solution of the coupled rank-2 system "
-                "exists inside the window"
-            )
-    except PoleError:
-        report.balanced = None
-        report.balancing_lhs = "undefined (tau = 2N pole)"
+    if None not in config.exponents:
+        try:
+            lhs, balanced = balancing_condition(config)
+        except PoleError:
+            report.balancing_lhs = "undefined (tau = 2N pole)"
+        else:
+            report.balanced = balanced
+            report.balancing_lhs = str(lhs)
+            if report.nonabelian_window and not balanced:
+                report.obstructed = True
+                reasons.append(
+                    "the balancing condition (2l1-N1)/(2N2-tau) + (2l2-N2)/(2N1-tau) = 0 "
+                    f"fails (value {lhs}), so no solution of the coupled rank-2 system "
+                    "exists inside the window"
+                )
     report.verdict = (
         "no solution of the coupled equations: " + "; ".join(reasons)
         if report.obstructed

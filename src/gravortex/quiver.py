@@ -3,9 +3,9 @@
 Quivers are stored with explicit head/tail maps so parallel arrows are
 first-class.  The analytic residual path is restricted to rank-1 vertex
 bundles with monomial arrow sections on the volume-2*pi sphere, which is
-the family the coupled-solver examples live in; the algebraic layer
-(commutators, the trace identity, parameter derivation) works for
-arbitrary ranks through exact pointwise linear algebra.
+the family the coupled-solver examples live in, and so is the parameter
+derivation; the algebraic layer (commutators, the trace identity) works
+for arbitrary ranks through exact pointwise linear algebra.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bundles import monomial_norm_sq
 from .errors import ConfigurationError
 from .geometry import (
     AxisymGrid,
@@ -26,8 +27,6 @@ from .geometry import (
     volume,
 )
 from .vortex import bundle_curvature
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -117,10 +116,8 @@ def arrow_profile(grid: AxisymGrid, spec: QuiverBundleSpec, arrow: Arrow) -> np.
     ell = spec.section_exponents.get(arrow.name)
     if ell is None:
         return np.zeros(grid.n)
-    n_deg = spec.arrow_degree(arrow)
     scale = spec.section_scales.get(arrow.name, 1.0)
-    s = grid.nodes
-    return scale**2 * (1.0 + s) ** ell * (1.0 - s) ** (n_deg - ell) / 2.0**n_deg
+    return monomial_norm_sq(grid.nodes, spec.arrow_degree(arrow), ell, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +173,8 @@ def commutator(
         ell = spec.section_exponents.get(a.name)
         if ell is None:
             continue
-        n_deg = spec.arrow_degree(a)
         scale = spec.section_scales.get(a.name, 1.0)
-        fs = scale**2 * (1.0 + s) ** ell * (1.0 - s) ** (n_deg - ell) / 2.0**n_deg
+        fs = monomial_norm_sq(s, spec.arrow_degree(a), ell, scale)
         weight = math.exp(2.0 * potentials[a.head] - 2.0 * potentials[a.tail])
         val = fs * weight
         out[a.head] += val
@@ -241,16 +237,6 @@ def trace_identity_check(
 # dimensional-reduction parameter bookkeeping
 
 
-def normalized_slope(degree: int, rank: int = 1, vol: float = ROUND_VOLUME) -> float:
-    """Normalized slope of a bundle: 2 pi deg / (vol * rank).
-
-    On the volume-2*pi sphere a degree-d line bundle has slope d.
-    """
-    if rank < 1:
-        raise ConfigurationError("rank must be >= 1")
-    return TWO_PI * degree / (vol * rank)
-
-
 @dataclass(frozen=True)
 class ReductionParams:
     """Inputs of the parameter dictionary: multiplicities and slopes.
@@ -270,39 +256,34 @@ class ReductionParams:
                 raise ConfigurationError(f"dim M must be positive at vertex {v!r}")
 
 
+_RICCI_TOTAL = 4.0 * math.pi  # integral of the Ricci form of the sphere, 2 pi chi
+
+
 def reduction_parameters(
     params: ReductionParams,
     rho: float,
-    ranks: dict[str, int] | None = None,
     slopes: dict[str, float] | None = None,
-    vol: float = ROUND_VOLUME,
-    ricci_total: float = 4.0 * math.pi,
-    curvature_square_integrals: dict[str, float] | None = None,
 ) -> tuple[dict[str, float], dict[str, float], float]:
-    """Derived (sigma, tau) vectors and the topological constant.
+    """Derived (sigma, tau) vectors and the topological constant on the sphere.
 
     sigma_v = dim M_v and tau_v = sigma_v (mu_total - mu_eps_v).  The
-    constant follows from integrating the curvature equation:
+    constant follows from integrating the curvature equation over the
+    volume-2*pi sphere (vol = ROUND_VOLUME) with rank-1 vertex bundles:
 
-        c vol = 2 * ricci_total - 4 rho sum sigma_v (integral Tr F^2)
-                + 4 rho vol sum (tau_v/sigma_v - slope_v) tau_v rank_v,
+        c vol = 2 * 4 pi + 4 rho vol sum (tau_v/sigma_v - slope_v) tau_v,
 
-    with the F^2 integrals vanishing identically on a curve (they are kept
-    as explicit user-supplied inputs for transparency).  Under the package
-    conventions ricci_total = 4 pi on the sphere.
+    where 4 pi is the integral of the Ricci form; the integrals of Tr F^2
+    vanish identically on a curve.  ``slopes`` defaults to 0 at every vertex.
     """
     sigma = {v: float(d) for v, d in params.dims.items()}
     tau = {
         v: sigma[v] * (params.mu_total - params.mu_eps[v]) for v in params.dims
     }
-    ranks = ranks or {v: 1 for v in params.dims}
     slopes = slopes or {v: 0.0 for v in params.dims}
-    f2 = curvature_square_integrals or {v: 0.0 for v in params.dims}
-    total = 2.0 * ricci_total
+    total = 2.0 * _RICCI_TOTAL
     for v in params.dims:
-        total -= 4.0 * rho * sigma[v] * f2.get(v, 0.0)
-        total += 4.0 * rho * vol * (tau[v] / sigma[v] - slopes[v]) * tau[v] * ranks[v]
-    return sigma, tau, total / vol
+        total += 4.0 * rho * ROUND_VOLUME * (tau[v] / sigma[v] - slopes[v]) * tau[v]
+    return sigma, tau, total / ROUND_VOLUME
 
 
 # ---------------------------------------------------------------------------

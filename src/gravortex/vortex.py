@@ -17,7 +17,8 @@ the monotone structure that makes the damped Newton iteration reliable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +42,10 @@ class BundleMetricPotential:
 
 @dataclass
 class NewtonOptions:
+    """Stopping controls of :func:`damped_newton`; the defaults are the package's."""
+
     tolerance: float = 1e-10
     max_iter: int = 50
-    max_halvings: int = 30
 
     def __post_init__(self):
         if not (self.tolerance > 0):
@@ -58,6 +60,7 @@ NESTED_COARSE_N = 129  # the resolution of that coarse solve
 _ROUNDOFF_STEP = 1e-12  # a Newton increment below this, relative to 1 + |x|, is round-off
 _FLOOR_FACTOR = 4.0  # a residual within this factor of its floor estimate is on the floor
 _FLOOR_PROBES = 3  # one-ulp perturbations per floor estimate
+_MAX_HALVINGS = 30  # step halvings per line search before it stalls
 
 
 @dataclass
@@ -70,14 +73,9 @@ class SolveReport:
     diagnostics: list[float] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "iterations": self.iterations,
-            "residual_sup": self.residual_sup,
-            "resolution": self.resolution,
-            "residual_history": list(self.diagnostics),
-        }
+        out = asdict(self)
+        out["residual_history"] = out.pop("diagnostics")
+        return out
 
 
 def sup_norm(r: np.ndarray) -> float:
@@ -116,8 +114,8 @@ def damped_newton(x: np.ndarray, residual, newton_step, opts: NewtonOptions):
       after every accepted step that does not converge, and when the
       halvings find no decrease; it costs three residual evaluations and
       runs only when the step is at round-off;
-    * ``line_search_stall``: ``max_halvings`` halvings find no decrease and
-      the iterate is not on the floor;
+    * ``line_search_stall``: 30 halvings (``_MAX_HALVINGS``) find no
+      decrease and the iterate is not on the floor;
     * ``max_iter``: ``max_iter`` steps were accepted without converging.
 
     Returns (x, history, stop_reason, iterations), where history holds the
@@ -137,7 +135,7 @@ def damped_newton(x: np.ndarray, residual, newton_step, opts: NewtonOptions):
             return x, history, "max_iter", iterations
         step = newton_step(x)
         lam = 1.0
-        for _ in range(opts.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             trial = x + lam * step
             trial_r = residual(trial)
             trial_sup = sup_norm(trial_r)
@@ -197,8 +195,27 @@ def vortex_residual(
     return residual(v)
 
 
+def vanishing_higgs_reason(config: HiggsConfig) -> str | None:
+    """Why a Higgs field with every component zero has no solution; None otherwise.
+
+    With phi = 0, integrating the trace of the first equation gives
+    2 pi sum_j N_j = pi tau rank: tau = 2N in rank 1 and tau = N1 + N2
+    <= 2 N2 in rank 2, each outside its strict window.
+    """
+    if any(ell is not None for ell in config.exponents):
+        return None
+    forced, window = ("2N", "N") if config.is_abelian else ("N1 + N2 <= 2 N2", "N2")
+    return (
+        "the Higgs field vanishes identically, so integrating the vortex equation "
+        f"forces tau = {forced}, outside the window {window} < tau/2"
+    )
+
+
 def check_vortex_window(config: HiggsConfig) -> None:
-    """Strict solvability window N < tau/2; the boundary is infeasible."""
+    """Strict solvability window N < tau/2 and a nonzero Higgs field; else infeasible."""
+    vanishing = vanishing_higgs_reason(config)
+    if vanishing:
+        raise InfeasibleError(vanishing)
     n_deg = config.degrees[0]
     p, q = config.tau_ratio
     if not p > 2 * n_deg * q:
@@ -298,20 +315,13 @@ class NonabelianMetric:
 
     where the off-diagonal entry carries Fourier weight l1 - l2 and modulus
     (1-s^2)^(|weight|/2) * offdiag_cofactor(s).  The smooth cofactor is the
-    stored quantity; the physical modulus is recovered by
-    :meth:`offdiag_modulus`.  Positivity requires
-    modulus^2 < exp(2 v1 + 2 v2) pointwise.
+    stored quantity.  Positivity requires modulus^2 < exp(2 v1 + 2 v2)
+    pointwise.
     """
 
     v1: np.ndarray
     v2: np.ndarray
     offdiag_cofactor: np.ndarray | None = None
-
-    def offdiag_modulus(self, grid: AxisymGrid, weight: int) -> np.ndarray:
-        if self.offdiag_cofactor is None:
-            return np.zeros(grid.n)
-        q2 = 1.0 - grid.nodes**2
-        return self.offdiag_cofactor * q2 ** (abs(weight) / 2.0)
 
 
 @dataclass
@@ -345,14 +355,11 @@ class NonabelianResidual:
     trace: TraceReport
 
 
-class _EqField:
+class _EqField(NamedTuple):
     """S^1-equivariant profile: value = (1-s^2)^(|weight|/2) cof(s) e^(i w theta)."""
 
-    __slots__ = ("weight", "cof")
-
-    def __init__(self, weight: int, cof: np.ndarray):
-        self.weight = weight
-        self.cof = cof
+    weight: int
+    cof: np.ndarray
 
 
 class _EqChart:
@@ -410,20 +417,21 @@ class _EqChart:
 
 def _chart_curvature(
     grid: AxisymGrid,
-    degrees: tuple[int, int],
+    degree: int,
     weight: int,
     u: np.ndarray,
     v1: np.ndarray,
     v2: np.ndarray,
     offdiag_cof: np.ndarray,
 ):
-    """i Lambda_omega F_H entry profiles in this chart's hat frame.
+    """i Lambda_omega F_H entry profiles on O(N) + O(N) in this chart's hat frame.
 
     Returns cofactor arrays (L11, L22, L12, L21) with the weight pattern
-    [[0, weight], [-weight, 0]]; accuracy degrades near s=+1 only.
+    [[0, weight], [-weight, 0]]; accuracy degrades near s=+1 only.  Both
+    summands have degree N, so the background connection W is a multiple of
+    the identity and its commutators with Hhat vanish.
     """
     ch = _EqChart(grid)
-    n1, n2 = degrees
     k = weight
     h11 = _EqField(0, np.exp(2.0 * v1))
     h22 = _EqField(0, np.exp(2.0 * v2))
@@ -434,28 +442,20 @@ def _chart_curvature(
     hi22 = _EqField(0, h11.cof / det)
     hi12 = _EqField(k, -offdiag_cof / det)
     hi21 = _EqField(-k, -offdiag_cof / det)
-    # W = d(log of background frame norm), diagonal with cofactor -N/4
-    w1 = _EqField(-1, -(n1 / 4.0) * np.ones(grid.n))
-    w2 = _EqField(-1, -(n2 / 4.0) * np.ones(grid.n))
+    # W = d(log of background frame norm): the identity times cofactor -N/4
+    w = _EqField(-1, -(degree / 4.0) * np.ones(grid.n))
 
     dh11, dh22 = ch.dw(h11), ch.dw(h22)
     db12, db21 = ch.dw(b12), ch.dw(b21)
-    # commutator [W, Hhat] has only off-diagonal entries
-    c12 = ch.mul(_EqField(-1, w1.cof - w2.cof), b12)
-    c21 = ch.mul(_EqField(-1, w2.cof - w1.cof), b21)
-    t12 = ch.add(c12, db12)
-    t21 = ch.add(c21, db21)
-    x11 = ch.add(ch.mul(hi11, dh11), ch.mul(hi12, t21))
-    x12 = ch.add(ch.mul(hi11, t12), ch.mul(hi12, dh22))
-    x21 = ch.add(ch.mul(hi21, dh11), ch.mul(hi22, t21))
-    x22 = ch.add(ch.mul(hi21, t12), ch.mul(hi22, dh22))
-    dw1, dw2 = ch.dwbar(w1), ch.dwbar(w2)
-    k12 = ch.mul(x12, _EqField(1, w2.cof - w1.cof))
-    k21 = ch.mul(x21, _EqField(1, w1.cof - w2.cof))
-    f11 = ch.add(ch.dwbar(x11), _EqField(0, 2.0 * dw1.cof))
-    f22 = ch.add(ch.dwbar(x22), _EqField(0, 2.0 * dw2.cof))
-    f12 = ch.add(ch.dwbar(x12), k12)
-    f21 = ch.add(ch.dwbar(x21), k21)
+    x11 = ch.add(ch.mul(hi11, dh11), ch.mul(hi12, db21))
+    x12 = ch.add(ch.mul(hi11, db12), ch.mul(hi12, dh22))
+    x21 = ch.add(ch.mul(hi21, dh11), ch.mul(hi22, db21))
+    x22 = ch.add(ch.mul(hi21, db12), ch.mul(hi22, dh22))
+    dw = _EqField(0, 2.0 * ch.dwbar(w).cof)
+    f11 = ch.add(ch.dwbar(x11), dw)
+    f22 = ch.add(ch.dwbar(x22), dw)
+    f12 = ch.dwbar(x12)
+    f21 = ch.dwbar(x21)
 
     g_omega = np.exp(2.0 * u) * (ch.one_minus / 2.0) ** 2  # vanishes at s=+1
     out = []
@@ -466,16 +466,13 @@ def _chart_curvature(
     return out
 
 
-def _stitched_curvature(grid: AxisymGrid, config: HiggsConfig, u, v1, v2, offdiag_cof):
-    """Two-chart evaluation: each chart is authoritative away from its bad pole."""
-    n1, n2 = config.degrees
-    l1, l2 = config.exponents
-    k = (l1 - l2) if (l1 is not None and l2 is not None) else 0
-    a11, a22, a12, a21 = _chart_curvature(grid, (n1, n2), k, u, v1, v2, offdiag_cof)
+def _stitched_curvature(grid: AxisymGrid, degree: int, k: int, u, v1, v2, offdiag_cof):
+    """Two-chart evaluation on O(N) + O(N); each chart is authoritative off its bad pole."""
+    a11, a22, a12, a21 = _chart_curvature(grid, degree, k, u, v1, v2, offdiag_cof)
     mirror = slice(None, None, -1)
     b11, b22, b12, b21 = _chart_curvature(
         grid,
-        (n1, n2),
+        degree,
         -k,
         u[mirror],
         v1[mirror],
@@ -526,7 +523,7 @@ def nonabelian_residual(
         off_mod = off * q2 ** (abs(weight) / 2.0)
         if np.any(off_mod**2 >= np.exp(2 * v1 + 2 * v2)):
             raise ConfigurationError("off-diagonal profile violates positivity")
-        curv11, curv22, curv12, curv21 = _stitched_curvature(grid, config, u, v1, v2, off)
+        curv11, curv22, curv12, curv21 = _stitched_curvature(grid, n1, weight, u, v1, v2, off)
     else:
         curv11 = bundle_curvature(grid, metric, n1, v1)
         curv22 = bundle_curvature(grid, metric, n2, v2)

@@ -529,3 +529,125 @@ class TestReportContract:
         code = main(["--config", str(path)])
         assert code == EXIT_OK
         assert (tmp_path / "envout" / "report.json").exists()
+
+
+QUIVER = {
+    "vertices": ["a", "b"],
+    "arrows": [{"id": "x", "tail": "a", "head": "b", "exponent": 1}],
+    "degrees": {"a": 0, "b": 2},
+    "sigma": {"a": 1.0, "b": 1.0},
+    "tau": {"a": 0.0, "b": 2.5},
+    "rho": 0.1,
+}
+
+
+class TestParseTimeErrors:
+    """Config errors that used to surface only when the command ran."""
+
+    @staticmethod
+    def run_text(tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = main(["--config", str(path), "--out", str(out)])
+        assert not out.exists()  # refused before the output directory is made
+        return code, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize(
+        "quiver, message",
+        [
+            (
+                {k: v for k, v in QUIVER.items() if k != "degrees"},
+                "missing required key in problem.quiver: 'degrees'",
+            ),
+            ("abc", "problem.quiver must be an object, got 'abc'"),
+            (
+                {**QUIVER, "tau": {"a": 0.0, "b": "2.5"}},
+                "problem.quiver.tau.b must be a number, got '2.5'",
+            ),
+            ({**QUIVER, "sigma": {"a": 1.0}}, "vertex 'b' missing sigma or tau"),
+        ],
+    )
+    def test_malformed_quiver_exit_one(self, tmp_path, capsys, quiver, message):
+        config = {"command": "quiver-check", "problem": {"quiver": quiver}, "n": 65}
+        code, err = self.run_text(tmp_path, capsys, json.dumps(config))
+        assert code == EXIT_USAGE
+        assert err == [f"config error: {message}"]
+
+    def test_quiver_spec_built_once_at_parse_time(self):
+        config = parse_config(
+            json.dumps({"command": "quiver-check", "problem": {"quiver": QUIVER}})
+        )
+        assert config.quiver_spec.tau == {"a": 0.0, "b": 2.5}
+        assert config.quiver_spec.section_exponents == {"x": 1}
+
+    @pytest.mark.parametrize("command", ["stability", "sweep"])
+    @pytest.mark.parametrize("key", ["tau", "alpha"])
+    def test_integer_too_large_for_a_float_exit_one(self, tmp_path, capsys, command, key):
+        huge = "1" + "0" * 400  # a JSON integer; float() of it overflows
+        values = {"tau": "5", "alpha": "0.5", key: huge}
+        if command == "sweep":
+            sweep = f', "sweep": {{"over": {{"{key}": [{values.pop(key)}]}}}}'
+        else:
+            sweep = ""
+        couplings = "".join(f', "{k}": {v}' for k, v in values.items())
+        text = (
+            f'{{"command": "{command}", "problem": '
+            f'{{"degrees": [2], "exponents": [1]{couplings}}}{sweep}}}'
+        )
+        code, err = self.run_text(tmp_path, capsys, text)
+        assert code == EXIT_USAGE
+        too_large = "must be a finite number, got an integer too large for a float"
+        assert err == [f"config error: {key} {too_large}"]
+
+
+class TestVanishingHiggsField:
+    @pytest.mark.parametrize(
+        "command, degrees, exponents, status",
+        [
+            ("stability", [2], [None], "obstructed"),
+            ("stability", [1, 2], [None, None], "obstructed"),
+            ("solve-vortex", [2], [None], "infeasible"),
+            ("solve-gravitating", [2], [None], "infeasible"),
+            ("eb-solve", [2], [None], "infeasible"),
+        ],
+    )
+    def test_every_component_zero_exit_two(self, tmp_path, command, degrees, exponents, status):
+        problem = {"degrees": degrees, "exponents": exponents, "tau": 5}
+        code, report = run_config(tmp_path, {"command": command, "problem": problem, "n": 65})
+        assert code == EXIT_OBSTRUCTED and report["status"] == status
+        assert any("the Higgs field vanishes identically" in r for r in report["reasons"])
+        assert report["outputs"] == []
+        jsonschema.validate(report, report_schema())
+
+    @pytest.mark.parametrize("exponents, sat_degree", [([0, None], 1), ([None, 1], 2)])
+    def test_one_rank2_component_zero_exit_two(self, tmp_path, exponents, sat_degree):
+        problem = {"degrees": [1, 2], "exponents": exponents, "tau": 5, "alpha": 1.0}
+        code, report = run_config(tmp_path, {"command": "stability", "problem": problem})
+        assert code == EXIT_OBSTRUCTED and report["status"] == "obstructed"
+        verdict = report["stability"]
+        # the saturation of phi(O) is the nonzero summand, which empties the window
+        assert verdict["saturation_degree"] == sat_degree
+        assert verdict["nonabelian_window"] is False
+        assert verdict["balanced"] is None and verdict["futaki_value"] is None
+        assert "the rank-2 vortex window" in report["reasons"][0]
+
+
+def test_unsolved_eb_search_exports_no_state(tmp_path):
+    # both evaluations stop on the n = 513 round-off floor above the default tolerance
+    payload = {
+        "command": "eb-solve",
+        "problem": {"degrees": [2], "exponents": [1], "tau": 5},
+        "numerics": {"n": 513},
+    }
+    code, report = run_config(tmp_path, payload)
+    assert code == 3 and report["status"] == "not_converged"
+    eb = report["einstein_bogomolnyi"]
+    assert not eb["converged"]
+    # 4.0, the start value of c, is not quoted as the c of an unsolved state
+    assert eb["c_value"] is None
+    assert [c for _, c in eb["secant_history"]] == [None, None]
+    assert eb["endpoint_c_values"] == [None, None]
+    assert report["outputs"] == []
+    assert os.listdir(tmp_path / "out") == ["report.json"]
+    jsonschema.validate(report, report_schema())

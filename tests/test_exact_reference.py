@@ -70,7 +70,6 @@ def reference_stability(degrees, exponents, tau_value, alpha) -> dict:
         },
         "abelian_window": None,
         "nonabelian_window": None,
-        "reduced_window": None,
         "z_stable": None,
         "z_witness": None,
         "balanced": None,
@@ -119,7 +118,6 @@ def reference_stability(degrees, exponents, tau_value, alpha) -> dict:
     out["saturation_degree"] = sat
     window = 2 * n2 < tau < 2 * (n1 + n2 - sat)
     out["nonabelian_window"] = window
-    out["reduced_window"] = 2 * n2 < tau < 2 * (n1 + n2 - min(l1, l2) - min(n1 - l1, n2 - l2))
     if not window:
         out["obstructed"] = True
         reasons.append(

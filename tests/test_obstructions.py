@@ -221,7 +221,7 @@ class TestWindowsAndStability:
     def test_reduced_window_example(self):
         cfg = HiggsConfig(degrees=(1, 1), exponents=(0, 1), tau=3.0)
         report = stability_check(cfg)
-        assert report.reduced_window is True
+        assert report.nonabelian_window is True
         assert report.balanced is True
         assert not report.obstructed
 
@@ -387,3 +387,28 @@ class TestMatrixFreeEvaluation:
         grid = build_grid(65)
         self._evaluations(grid)[name]()
         assert not hasattr(grid, "_lap_fs")
+
+
+class TestVanishingComponents:
+    @pytest.mark.parametrize("degrees", [(1,), (3,), (1, 1), (1, 3), (2, 3)])
+    def test_every_component_zero_is_obstructed(self, degrees):
+        for k in range(1, 20):
+            cfg = HiggsConfig(degrees=degrees, exponents=(None,) * len(degrees), tau=k / 2)
+            report = stability_check(cfg)
+            assert report.obstructed
+            assert "the Higgs field vanishes identically" in report.reasons[-1]
+            assert report.matsushima is None and report.futaki_value is None
+
+    def test_one_zero_component_empties_the_window(self):
+        for n1 in range(1, 4):
+            for n2 in range(n1, 4):
+                for exponents in [(l1, None) for l1 in range(n1 + 1)] + [
+                    (None, l2) for l2 in range(n2 + 1)
+                ]:
+                    for k in range(1, 20):
+                        cfg = HiggsConfig((n1, n2), exponents, tau=k / 2, alpha=1.0)
+                        report = stability_check(cfg)
+                        other = n1 if exponents[1] is None else n2
+                        assert report.saturation_degree == other
+                        assert report.nonabelian_window is False and report.obstructed
+                        assert report.balanced is None and report.balancing_lhs is None

@@ -19,7 +19,6 @@ from gravortex import (
     commutator,
     commutator_values,
     gravitating_residual,
-    normalized_slope,
     quiver_vortex_residual,
     reduction_parameters,
     trace_identity_check,
@@ -195,9 +194,6 @@ class TestReductionParameters:
         sigma, tau, _ = reduction_parameters(params, rho=1.0)
         assert sigma == {"a": 1.0, "b": 1.0}
         assert tau == {"a": 2.5, "b": 2.5}
-
-    def test_slope_of_degree_three_line_bundle(self):
-        assert normalized_slope(3) == pytest.approx(3.0, rel=1e-15)
 
     def test_two_vertex_example(self):
         params = ReductionParams(

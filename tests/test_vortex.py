@@ -222,9 +222,9 @@ class TestNonabelianResidual:
         v1 = 0.1 * np.sin(2 * s)
         v2 = -0.08 * np.cos(s)
         off = 0.15 * (1.0 - 0.2 * s)
-        a11, a22, a12, _ = _chart_curvature(grid, (2, 2), 1, np.zeros(grid.n), v1, v2, off)
+        a11, a22, a12, _ = _chart_curvature(grid, 2, 1, np.zeros(grid.n), v1, v2, off)
         b11, b22, b12, _ = _chart_curvature(
-            grid, (2, 2), -1, np.zeros(grid.n), v1[::-1], v2[::-1], off[::-1]
+            grid, 2, -1, np.zeros(grid.n), v1[::-1], v2[::-1], off[::-1]
         )
         band = np.abs(s) <= 0.5
         assert np.max(np.abs(a11 - b11[::-1])[band]) <= 1e-9

@@ -32,7 +32,27 @@ from .geometry import AxisymGrid
 
 POINT_ZERO = "[1:0]"  # w = 0, s = -1
 POINT_INFINITY = "[0:1]"  # w = inf, s = +1
-_REALS = (int, float, Fraction, np.integer, np.floating)  # accepted for tau and alpha
+_REALS = (int, float, Fraction, np.integer, np.floating)  # real numbers, bool aside
+
+
+def finite_float(value, name: str, message: str | None = None) -> float:
+    """value as a finite float; ConfigurationError otherwise.
+
+    A boolean is not a number, although float() takes it, and neither is a
+    string.  ``message`` replaces the "<name> must be a number" of the error
+    a non-number gets.
+    """
+    if isinstance(value, bool) or not isinstance(value, _REALS):
+        raise ConfigurationError(f"{message or name + ' must be a number'}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigurationError(
+            f"{name} must be a finite number, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be a finite number, got {number!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -69,9 +89,7 @@ class HiggsConfig:
         if len(self.degrees) == 2 and self.degrees[0] > self.degrees[1]:
             raise ConfigurationError("rank-2 degrees must be ordered N1 <= N2")
         for name in ("tau", "alpha"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, _REALS) or not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+            finite_float(getattr(self, name), name, f"{name} must be a finite number")
         if not self.tau > 0:
             raise ConfigurationError("tau must be positive")
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))

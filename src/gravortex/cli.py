@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import reporting
-from .bundles import HiggsConfig
+from .bundles import HiggsConfig, finite_float
 from .errors import (
     ConfigurationError,
     GravortexError,
@@ -38,7 +38,7 @@ from .gravitating import (
     gravitating_residual,
     solve_gravitating,
 )
-from .obstructions import futaki_closed_form, futaki_quadrature, stability_check
+from .obstructions import futaki_closed_form, futaki_exact, futaki_quadrature, stability_check
 from .quiver import (
     Arrow,
     Quiver,
@@ -82,15 +82,18 @@ class ConfigValidationError(GravortexError):
 
 @dataclass
 class Numerics:
-    """Grid size, Newton controls and continuation schedule; the defaults of every config."""
+    """Grid size, Newton options and continuation schedule; the defaults of every config."""
 
     n: int = 129
-    tolerance: float = NewtonOptions.tolerance
-    max_iter: int = NewtonOptions.max_iter
-    schedule: tuple[float, ...] | None = None
+    newton: NewtonOptions = field(default_factory=NewtonOptions)
+    schedule: ContinuationSchedule | None = None  # None: the one step alpha = 0
 
-    def newton(self) -> NewtonOptions:
-        return NewtonOptions(tolerance=self.tolerance, max_iter=self.max_iter)
+    def to_json_dict(self) -> dict:
+        """n, tolerance and max_iter; the schedule only when given."""
+        out = {"n": self.n, **asdict(self.newton)}
+        if self.schedule is not None:
+            out["schedule"] = self.schedule.alphas
+        return out
 
 
 @dataclass
@@ -101,52 +104,41 @@ class OutputSpec:
 
 @dataclass
 class RunConfig:
+    """A run configuration and what its command runs on, as :func:`parse_config` builds them.
+
+    ``problem`` and ``sweep`` are the config as given, echoed in the report;
+    the command runs on what parse_config built from them once: ``higgs``
+    (every command but ``quiver-check`` and ``sweep``), ``sweep_points`` or
+    ``quiver_spec``.  :func:`execute` refuses a RunConfig that parse_config
+    did not build.
+    """
+
     command: str
     problem: dict = field(default_factory=dict)
     numerics: Numerics = field(default_factory=Numerics)
     output: OutputSpec = field(default_factory=OutputSpec)
     sweep: dict | None = None
-    # (swept values, HiggsConfig) per sweep point, built once by parse_config
+    higgs: HiggsConfig | None = field(default=None, init=False, repr=False, compare=False)
+    # (swept values, HiggsConfig) per sweep point
     sweep_points: list[tuple[tuple, HiggsConfig]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
-    # the quiver-check problem, built once by parse_config
     quiver_spec: QuiverBundleSpec | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    built: bool = field(default=False, init=False, repr=False, compare=False)
     override_obstruction: bool = False
 
     def to_json_dict(self) -> dict:
         out = {
             "command": self.command,
             "problem": dict(self.problem),
-            # a schedule is echoed only when given
-            "numerics": {k: v for k, v in asdict(self.numerics).items() if v is not None},
+            "numerics": self.numerics.to_json_dict(),
             "output": asdict(self.output),
         }
         if self.sweep is not None:
             out["sweep"] = self.sweep
         return out
-
-
-def _json_float(value, name: str, message: str | None = None) -> float:
-    """A JSON number as a finite float; ConfigurationError otherwise.
-
-    Only JSON numbers are numbers: not booleans, although Python's float()
-    accepts them, and not numeric strings.  ``message`` replaces the
-    "<name> must be a number" of the error a non-number gets.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{message or name + ' must be a number'}, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigurationError(
-            f"{name} must be a finite number, got an integer too large for a float"
-        ) from None
-    if not math.isfinite(number):
-        raise ConfigurationError(f"{name} must be a finite number, got {number!r}")
-    return number
 
 
 def _json_int(value, name: str) -> int:
@@ -156,14 +148,15 @@ def _json_int(value, name: str) -> int:
 
 
 def _as_number(problem: dict, key: str, default: float, message: str, errors: list[str]):
-    """problem[key] as a float (:func:`_json_float`); default when absent, None after an error."""
+    """problem[key] once :func:`finite_float` passes it; default if absent, None after an error."""
     if key not in problem:
         return default
     try:
-        return _json_float(problem[key], key, message)
+        finite_float(problem[key], key, message)
     except ConfigurationError as exc:
         errors.append(str(exc))
         return None
+    return problem[key]
 
 
 def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
@@ -176,9 +169,11 @@ def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
     try:
         if not isinstance(q, dict):
             raise ConfigurationError(f"{where} must be an object, got {q!r}")
-        arrows = q["arrows"]
+        arrows, vertices = q["arrows"], q["vertices"]
+        if not isinstance(vertices, list):
+            raise ConfigurationError(f"{where}.vertices must be a list, got {vertices!r}")
         quiver = Quiver(
-            vertices=tuple(q["vertices"]),
+            vertices=tuple(vertices),
             arrows=tuple(Arrow(name=a["id"], tail=a["tail"], head=a["head"]) for a in arrows),
         )
         ranks = q.get("ranks", dict.fromkeys(quiver.vertices, 1))
@@ -191,11 +186,11 @@ def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
                 else _json_int(a["exponent"], f"{where} exponent of arrow {a['id']!r}")
                 for a in arrows
             },
-            rho=_json_float(q.get("rho", 1.0), f"{where}.rho"),
-            sigma={v: _json_float(x, f"{where}.sigma.{v}") for v, x in q["sigma"].items()},
-            tau={v: _json_float(x, f"{where}.tau.{v}") for v, x in q["tau"].items()},
+            rho=finite_float(q.get("rho", 1.0), f"{where}.rho"),
+            sigma={v: finite_float(x, f"{where}.sigma.{v}") for v, x in q["sigma"].items()},
+            tau={v: finite_float(x, f"{where}.tau.{v}") for v, x in q["tau"].items()},
             section_scales={
-                a["id"]: _json_float(a.get("scale", 1.0), f"{where} scale of arrow {a['id']!r}")
+                a["id"]: finite_float(a.get("scale", 1.0), f"{where} scale of arrow {a['id']!r}")
                 for a in arrows
             },
         )
@@ -209,22 +204,15 @@ def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
 
 
 def _validate_problem(
-    problem: dict, errors: list[str], want_quiver: bool, supplied_later: set | None = None
+    problem: dict, errors: list[str], supplied_later: frozenset = frozenset()
 ) -> HiggsConfig | None:
-    """Append problem's config errors to ``errors``; return its trial HiggsConfig, if built."""
-    unknown = set(problem) - _PROBLEM_KEYS
-    for key in sorted(unknown):
-        errors.append(f"unknown problem key: {key!r}")
-    if want_quiver:
-        if "quiver" not in problem:
-            errors.append("missing required key: problem.quiver")
-        return None
-    supplied_later = supplied_later or set()
+    """Append problem's config errors to ``errors``; return its HiggsConfig, if built."""
     for key in ("degrees", "exponents", "tau"):
         if key not in problem and key not in supplied_later:
             errors.append(f"missing required key: problem.{key}")
-    # tau and alpha are checked once each; the trial HiggsConfig below then
-    # checks degrees and exponents only when both are numbers
+    # tau and alpha are checked once each; the HiggsConfig below then checks
+    # degrees and exponents only when both are numbers.  tau goes in as
+    # given, so that an integer tau is echoed as one
     tau = _as_number(problem, "tau", 1.0, "tau must be a positive number", errors)
     alpha = _as_number(problem, "alpha", 0.0, "alpha must be a number", errors)
     if tau is not None and not tau > 0:
@@ -236,7 +224,7 @@ def _validate_problem(
                 degrees=tuple(problem["degrees"]),
                 exponents=tuple(problem["exponents"]),
                 tau=tau,
-                alpha=alpha,
+                alpha=float(alpha),
             )
         except (ConfigurationError, TypeError, ValueError) as exc:
             errors.append(str(exc))
@@ -258,9 +246,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigValidationError(["configuration must be a JSON object"])
 
     errors: list[str] = []
-    unknown = set(raw) - _TOP_KEYS - _FLAT_SUGAR
-    for key in sorted(unknown):
-        errors.append(f"unknown key: {key!r}")
+    errors.extend(f"unknown key: {k!r}" for k in sorted({*raw} - _TOP_KEYS - _FLAT_SUGAR))
 
     command = raw.get("command")
     if command is None:
@@ -275,67 +261,68 @@ def parse_config(text: str) -> RunConfig:
     for key in _NUMERICS_KEYS & set(raw):
         numerics_raw.setdefault(key, raw[key])
 
-    unknown_numerics = set(numerics_raw) - _NUMERICS_KEYS
-    for key in sorted(unknown_numerics):
-        errors.append(f"unknown numerics key: {key!r}")
+    errors.extend(f"unknown numerics key: {k!r}" for k in sorted({*numerics_raw} - _NUMERICS_KEYS))
 
     n = numerics_raw.get("n", Numerics.n)
     try:
         check_resolution(n)
     except ConfigurationError as exc:
         errors.append(str(exc))
-    tolerance = numerics_raw.get("tolerance", Numerics.tolerance)
-    number = isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool)
-    if not (number and 0 < tolerance <= sys.float_info.max):  # no NaN, inf or huge integer
-        errors.append(f"tolerance must be a positive number, got {tolerance!r}")
-    max_iter = numerics_raw.get("max_iter", Numerics.max_iter)
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        errors.append(f"max_iter must be a positive integer, got {max_iter!r}")
-    schedule = numerics_raw.get("schedule")
-    if schedule is not None:
+    newton = schedule = None
+    try:
+        newton = NewtonOptions(
+            **{k: numerics_raw[k] for k in ("tolerance", "max_iter") if k in numerics_raw}
+        )
+    except ConfigurationError as exc:
+        errors.append(str(exc))
+    if numerics_raw.get("schedule") is not None:
         try:
-            ContinuationSchedule(alphas=schedule)
+            schedule = ContinuationSchedule(
+                alphas=numerics_raw["schedule"], newton=newton or NewtonOptions()
+            )
         except ConfigurationError as exc:
             errors.append(str(exc))
-        except (TypeError, ValueError, OverflowError):
-            errors.append("schedule must be a list of numbers")
-            schedule = None
 
     output_raw = dict(raw.get("output", {}))
-    unknown_output = set(output_raw) - _OUTPUT_KEYS
-    for key in sorted(unknown_output):
-        errors.append(f"unknown output key: {key!r}")
+    errors.extend(f"unknown output key: {k!r}" for k in sorted({*output_raw} - _OUTPUT_KEYS))
     formats = tuple(output_raw.get("formats", OutputSpec.formats))
     for fmt in formats:
         if fmt not in ("json", "csv"):
             errors.append(f"unknown output format: {fmt!r}")
 
+    higgs = quiver_spec = None
     sweep_points: list[tuple[tuple, HiggsConfig]] = []
-    quiver_spec = None
+    over = {}
     if command == "sweep":
         sweep = raw.get("sweep")
         over = sweep.get("over") if isinstance(sweep, dict) else None
         if not isinstance(over, dict) or not all(isinstance(v, list) for v in over.values()):
             errors.append("sweep requires a 'sweep' object with an 'over' map of value lists")
             over = {}
-        _validate_problem(problem, errors, want_quiver=False, supplied_later=set(over))
+    errors.extend(f"unknown problem key: {k!r}" for k in sorted({*problem, *over} - _PROBLEM_KEYS))
+    if command == "sweep":
+        _validate_problem(problem, errors, supplied_later=frozenset(over))
         # every swept point is validated here, so a bad value fails the parse
         # with the other config errors instead of aborting the sweep midway;
         # the sweep runs on the HiggsConfig each validation builds
         keys = sorted(over)
         for combo in itertools.product(*(over[k] for k in keys)):
             point_errors: list[str] = []
-            higgs = _validate_problem(
-                {**problem, **dict(zip(keys, combo))}, point_errors, want_quiver=False
-            )
+            point = _validate_problem({**problem, **dict(zip(keys, combo))}, point_errors)
             errors.extend(e for e in point_errors if e not in errors)
-            sweep_points.append((combo, higgs))
+            sweep_points.append((combo, point))
     elif command == "quiver-check":
-        _validate_problem(problem, errors, want_quiver=True)
         if "quiver" in problem:
             quiver_spec = _quiver_spec(problem["quiver"], errors)
+        else:
+            errors.append("missing required key: problem.quiver")
     elif command in COMMANDS:
-        _validate_problem(problem, errors, want_quiver=False)
+        higgs = _validate_problem(problem, errors)
+        if command == "futaki" and higgs is not None:
+            try:
+                futaki_exact(higgs)  # refuses a vanishing Higgs component
+            except ConfigurationError as exc:
+                errors.append(str(exc))
 
     if errors:
         raise ConfigValidationError(errors)
@@ -344,29 +331,15 @@ def parse_config(text: str) -> RunConfig:
     config = RunConfig(
         command=command,
         problem=problem,
-        numerics=Numerics(
-            n=n,
-            tolerance=float(tolerance),
-            max_iter=max_iter,
-            schedule=tuple(float(a) for a in schedule) if schedule else None,
-        ),
+        numerics=Numerics(n=n, newton=newton, schedule=schedule),
         output=OutputSpec(
             directory=output_raw.get("directory", default_dir), formats=formats
         ),
         sweep=raw.get("sweep"),
     )
-    config.sweep_points = sweep_points
-    config.quiver_spec = quiver_spec
+    config.higgs, config.sweep_points, config.quiver_spec = higgs, sweep_points, quiver_spec
+    config.built = True
     return config
-
-
-def _higgs_from_problem(problem: dict) -> HiggsConfig:
-    return HiggsConfig(
-        degrees=tuple(problem["degrees"]),
-        exponents=tuple(problem["exponents"]),
-        tau=problem["tau"],
-        alpha=float(problem.get("alpha", 0.0)),
-    )
 
 
 def _want(config: RunConfig, fmt: str) -> bool:
@@ -382,9 +355,10 @@ def _write_profiles(report: dict, outdir: str, grid, stem: str, **columns) -> No
 
 
 def _run_solve_vortex(config: RunConfig, report: dict, outdir: str) -> int:
-    higgs = _higgs_from_problem(config.problem)
     grid = build_grid(config.numerics.n)
-    pot, solve_report = solve_vortex(grid, round_metric(grid), higgs, config.numerics.newton())
+    pot, solve_report = solve_vortex(
+        grid, round_metric(grid), config.higgs, config.numerics.newton
+    )
     report["solver"] = solve_report.to_json_dict()
     if _want(config, "csv"):
         _write_profiles(report, outdir, grid, "vortex_{}.csv", v=pot.v)
@@ -395,12 +369,9 @@ def _run_solve_vortex(config: RunConfig, report: dict, outdir: str) -> int:
 
 
 def _run_solve_gravitating(config: RunConfig, report: dict, outdir: str) -> int:
-    higgs = _higgs_from_problem(config.problem)
-    grid = build_grid(config.numerics.n)
-    schedule = ContinuationSchedule(
-        alphas=config.numerics.schedule or (0.0,),
-        newton=config.numerics.newton(),
-    )
+    higgs, numerics = config.higgs, config.numerics
+    grid = build_grid(numerics.n)
+    schedule = numerics.schedule or ContinuationSchedule(alphas=(0.0,), newton=numerics.newton)
     state, cont = solve_gravitating(
         higgs, schedule, grid, override_obstruction=config.override_obstruction
     )
@@ -433,12 +404,11 @@ def _run_solve_gravitating(config: RunConfig, report: dict, outdir: str) -> int:
 
 
 def _run_eb_solve(config: RunConfig, report: dict, outdir: str) -> int:
-    higgs = _higgs_from_problem(config.problem)
     grid = build_grid(config.numerics.n)
     result = einstein_bogomolnyi_solve(
-        higgs,
+        config.higgs,
         grid,
-        newton=config.numerics.newton(),
+        newton=config.numerics.newton,
         override_obstruction=config.override_obstruction,
     )
     report["einstein_bogomolnyi"] = result.to_json_dict()
@@ -453,7 +423,7 @@ def _run_eb_solve(config: RunConfig, report: dict, outdir: str) -> int:
 
 
 def _run_futaki(config: RunConfig, report: dict, outdir: str) -> int:
-    higgs = _higgs_from_problem(config.problem)
+    higgs = config.higgs
     # quadrature accuracy budget wants at least the reference resolution
     grid = build_grid(max(config.numerics.n, 257))
     zeros = np.zeros(grid.n)
@@ -466,8 +436,7 @@ def _run_futaki(config: RunConfig, report: dict, outdir: str) -> int:
 
 
 def _run_stability(config: RunConfig, report: dict, outdir: str) -> int:
-    higgs = _higgs_from_problem(config.problem)
-    verdict = stability_check(higgs)
+    verdict = stability_check(config.higgs)
     report["stability"] = verdict.to_json_dict()
     if verdict.obstructed:
         report["status"] = "obstructed"
@@ -478,8 +447,6 @@ def _run_stability(config: RunConfig, report: dict, outdir: str) -> int:
 
 def _run_quiver_check(config: RunConfig, report: dict, outdir: str) -> int:
     spec = config.quiver_spec
-    if spec is None:
-        raise ConfigurationError("no quiver spec; build the config with parse_config")
     grid = build_grid(config.numerics.n)
     potentials = {v: np.zeros(grid.n) for v in spec.quiver.vertices}
     res = quiver_vortex_residual(spec, potentials, None, grid)
@@ -503,12 +470,7 @@ def _run_quiver_check(config: RunConfig, report: dict, outdir: str) -> int:
 
 
 def _run_sweep(config: RunConfig, report: dict, outdir: str) -> int:
-    over = config.sweep["over"]
-    keys = sorted(over)
-    if len(config.sweep_points) != math.prod(len(over[k]) for k in keys):
-        raise ConfigurationError(
-            "sweep points do not match sweep.over; build the config with parse_config"
-        )
+    keys = sorted(config.sweep["over"])
     rows = []
     for combo, higgs in config.sweep_points:
         verdict = stability_check(higgs)
@@ -574,6 +536,11 @@ def execute(config: RunConfig) -> tuple[dict, int]:
         return report, EXIT_IO
 
     try:
+        if not config.built:
+            raise ConfigurationError(
+                f"{config.command}: this RunConfig was not built by parse_config; "
+                "build the config with parse_config"
+            )
         code = _RUNNERS[config.command](config, report, outdir)
     except ObstructionError as exc:
         report["status"] = "obstructed"
@@ -608,14 +575,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON run configuration")
     parser.add_argument("--out", help="output directory (overrides config and env)")
     parser.add_argument(
-        "--resolution", type=int, help="override the grid resolution n (odd)"
-    )
-    parser.add_argument(
         "--override-obstruction",
         action="store_true",
         help="run the coupled solver even when an obstruction fires",
     )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, which is not an obstruction
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
     try:
         with open(args.config) as fh:
@@ -633,13 +600,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out:
         config.output.directory = args.out
-    if args.resolution:
-        try:
-            check_resolution(args.resolution)
-        except ConfigurationError as exc:
-            print(f"error: --resolution: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        config.numerics.n = args.resolution
     config.override_obstruction = args.override_obstruction
 
     report, code = execute(config)

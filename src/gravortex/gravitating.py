@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bundles import HiggsConfig, higgs_profile
+from .bundles import HiggsConfig, finite_float, higgs_profile
 from .errors import ConfigurationError, ObstructionError
 from .geometry import (
     AxisymGrid,
@@ -83,16 +83,23 @@ class GravitatingState:
 
 @dataclass
 class ContinuationSchedule:
-    """Increasing coupling values starting at 0, plus Newton options."""
+    """Increasing coupling values starting at 0, plus Newton options.
+
+    ``alphas`` is a list or tuple of finite real numbers, neither booleans
+    nor numeric strings; it is kept as a tuple of floats.  A
+    ConfigurationError names the first entry that breaks a rule.
+    """
 
     alphas: tuple[float, ...]
     newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
-        for a in self.alphas:
-            if isinstance(a, bool):
-                raise ConfigurationError(f"schedule entries must be numbers, got {a!r}")
-        alphas = tuple(float(a) for a in self.alphas)
+        if not isinstance(self.alphas, (list, tuple)):
+            raise ConfigurationError(f"schedule must be a list of numbers, got {self.alphas!r}")
+        alphas = tuple(
+            finite_float(a, "schedule entry", "schedule entries must be numbers")
+            for a in self.alphas
+        )
         if not alphas or alphas[0] != 0.0:
             raise ConfigurationError("continuation schedule must start at alpha = 0")
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
@@ -503,7 +510,10 @@ def einstein_bogomolnyi_solve(
     carries alpha* tau N next to the quoted prediction 1 and the
     conventions-derived prediction 2; the discrepancy is documented, not
     asserted away.  Bracket/convergence failure returns converged=False with
-    the endpoint c values.
+    the endpoint c values.  ``state``, ``alpha_star`` and ``c_value``
+    describe one evaluation: the last whose continuation converged, or
+    alpha = 0 when none did.  ``state.alpha`` is the last entry of that
+    evaluation's schedule, alpha_star up to the rounding of alpha * k / k.
     """
     config.require_abelian("einstein_bogomolnyi_solve")
     check_vortex_window(config)
@@ -511,15 +521,10 @@ def einstein_bogomolnyi_solve(
     tau_n = float(config.tau) * sum(config.degrees)
 
     def c_at(alpha: float) -> tuple[GravitatingState, float | None]:
-        cfg = HiggsConfig(
-            degrees=config.degrees,
-            exponents=config.exponents,
-            tau=config.tau,
-            alpha=alpha,
-        )
+        # the solve reads its couplings from the schedule, not config.alpha
         schedule = ContinuationSchedule(alphas=_schedule_to(alpha), newton=opts)
         state, report = solve_gravitating(
-            cfg, schedule, grid, override_obstruction=override_obstruction
+            config, schedule, grid, override_obstruction=override_obstruction
         )
         return state, state.c_value if report.converged else None
 
@@ -529,7 +534,8 @@ def einstein_bogomolnyi_solve(
     state0, c0 = c_at(a0)
     state1, c1 = c_at(a1)
     history = [(a0, c0), (a1, c1)]
-    best = (state1 if c1 is not None else state0, a1, c1)
+    # the last evaluation whose continuation converged, or alpha = 0 when none did
+    best = (state1, a1, c1) if c1 is not None else (state0, a0, c0)
     endpoints = None  # the bracketing c values of a failed search
     if c0 is None or c1 is None:
         endpoints = (c0, c1)

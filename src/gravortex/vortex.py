@@ -17,6 +17,8 @@ the monotone structure that makes the damped Newton iteration reliable.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -42,16 +44,27 @@ class BundleMetricPotential:
 
 @dataclass
 class NewtonOptions:
-    """Stopping controls of :func:`damped_newton`; the defaults are the package's."""
+    """Stopping controls of :func:`damped_newton`; the defaults are the package's.
+
+    ``tolerance`` is a positive finite real number, kept as a float, and
+    ``max_iter`` a positive integer; neither is a boolean.  One
+    ConfigurationError names every value that breaks its rule.
+    """
 
     tolerance: float = 1e-10
     max_iter: int = 50
 
     def __post_init__(self):
-        if not (self.tolerance > 0):
-            raise ConfigurationError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be >= 1")
+        tol, max_iter = self.tolerance, self.max_iter
+        errors = []
+        number = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        if not (number and 0 < tol <= sys.float_info.max):  # no NaN, inf or huge integer
+            errors.append(f"tolerance must be a positive number, got {tol!r}")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+            errors.append(f"max_iter must be a positive integer, got {max_iter!r}")
+        if errors:
+            raise ConfigurationError("; ".join(errors))
+        self.tolerance, self.max_iter = float(tol), int(max_iter)
 
 
 NESTED_ABOVE_N = 257  # solves on finer grids are seeded from a coarse solve

@@ -62,6 +62,12 @@ class TestHiggsConfig:
         with pytest.raises(ConfigurationError):
             HiggsConfig(degrees=degrees, exponents=exponents, tau=tau)
 
+    @pytest.mark.parametrize("name", ["tau", "alpha"])
+    def test_integer_coupling_too_large_for_a_float_rejected(self, name):
+        couplings = {"tau": 5, "alpha": 0, name: 10**400}
+        with pytest.raises(ConfigurationError, match="integer too large for a float"):
+            HiggsConfig(degrees=(2,), exponents=(1,), **couplings)
+
     def test_tau_fraction_uses_decimal_semantics(self):
         cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=0.1)
         assert cfg.tau_ratio == (1, 10)

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from gravortex.cli import (
+    COMMANDS,
     EXIT_OBSTRUCTED,
     EXIT_OK,
     EXIT_USAGE,
@@ -356,6 +357,37 @@ class TestExecuteAndExitCodes:
         assert main(["--config", str(tmp_path / "absent.json")]) == 4
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            [],  # no --config
+            ["--wibble"],
+            ["--resolution", "65"],  # removed: numerics.n sets the grid
+        ],
+    )
+    def test_command_line_usage_error_exit_one(self, tmp_path, capsys, args):
+        # argparse's own exit code 2 would read as an obstruction
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"command": "stability", "degrees": [1], "exponents": [0]}))
+        argv = args if not args else ["--config", str(path), *args]
+        assert main(argv) == EXIT_USAGE
+        assert "usage: gravortex" in capsys.readouterr().err
+
+    def test_help_exit_zero(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "--config" in capsys.readouterr().out
+
+    # sweep: test_sweep_config_built_without_parse_config_fails_loudly
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "sweep"])
+    def test_config_built_without_parse_config_fails_loudly(self, tmp_path, command):
+        # what a command runs on is built once, by parse_config
+        config = RunConfig(command=command, problem={"degrees": [2], "exponents": [1], "tau": 5})
+        config.output.directory = str(tmp_path)
+        report, code = execute(config)
+        assert code == EXIT_USAGE and report["status"] == "error"
+        assert "parse_config" in report["reasons"][0]
+        assert report["outputs"] == [str(tmp_path / "report.json")]
+
+    @pytest.mark.parametrize(
         "key, value, message",
         [
             ("tau", "abc", "tau must be a positive number, got 'abc'"),
@@ -566,6 +598,8 @@ class TestParseTimeErrors:
                 "problem.quiver.tau.b must be a number, got '2.5'",
             ),
             ({**QUIVER, "sigma": {"a": 1.0}}, "vertex 'b' missing sigma or tau"),
+            # a string is not the list of its characters
+            ({**QUIVER, "vertices": "ab"}, "problem.quiver.vertices must be a list, got 'ab'"),
         ],
     )
     def test_malformed_quiver_exit_one(self, tmp_path, capsys, quiver, message):
@@ -580,6 +614,56 @@ class TestParseTimeErrors:
         )
         assert config.quiver_spec.tau == {"a": 0.0, "b": 2.5}
         assert config.quiver_spec.section_exponents == {"x": 1}
+
+    def test_problem_built_once_at_parse_time(self):
+        config = parse_config(
+            json.dumps(
+                {"command": "stability", "problem": {"degrees": [2], "exponents": [1], "tau": 5}}
+            )
+        )
+        # tau as given, so that the report echoes an integer tau as one
+        assert config.higgs.tau == 5 and type(config.higgs.tau) is int
+        assert config.higgs.alpha == 0.0
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("[0, NaN]", "schedule entry must be a finite number, got nan"),
+            ("[0, Infinity]", "schedule entry must be a finite number, got inf"),
+            ("[0, 1e400]", "schedule entry must be a finite number, got inf"),
+            ('["0", "0.05"]', "schedule entries must be numbers, got '0'"),
+            ('"0"', "schedule must be a list of numbers, got '0'"),
+        ],
+    )
+    def test_bad_schedule_exit_one(self, tmp_path, capsys, literal, message):
+        text = (
+            '{"command": "solve-gravitating", "problem": {"degrees": [2], "exponents": [1],'
+            f' "tau": 5}}, "numerics": {{"n": 65, "schedule": {literal}}}}}'
+        )
+        code, err = self.run_text(tmp_path, capsys, text)
+        assert code == EXIT_USAGE
+        assert err == [f"config error: {message}"]
+
+    def test_bad_tolerance_and_max_iter_both_named(self, tmp_path, capsys):
+        text = (
+            '{"command": "solve-vortex", "problem": {"degrees": [2], "exponents": [1],'
+            ' "tau": 5}, "numerics": {"tolerance": Infinity, "max_iter": 2.5}}'
+        )
+        code, err = self.run_text(tmp_path, capsys, text)
+        assert code == EXIT_USAGE
+        assert err == [
+            "config error: tolerance must be a positive number, got inf; "
+            "max_iter must be a positive integer, got 2.5"
+        ]
+
+    @pytest.mark.parametrize("degrees, exponents", [([1, 2], [0, None]), ([2], [None])])
+    def test_futaki_vanishing_component_exit_one(self, tmp_path, capsys, degrees, exponents):
+        problem = {"degrees": degrees, "exponents": exponents, "tau": 5}
+        code, err = self.run_text(
+            tmp_path, capsys, json.dumps({"command": "futaki", "problem": problem})
+        )
+        assert code == EXIT_USAGE
+        assert err == ["config error: closed form requires every Higgs component nonzero"]
 
     @pytest.mark.parametrize("command", ["stability", "sweep"])
     @pytest.mark.parametrize("key", ["tau", "alpha"])

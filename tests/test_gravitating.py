@@ -7,6 +7,7 @@ import pytest
 
 from gravortex import (
     BundleMetricPotential,
+    ConfigurationError,
     ConformalMetric,
     ContinuationSchedule,
     GravitatingState,
@@ -284,6 +285,27 @@ class TestGaugeAwareStep:
         assert report.to_json_dict()["steps"][-1]["bordered_steps"] == counts[-1]
 
 
+class TestContinuationSchedule:
+    @pytest.mark.parametrize(
+        "alphas, message",
+        [
+            ((0.0, math.nan), "schedule entry must be a finite number, got nan"),
+            ((0.0, math.inf), "schedule entry must be a finite number, got inf"),
+            (
+                (0, 10**400),
+                "schedule entry must be a finite number, got an integer too large for a float",
+            ),
+            ((0.0, "0.05"), "schedule entries must be numbers, got '0.05'"),
+            ("0", "schedule must be a list of numbers, got '0'"),
+            (0.0, "schedule must be a list of numbers, got 0.0"),
+        ],
+    )
+    def test_invalid_schedule_rejected(self, alphas, message):
+        with pytest.raises(ConfigurationError) as err:
+            ContinuationSchedule(alphas=alphas)
+        assert str(err.value) == message
+
+
 class TestEinsteinBogomolnyi:
     def test_finds_zero_constant_coupling(self, grid, symmetric_config):
         result = einstein_bogomolnyi_solve(symmetric_config, grid)
@@ -293,6 +315,15 @@ class TestEinsteinBogomolnyi:
         assert result.alpha_tau_N == pytest.approx(2.0, abs=1e-6)
         assert result.predictions["alpha_tau_N"] == result.alpha_tau_N
         assert "quoted" in result.predictions and "conventions" in result.predictions
+
+    def test_failed_search_state_is_the_reported_coupling(self, symmetric_config):
+        # at n = 513 both evaluations stop on the round-off floor, so no
+        # continuation converged and the result describes alpha = 0
+        result = einstein_bogomolnyi_solve(symmetric_config, build_grid(513))
+        assert not result.converged
+        assert [c for _, c in result.secant_history] == [None, None]
+        assert result.state.alpha == result.alpha_star == 0.0
+        assert result.c_value is None
 
     def test_c_affine_in_alpha_at_fixed_state(self, grid, solved):
         state, _ = solved

@@ -83,6 +83,39 @@ class TestVortexResidual:
             assert abs(total - TWO_PI * n_deg) <= 1e-8
 
 
+class TestNewtonOptions:
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"tolerance": math.inf}, "tolerance must be a positive number, got inf"),
+            ({"tolerance": math.nan}, "tolerance must be a positive number, got nan"),
+            ({"tolerance": 10**400}, "tolerance must be a positive number, got 1000"),
+            ({"tolerance": True}, "tolerance must be a positive number, got True"),
+            ({"tolerance": "1e-10"}, "tolerance must be a positive number, got '1e-10'"),
+            ({"max_iter": True}, "max_iter must be a positive integer, got True"),
+            ({"max_iter": 2.5}, "max_iter must be a positive integer, got 2.5"),
+            ({"max_iter": "50"}, "max_iter must be a positive integer, got '50'"),
+            ({"max_iter": 0}, "max_iter must be a positive integer, got 0"),
+        ],
+    )
+    def test_invalid_options_rejected(self, options, message):
+        with pytest.raises(ConfigurationError) as err:
+            NewtonOptions(**options)
+        assert str(err.value).startswith(message)
+
+    def test_both_bad_values_named(self):
+        with pytest.raises(ConfigurationError) as err:
+            NewtonOptions(tolerance=-1.0, max_iter=2.5)
+        assert str(err.value) == (
+            "tolerance must be a positive number, got -1.0; "
+            "max_iter must be a positive integer, got 2.5"
+        )
+
+    def test_values_normalized(self):
+        opts = NewtonOptions(tolerance=1, max_iter=np.int64(7))
+        assert type(opts.tolerance) is float and type(opts.max_iter) is int
+
+
 class TestSolveVortex:
     def test_converges_within_budget(self, grid):
         cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0)

@@ -285,10 +285,15 @@ def parse_config(text: str) -> RunConfig:
 
     output_raw = dict(raw.get("output", {}))
     errors.extend(f"unknown output key: {k!r}" for k in sorted({*output_raw} - _OUTPUT_KEYS))
-    formats = tuple(output_raw.get("formats", OutputSpec.formats))
+    formats = output_raw.get("formats", list(OutputSpec.formats))
+    if not isinstance(formats, list):  # a string is not the list of its characters
+        errors.append(f"output.formats must be a list, got {formats!r}")
+        formats = []
     for fmt in formats:
         if fmt not in ("json", "csv"):
             errors.append(f"unknown output format: {fmt!r}")
+    if not isinstance(output_raw.get("directory", ""), str):
+        errors.append(f"output.directory must be a string, got {output_raw['directory']!r}")
 
     higgs = quiver_spec = None
     sweep_points: list[tuple[tuple, HiggsConfig]] = []
@@ -333,7 +338,7 @@ def parse_config(text: str) -> RunConfig:
         problem=problem,
         numerics=Numerics(n=n, newton=newton, schedule=schedule),
         output=OutputSpec(
-            directory=output_raw.get("directory", default_dir), formats=formats
+            directory=output_raw.get("directory", default_dir), formats=tuple(formats)
         ),
         sweep=raw.get("sweep"),
     )

@@ -5,14 +5,17 @@ coordinate s = (|w|^2 - 1)/(|w|^2 + 1) of the affine coordinate w, so
 Chebyshev collocation on Gauss--Lobatto nodes in s gives spectral accuracy
 and the poles s = +-1 need no special treatment.
 
-The grid stores one dense n x n matrix, the first derivative ``d1``, built
-on half its rows and mirrored; the quadrature weights come from one FFT.
-Grid vectors are otherwise handled without dense n x n algebra: the
-Laplacian is two ``d1`` products and the antiderivative works on
-FFT-computed Chebyshev coefficients.  Every residual, the solvers' own
-included, applies the Laplacian this way; the dense matrix
-:attr:`AxisymGrid.lap_fs` is read only where the Newton Jacobians are
-assembled.
+A grid is built from its nodes, its quadrature weights (one FFT) and its
+barycentric weights; it holds no n x n matrix until one is read.  Grid
+vectors are differentiated by :meth:`AxisymGrid.diff`: up to
+``NESTED_ABOVE_N`` nodes by the dense first-derivative matrix ``d1``,
+built on half its rows and mirrored on first use, and above it through
+FFT-computed Chebyshev coefficients in O(n log n), with no ``d1``.  The
+Laplacian is two such derivatives and the antiderivative works on the
+same coefficients.  Every residual, the solvers' own included, applies the
+Laplacian this way; the dense matrix :attr:`AxisymGrid.lap_fs` is read
+only where the Newton Jacobians are assembled, so a fine grid builds
+``d1`` only for a Jacobian.
 
 Conventions (see CONVENTIONS.md for the full ledger):
 
@@ -41,8 +44,13 @@ ROUND_SCALAR_CURVATURE = 4.0
 
 MIN_NODES = 33
 MAX_NODES = 4097
-# rows per block when build_grid fills d1; at n = 4097 a block's two
-# temporaries are 4 MiB each, below the size of the n = 1025 matrices
+# Grids up to this size differentiate with the dense d1, which is several
+# times faster than the FFT route there; finer grids differentiate through
+# Chebyshev coefficients, and solves on them are nested (seeded from a
+# coarse solve, see vortex.NESTED_COARSE_N).
+NESTED_ABOVE_N = 257
+# rows per block when d1 is filled; at n = 4097 a block's two temporaries
+# are 4 MiB each, below the size of the n = 1025 matrices
 _ROW_BLOCK = 128
 
 
@@ -55,22 +63,57 @@ def _check_finite(f: np.ndarray, name: str) -> None:
 class AxisymGrid:
     """Chebyshev--Gauss--Lobatto collocation grid on s in [-1, 1].
 
-    ``d1`` differentiates the degree n-1 interpolant exactly.  ``weights``
-    are Clenshaw--Curtis weights matched to the nodes (exact for polynomials
-    of degree <= n-1, summing to 2).  Nodes, weights and ``d1`` are exactly
-    symmetric under s -> -s: ``weights == weights[::-1]`` and
-    ``d1 == -d1[::-1, ::-1]``.
+    :meth:`diff` and the dense matrix :attr:`d1` differentiate the degree
+    n-1 interpolant exactly.  ``weights`` are Clenshaw--Curtis weights
+    matched to the nodes (exact for polynomials of degree <= n-1, summing
+    to 2).  Nodes, weights and ``d1`` are exactly symmetric under s -> -s:
+    ``weights == weights[::-1]`` and ``d1 == -d1[::-1, ::-1]``.
 
     The round Laplacian is applied matrix-free by :meth:`apply_lap_fs`, two
-    O(n^2) products with ``d1``.  The dense matrix :attr:`lap_fs` costs an
-    O(n^3) product on first access; only the Newton Jacobians read it.
+    :meth:`diff` calls: O(n^2) products with ``d1`` up to NESTED_ABOVE_N
+    nodes, O(n log n) FFTs above.  ``d1`` (8 n^2 bytes) is built on first
+    access, and the dense matrix :attr:`lap_fs` costs an O(n^3) product on
+    first access; only the Newton Jacobians read it.
     """
 
     n: int
     nodes: np.ndarray
-    d1: np.ndarray
     weights: np.ndarray
     bary: np.ndarray = field(repr=False)  # barycentric weights of the node set
+
+    @property
+    def d1(self) -> np.ndarray:
+        """Dense first-derivative matrix, built on first access and cached."""
+        cached = getattr(self, "_d1", None)
+        if cached is None:
+            cached = _dense_d1(self.nodes, self.bary)
+            object.__setattr__(self, "_d1", cached)
+        return cached
+
+    def diff(self, f: np.ndarray) -> np.ndarray:
+        """Derivative of the nodal interpolant of a grid vector, at the nodes.
+
+        Up to NESTED_ABOVE_N nodes this is ``d1 @ f``.  Above, it works on
+        the Chebyshev coefficients a_k of f, O(n log n) and without ``d1``:
+        one DCT-I (:func:`_chebyshev_coefficients`), the recurrence
+        b_{k-1} = b_{k+1} + 2k a_k as two reversed cumulative sums (over odd
+        and over even k) and one inverse FFT (Trefethen, *Approximation
+        Theory and Approximation Practice*, SIAM 2013, ch. 3 and 21).  Both
+        forms are exact for polynomials of degree <= n-1.
+        """
+        if self.n <= NESTED_ABOVE_N:
+            return self.d1 @ f
+        m = self.n - 1  # even, as n is odd
+        t = _chebyshev_coefficients(f)
+        t *= 2.0 * np.arange(m + 1)
+        t[m] *= 0.5  # a_m comes doubled
+        b = np.empty(m + 1)
+        b[0:m:2] = np.cumsum(t[m - 1 :: -2])[::-1]
+        b[1:m:2] = np.cumsum(t[m:1:-2])[::-1]
+        b[m] = 0.0
+        # b[0] is twice the constant coefficient, as the inverse FFT takes
+        # it; the nodes run along x = -s, so d/ds = -d/dx
+        return -m * np.fft.irfft(b, 2 * m)[: m + 1]
 
     @property
     def lap_fs(self) -> np.ndarray:
@@ -116,8 +159,12 @@ class AxisymGrid:
         return cached
 
     def apply_lap_fs(self, f: np.ndarray) -> np.ndarray:
-        """Round-metric Laplacian of a grid vector, -2 d1 ((1-s^2) (d1 f))."""
-        return -2.0 * (self.d1 @ ((1.0 - self.nodes**2) * (self.d1 @ f)))
+        """Round-metric Laplacian of a grid vector, -2 (d/ds) ((1-s^2) (d/ds) f).
+
+        Two :meth:`diff` calls, so up to NESTED_ABOVE_N nodes the same bits
+        as -2 d1 ((1-s^2) (d1 f)).
+        """
+        return -2.0 * self.diff((1.0 - self.nodes**2) * self.diff(f))
 
     def prolong(self, values: np.ndarray, n: int) -> np.ndarray:
         """The nodal interpolant of ``values``, evaluated at the nodes of ``build_grid(n)``.
@@ -176,18 +223,16 @@ def _row_sums(a: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 
 def build_grid(n: int) -> AxisymGrid:
-    """Build the collocation grid, derivative operator and quadrature weights.
+    """Build the collocation grid: nodes, quadrature and barycentric weights.
 
     The weights are one DCT-I of the Chebyshev moments (Waldvogel, "Fast
     construction of the Fejer and Clenshaw-Curtis quadrature rules", BIT 46,
-    2006), O(n log n) and exactly symmetric.  ``d1`` is computed on its upper
-    half of rows, the middle row included, and the rest is mirrored from it.
-    Deterministic for fixed n; the resolution is validated by
-    :func:`check_resolution`.
+    2006), O(n log n) and exactly symmetric.  ``d1`` is left to its first
+    access (:func:`_dense_d1`).  Deterministic for fixed n; the resolution
+    is validated by :func:`check_resolution`.
     """
     check_resolution(n)
     m = n - 1
-    mid = n // 2
     j = np.arange(n)
     # sin form keeps the node set exactly symmetric in floating point
     s = np.sin(np.pi * (2 * j - m) / (2 * m))
@@ -201,7 +246,18 @@ def build_grid(n: int) -> AxisymGrid:
     weights = np.fft.rfft(np.concatenate([moments, moments[-2:0:-1]])).real * (2.0 / m)
     weights[[0, m]] *= 0.5
     weights = 0.5 * (weights + weights[::-1])
+    return AxisymGrid(n=n, nodes=s, weights=weights, bary=bary)
 
+
+def _dense_d1(s: np.ndarray, bary: np.ndarray) -> np.ndarray:
+    """The differentiation matrix of the nodes s with barycentric weights bary.
+
+    Computed on its upper half of rows, the middle row included, and the
+    rest is mirrored from it.
+    """
+    n = s.shape[0]
+    mid = n // 2
+    j = np.arange(n)
     d1 = np.empty((n, n))
     # Row blocks bound the temporaries.  The diagonal is the negated sum of
     # the row's off-diagonal entries to within one rounding, so d1 @ const
@@ -220,8 +276,7 @@ def build_grid(n: int) -> AxisymGrid:
     # s and bary are exactly symmetric, so d1[m - i, m - j] = -d1[i, j]
     # exactly; writing through out= needs no half-size temporary
     np.negative(d1[mid - 1 :: -1, ::-1], out=d1[mid + 1 :])
-
-    return AxisymGrid(n=n, nodes=s, d1=d1, weights=weights, bary=bary)
+    return d1
 
 
 @dataclass(frozen=True, eq=False)

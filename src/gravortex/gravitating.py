@@ -43,6 +43,7 @@ import numpy as np
 from .bundles import HiggsConfig, finite_float, higgs_profile
 from .errors import ConfigurationError, ObstructionError
 from .geometry import (
+    NESTED_ABOVE_N,
     AxisymGrid,
     ConformalMetric,
     ROUND_SCALAR_CURVATURE,
@@ -55,7 +56,6 @@ from .geometry import (
 )
 from .obstructions import abelian_coupled_obstructions, moment_map_form
 from .vortex import (
-    NESTED_ABOVE_N,
     NESTED_COARSE_N,
     BundleMetricPotential,
     NewtonOptions,
@@ -373,13 +373,14 @@ def solve_gravitating(
     scheduled coupling (a single-zero Higgs field, or a nonzero Futaki
     character) unless explicitly overridden; the override exists because
     numerical divergence is not a theorem and must not be asserted as one.
-    Without ``initial`` the first step starts from the round metric, except
-    at n > NESTED_ABOVE_N: there the alpha = 0 step is first solved at
-    NESTED_COARSE_N nodes and, when that converged or stopped on its
-    round-off floor, the first fine step starts from it, prolonged by
-    Chebyshev coefficients (:meth:`AxisymGrid.prolong`).  Every later step
-    starts from the previous fine state.  The report covers the fine steps
-    only; the coarse solve's Newton steps are not in their ``iterations``.
+    Without ``initial`` the first step starts from the round metric and
+    every later step from the previous fine state, except at
+    n > NESTED_ABOVE_N: there the whole schedule is first solved at
+    NESTED_COARSE_N nodes, and each fine step starts from the coarse step
+    at the same alpha, prolonged by Chebyshev coefficients
+    (:meth:`AxisymGrid.prolong`), when that step converged or stopped on
+    its round-off floor.  The report covers the fine steps only; the coarse
+    solve's Newton steps are not in their ``iterations``.
     The continuation stops at the first step that does not converge (its
     ``stop_reason`` says why) and returns the last converged state with
     converged=False.
@@ -388,7 +389,7 @@ def solve_gravitating(
     check_vortex_window(config)
     _refuse_obstructed(config, schedule.alphas[-1], override_obstruction)
     symmetric = 2 * config.exponents[0] == config.degrees[0]
-    start = None  # the first step's start, when it is not (u, v, c)
+    starts = {}  # by alpha: a step's start, when it is not the last state
     if initial is not None:
         u = initial.metric.u.copy()
         v = initial.bundle.v.copy()
@@ -396,13 +397,12 @@ def solve_gravitating(
     else:
         u, v, c = np.zeros(grid.n), np.zeros(grid.n), CONVENTION_C_COEFF
         if grid.n > NESTED_ABOVE_N:
-            start = _coarse_start(config, schedule.newton, grid.n, override_obstruction)
+            starts = _coarse_starts(config, schedule, grid.n, override_obstruction)
 
     steps: list[ContinuationStep] = []
     alpha_fin = 0.0
     for alpha in schedule.alphas:
-        u0, v0, c0 = start or (u, v, c)
-        start = None
+        u0, v0, c0 = starts.get(alpha) or (u, v, c)
         system = _CoupledSystem(grid, config, alpha, symmetric)
         x, history, stop_reason, iters = damped_newton(
             system.restrict(np.concatenate([u0, v0, [c0]])),
@@ -440,18 +440,18 @@ def solve_gravitating(
     return state, report
 
 
-def _coarse_start(config, newton, n, override_obstruction):
-    """The alpha = 0 step solved at NESTED_COARSE_N nodes, as (u, v, c) on n nodes.
+def _coarse_starts(config, schedule, n, override_obstruction):
+    """The schedule solved at NESTED_COARSE_N nodes, as (u, v, c) on n nodes by alpha.
 
-    None when the coarse step neither converged nor stopped on its floor.
+    Holds the coarse steps that converged or stopped on their floor.
     """
     coarse = build_grid(NESTED_COARSE_N)
-    schedule = ContinuationSchedule(alphas=(0.0,), newton=newton)
     _, report = solve_gravitating(config, schedule, coarse, override_obstruction)
-    step = report.steps[0]
-    if step.u is None:
-        return None
-    return coarse.prolong(step.u, n), coarse.prolong(step.v, n), step.c_est
+    return {
+        step.alpha: (coarse.prolong(step.u, n), coarse.prolong(step.v, n), step.c_est)
+        for step in report.steps
+        if step.u is not None
+    }
 
 
 def _refuse_obstructed(config: HiggsConfig, alpha: float, override: bool) -> None:
@@ -469,11 +469,15 @@ _EB_STEP_CAP = 0.05  # largest alpha step of the continuation behind each evalua
 
 
 def _schedule_to(alpha_target: float) -> tuple[float, ...]:
-    """Equal continuation steps from 0 to alpha_target, none longer than _EB_STEP_CAP."""
+    """Equal continuation steps from 0 to alpha_target, none longer than _EB_STEP_CAP.
+
+    The last entry is alpha_target itself, so a state solved to the end of
+    the schedule carries alpha_target as its alpha.
+    """
     if alpha_target <= 0.0:
         return (0.0,)
     k = max(1, math.ceil(alpha_target / _EB_STEP_CAP))
-    return tuple(alpha_target * i / k for i in range(k + 1))
+    return tuple(alpha_target * i / k for i in range(k)) + (alpha_target,)
 
 
 @dataclass
@@ -512,8 +516,7 @@ def einstein_bogomolnyi_solve(
     asserted away.  Bracket/convergence failure returns converged=False with
     the endpoint c values.  ``state``, ``alpha_star`` and ``c_value``
     describe one evaluation: the last whose continuation converged, or
-    alpha = 0 when none did.  ``state.alpha`` is the last entry of that
-    evaluation's schedule, alpha_star up to the rounding of alpha * k / k.
+    alpha = 0 when none did; ``state.alpha`` is ``alpha_star``.
     """
     config.require_abelian("einstein_bogomolnyi_solve")
     check_vortex_window(config)

@@ -176,7 +176,7 @@ def futaki_quadrature(
         phi_sq = np.exp(2.0 * vj) * profile
         curv = bundle_curvature(grid, metric, n_deg, vj)
         m_j = vortex_equation(curv, phi_sq, tau)
-        psi_j = ell - n_deg * (1.0 + s) / 2.0 + (1.0 - s * s) * (grid.d1 @ vj)
+        psi_j = ell - n_deg * (1.0 + s) / 2.0 + (1.0 - s * s) * grid.diff(vj)
         pairing_sum += psi_j * m_j
         curv_trace += curv
         phi_sq_total += phi_sq

@@ -27,6 +27,7 @@ import numpy as np
 from .bundles import HiggsConfig, higgs_profile
 from .errors import ConfigurationError, InfeasibleError, NumericInputError
 from .geometry import (
+    NESTED_ABOVE_N,
     AxisymGrid,
     ConformalMetric,
     build_grid,
@@ -67,8 +68,7 @@ class NewtonOptions:
         self.tolerance, self.max_iter = float(tol), int(max_iter)
 
 
-NESTED_ABOVE_N = 257  # solves on finer grids are seeded from a coarse solve
-NESTED_COARSE_N = 129  # the resolution of that coarse solve
+NESTED_COARSE_N = 129  # solves on grids above NESTED_ABOVE_N are seeded at this resolution
 
 _ROUNDOFF_STEP = 1e-12  # a Newton increment below this, relative to 1 + |x|, is round-off
 _FLOOR_FACTOR = 4.0  # a residual within this factor of its floor estimate is on the floor
@@ -402,7 +402,7 @@ class _EqChart:
 
     def dw(self, a: _EqField) -> _EqField:
         k, f = a.weight, a.cof
-        df = self.grid.d1 @ f
+        df = self.grid.diff(f)
         if k >= 1:
             cof = 0.5 * self.one_minus * (self.q2 * df + k * self.one_minus * f)
         else:
@@ -411,7 +411,7 @@ class _EqChart:
 
     def dwbar(self, a: _EqField) -> _EqField:
         k, f = a.weight, a.cof
-        df = self.grid.d1 @ f
+        df = self.grid.diff(f)
         if k >= 0:
             cof = 0.5 * (self.one_minus * df - k * f)
         else:

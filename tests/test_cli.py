@@ -485,8 +485,8 @@ class TestReportContract:
     @pytest.mark.parametrize(
         "numerics",
         [
-            # the n = 513 floor of about 1.5e-10 sits above the default tolerance
-            {"n": 513, "schedule": [0, 0.05, 0.1]},
+            # a tolerance below the n = 513 floor: the alpha = 0 step stops on it
+            {"n": 513, "schedule": [0, 0.05, 0.1], "tolerance": 1e-12},
             {"n": 65, "schedule": [0, 0.05], "max_iter": 1},
         ],
     )
@@ -656,6 +656,28 @@ class TestParseTimeErrors:
             "max_iter must be a positive integer, got 2.5"
         ]
 
+    @pytest.mark.parametrize("directory", [5, None, ["out"]])
+    def test_non_string_output_directory_exit_one(self, tmp_path, capsys, directory):
+        config = {
+            "command": "stability",
+            "problem": {"degrees": [2], "exponents": [1], "tau": 5},
+            "output": {"directory": directory},
+        }
+        code, err = self.run_text(tmp_path, capsys, json.dumps(config))
+        assert code == EXIT_USAGE
+        assert err == [f"config error: output.directory must be a string, got {directory!r}"]
+
+    def test_string_output_formats_exit_one(self, tmp_path, capsys):
+        # a string is not the list of its characters
+        config = {
+            "command": "stability",
+            "problem": {"degrees": [2], "exponents": [1], "tau": 5},
+            "output": {"formats": "json"},
+        }
+        code, err = self.run_text(tmp_path, capsys, json.dumps(config))
+        assert code == EXIT_USAGE
+        assert err == ["config error: output.formats must be a list, got 'json'"]
+
     @pytest.mark.parametrize("degrees, exponents", [([1, 2], [0, None]), ([2], [None])])
     def test_futaki_vanishing_component_exit_one(self, tmp_path, capsys, degrees, exponents):
         problem = {"degrees": degrees, "exponents": exponents, "tau": 5}
@@ -718,11 +740,11 @@ class TestVanishingHiggsField:
 
 
 def test_unsolved_eb_search_exports_no_state(tmp_path):
-    # both evaluations stop on the n = 513 round-off floor above the default tolerance
+    # with a tolerance below the n = 513 floor both evaluations stop on it
     payload = {
         "command": "eb-solve",
         "problem": {"degrees": [2], "exponents": [1], "tau": 5},
-        "numerics": {"n": 513},
+        "numerics": {"n": 513, "tolerance": 1e-12},
     }
     code, report = run_config(tmp_path, payload)
     assert code == 3 and report["status"] == "not_converged"

@@ -22,6 +22,7 @@ from gravortex import (
 )
 from gravortex.geometry import (
     GAUSS_BONNET_TOTAL,
+    NESTED_ABOVE_N,
     _row_sums,
     cumulative_antiderivative,
     hamiltonian_potential,
@@ -105,6 +106,33 @@ class TestBuildGrid:
             digests.append(out.stdout.strip())
         assert len(digests[0]) == 40 and digests[0] == digests[1]
 
+    def test_lap_fs_independent_of_blas_threads(self):
+        # above NESTED_ABOVE_N the Laplacian is FFTs and cumulative sums, no BLAS
+        import gravortex
+
+        src = str(Path(gravortex.__file__).resolve().parents[1])
+        code = (
+            "import hashlib; from gravortex import build_grid; g = build_grid(1025); "
+            "f = 1.0 / (1.3 - g.nodes) + g.nodes**7; "
+            "print(hashlib.sha1(g.apply_lap_fs(f).tobytes()).hexdigest(), hasattr(g, '_d1'))"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(out.stdout.split())
+        assert len(outputs[0][0]) == 40 and outputs[0] == outputs[1]
+        assert outputs[0][1] == "False"
+
+    def test_d1_built_on_first_access(self):
+        grid = build_grid(129)
+        assert not hasattr(grid, "_d1")
+        d1 = grid.d1
+        assert grid.d1 is d1 and grid._d1 is d1
+
     def test_quadrature_exact_for_s_squared(self):
         grid = build_grid(65)
         value = math.fsum((grid.weights * grid.nodes**2).tolist())
@@ -159,6 +187,59 @@ class TestBuildGrid:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.d1, b.d1)
+
+
+def chebyshev_t(n, k):
+    """T_k at the exact Chebyshev points x_j = cos(pi j / m) = -s_j, with dT_k/dx there."""
+    m = n - 1
+    theta = np.pi * np.arange(n) / m
+    slope = np.empty(n)
+    slope[1:-1] = k * np.sin(k * theta[1:-1]) / np.sin(theta[1:-1])
+    slope[0], slope[-1] = k * k, (-1) ** (k + 1) * k * k
+    return np.cos(theta), np.cos(k * theta), slope
+
+
+class TestDiff:
+    """:meth:`AxisymGrid.diff`: d1 @ f up to NESTED_ABOVE_N nodes, FFTs above."""
+
+    @pytest.mark.parametrize("n", (513, 1025, 2049, 4097))
+    def test_fft_path_matches_dense(self, n):
+        # both forms amplify round-off by O(n^2); they agree to a few 1e-16 n^2
+        grid = build_grid(n)
+        s = grid.nodes
+        d1 = grid.d1
+        smooth = (np.sin(2.0 * s) + s**5, np.exp(-3.0 * (s - 0.2) ** 2), 1.0 / (1.3 - s))
+        for f in (*smooth, np.cos(40.0 * s)):
+            dense = d1 @ f
+            assert np.max(np.abs(grid.diff(f) - dense)) <= 1e-15 * n * n * np.max(np.abs(dense))
+            dense = -2.0 * (d1 @ ((1.0 - s**2) * dense))
+            tol = 1e-14 * n * n * np.max(np.abs(dense))
+            assert np.max(np.abs(grid.apply_lap_fs(f) - dense)) <= tol
+
+    @pytest.mark.parametrize("n", (129, 513, 1025, 2049, 4097))
+    def test_exact_on_polynomials(self, n):
+        # diff is exact to degree n - 1; the Laplacian to degree n - 2, as
+        # (1 - s^2) f' must be resolved too.  f(s) = T_k(-s), so f' = -T_k'(x)
+        # and, the Laplacian being even, Delta f = 2 x T_k' + 2 k^2 T_k
+        grid = build_grid(n)
+        m = n - 1
+        for k in sorted({0, 1, 2, 3, 7, m // 2, m - 2, m - 1, m}):
+            x, t, slope = chebyshev_t(n, k)
+            scale = max(1.0, k * k)
+            assert np.max(np.abs(grid.diff(t) + slope)) <= 1e-12 * n * scale, k
+            if k <= m - 1:
+                lap = 2.0 * x * slope + 2.0 * k * k * t
+                assert np.max(np.abs(grid.apply_lap_fs(t) - lap)) <= 1e-11 * n * scale, k
+        assert hasattr(grid, "_d1") == (n <= NESTED_ABOVE_N)
+
+    @pytest.mark.parametrize("n", (33, 129, 257))
+    def test_dense_path_bit_identical(self, n):
+        grid = build_grid(n)
+        s = grid.nodes
+        for f in (np.sin(2.0 * s) + s**5, 1.0 / (1.3 - s)):
+            assert np.array_equal(grid.diff(f), grid.d1 @ f)
+            dense = -2.0 * (grid.d1 @ ((1.0 - s**2) * (grid.d1 @ f)))
+            assert np.array_equal(grid.apply_lap_fs(f), dense)
 
 
 class TestProlong:

@@ -28,6 +28,7 @@ from gravortex import (
 from gravortex.gravitating import (
     _CoupledSystem,
     _gauge_aware_step,
+    _schedule_to,
     c_from_integral_identity,
     c_predictions,
 )
@@ -202,6 +203,16 @@ class TestSolveGravitating:
         assert report.converged
         assert [step.converged for step in report.steps] == [True] * 6
 
+    def test_nested_continuation_reports_every_alpha(self, symmetric_config):
+        # the n = 513 floor lies below the default tolerance, so the solve
+        # continues past alpha = 0; each fine step starts from the prolonged
+        # n = 129 step at its own alpha and needs at most one Newton step
+        schedule = ContinuationSchedule(alphas=(0.0, 0.05, 0.1))
+        _, report = solve_gravitating(symmetric_config, schedule, build_grid(513))
+        assert [step.alpha for step in report.steps] == list(schedule.alphas)
+        assert report.converged and all(step.converged for step in report.steps)
+        assert all(step.iterations <= 1 for step in report.steps)
+
 
 def planted(singular_values, seed):
     """A matrix with the given singular values and random orthogonal factors."""
@@ -317,13 +328,29 @@ class TestEinsteinBogomolnyi:
         assert "quoted" in result.predictions and "conventions" in result.predictions
 
     def test_failed_search_state_is_the_reported_coupling(self, symmetric_config):
-        # at n = 513 both evaluations stop on the round-off floor, so no
-        # continuation converged and the result describes alpha = 0
-        result = einstein_bogomolnyi_solve(symmetric_config, build_grid(513))
+        # at n = 513 both evaluations stop on the round-off floor, above this
+        # tolerance, so no continuation converged and the result describes alpha = 0
+        result = einstein_bogomolnyi_solve(
+            symmetric_config, build_grid(513), NewtonOptions(tolerance=1e-12)
+        )
         assert not result.converged
         assert [c for _, c in result.secant_history] == [None, None]
         assert result.state.alpha == result.alpha_star == 0.0
         assert result.c_value is None
+
+    def test_state_alpha_is_alpha_star(self, grid, symmetric_config):
+        # alpha_star here is 0.20000000000000015, whose k = 5 schedule would
+        # end one ulp lower at alpha_star * 5 / 5 = 0.20000000000000012
+        result = einstein_bogomolnyi_solve(symmetric_config, grid)
+        assert result.converged
+        assert result.state.alpha == result.alpha_star
+
+    @pytest.mark.parametrize("target", [0.20000000000000015, 0.05, 1.0 / 3.0, 0.7, 1e-3])
+    def test_schedule_ends_at_its_target(self, target):
+        alphas = _schedule_to(target)
+        assert alphas[0] == 0.0 and alphas[-1] == target
+        steps = np.diff(alphas)
+        assert np.all(steps > 0.0) and np.all(steps <= 0.05 * (1.0 + 1e-12))
 
     def test_c_affine_in_alpha_at_fixed_state(self, grid, solved):
         state, _ = solved

@@ -13,6 +13,7 @@ from gravortex import (
     ConfigurationError,
     GravitatingState,
     HiggsConfig,
+    NonabelianMetric,
     PoleError,
     balancing_condition,
     build_grid,
@@ -21,6 +22,7 @@ from gravortex import (
     futaki_quadrature,
     gravitating_residual,
     laplacian,
+    nonabelian_residual,
     normalize_volume,
     quiver_vortex_residual,
     scalar_curvature,
@@ -387,6 +389,20 @@ class TestMatrixFreeEvaluation:
         grid = build_grid(65)
         self._evaluations(grid)[name]()
         assert not hasattr(grid, "_lap_fs")
+
+    def test_fine_grid_builds_no_d1(self):
+        # above NESTED_ABOVE_N nodes every evaluation differentiates by FFT,
+        # so a 4097-node grid never holds its 128 MiB d1
+        grid = build_grid(4097)
+        for evaluate in self._evaluations(grid).values():
+            evaluate()
+        s = grid.nodes
+        rank2 = HiggsConfig(degrees=(2, 2), exponents=(1, 0), tau=5.0)
+        # a nonzero off-diagonal cofactor takes the two-chart dw / dwbar path
+        hdata = NonabelianMetric(0.1 * s, -0.1 * s, np.full(grid.n, 0.1))
+        res = nonabelian_residual(grid, None, hdata, rank2)
+        assert np.all(np.isfinite(res.r11)) and np.all(np.isfinite(res.offdiag))
+        assert not hasattr(grid, "_d1")
 
 
 class TestVanishingComponents:

@@ -420,10 +420,8 @@ def hamiltonian_potential(grid: AxisymGrid, metric: ConformalMetric | None) -> n
 
 def write_profile_csv(path, s: np.ndarray, values: np.ndarray, header: str = "s,value") -> None:
     """Write a (s, value) profile with 17 significant digits per entry."""
-    lines = [header]
-    for si, vi in zip(s, values):
-        lines.append(f"{si:.17g},{vi:.17g}")
-    text = "\n".join(lines) + "\n"
+    rows = map("{:.17g},{:.17g}".format, s.tolist(), values.tolist())
+    text = "\n".join([header, *rows]) + "\n"
     from .reporting import atomic_write_text
 
     atomic_write_text(path, text)

@@ -237,22 +237,23 @@ def _gauge_aware_step(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, boo
     concentration family), so the Jacobian acquires an exact null direction
     and the plain step's component along it is round-off divided by a
     vanishing singular value.  One LU solve takes the step together with a
-    fixed random probe block P; an orthonormal basis Q of J^-1 P, solved
-    with J^T, gives Rayleigh--Ritz estimates of 1/sigma_min and
-    1/sigma_{min-1} as the two largest singular values of J^-T Q.  Only a
-    spectral gap, sigma_min < _GAP sigma_{min-1}, or a singular factor
-    sends the step to a bordered solve pinned to the singular pair of the
-    full SVD; ordinary conditioning (sigma_min / sigma_max tiny but no gap)
-    keeps the plain LU step.  Returns the step and whether it bordered.
+    fixed random probe block P.  The two largest singular values of J^-1 P
+    are one-sided estimates of 1/sigma_min and 1/sigma_{min-1}, the
+    single-pass randomized range finder of Halko, Martinsson and Tropp
+    (SIAM Review 53, 2011) applied to J^-1.  Only a spectral gap,
+    sigma_min < _GAP sigma_{min-1}, or a singular factor sends the step to
+    a bordered solve pinned to the singular pair of the full SVD; ordinary
+    conditioning (sigma_min / sigma_max tiny but no gap) keeps the plain
+    LU step.  Returns the step and whether it bordered.
     """
     m = jac.shape[0]
     probe = np.random.default_rng(0).standard_normal((m, _PROBES))
     try:
         sol = np.linalg.solve(jac, np.column_stack([rhs, probe]))
-        basis = np.linalg.qr(sol[:, 1:])[0]
-        ritz = np.linalg.svd(np.linalg.solve(jac.T, basis), compute_uv=False)
-        if np.all(np.isfinite(sol)) and ritz[1] >= _GAP * ritz[0]:
-            return sol[:, 0], False
+        if np.all(np.isfinite(sol)):
+            inverse = np.linalg.svd(sol[:, 1:], compute_uv=False)
+            if inverse[1] >= _GAP * inverse[0]:
+                return sol[:, 0], False
     except np.linalg.LinAlgError:
         pass
     left, _, right_t = np.linalg.svd(jac)
@@ -388,70 +389,98 @@ def solve_gravitating(
     config.require_abelian("solve_gravitating")
     check_vortex_window(config)
     _refuse_obstructed(config, schedule.alphas[-1], override_obstruction)
-    symmetric = 2 * config.exponents[0] == config.degrees[0]
-    starts = {}  # by alpha: a step's start, when it is not the last state
+    start = None
     if initial is not None:
-        u = initial.metric.u.copy()
-        v = initial.bundle.v.copy()
-        c = initial.c_value
-    else:
-        u, v, c = np.zeros(grid.n), np.zeros(grid.n), CONVENTION_C_COEFF
-        if grid.n > NESTED_ABOVE_N:
-            starts = _coarse_starts(config, schedule, grid.n, override_obstruction)
+        start = (initial.metric.u.copy(), initial.bundle.v.copy(), initial.c_value)
+    steps = _continue(config, grid, schedule.alphas, schedule.newton, start, solved={})
+    report = ContinuationReport(converged=steps[-1].converged, steps=steps, resolution=grid.n)
+    return _last_state(steps, start, grid.n), report
 
-    steps: list[ContinuationStep] = []
-    alpha_fin = 0.0
-    for alpha in schedule.alphas:
+
+def _continue(config, grid, alphas, newton, start, solved) -> list[ContinuationStep]:
+    """The steps of the natural continuation along ``alphas``, as solve_gravitating reports them.
+
+    ``solved`` holds converged steps by (n, alpha) from earlier
+    continuations of one search, and receives every step that converges
+    here.  The longest prefix of ``alphas`` found there is reused, not
+    solved again, and the first step after it starts from the last reused
+    step: the state a continuation along the same prefix reaches, so the
+    steps do not depend on what ``solved`` held.  Without a reused prefix
+    the first step starts from ``start``, (u, v, c), or from the round
+    state when ``start`` is None.  With ``start`` None and n >
+    NESTED_ABOVE_N, each step instead starts from the step at its alpha of
+    the same continuation at NESTED_COARSE_N nodes, prolonged, when that
+    step converged or stopped on its floor.  The continuation stops at the
+    first step that does not converge.
+    """
+    n = grid.n
+    steps = []
+    for alpha in alphas:
+        if (n, alpha) not in solved:
+            break
+        steps.append(solved[n, alpha])
+    if steps:
+        u, v, c = steps[-1].u, steps[-1].v, steps[-1].c_est
+    else:
+        u, v, c = start or _round_start(n)
+    starts = {}  # by alpha: a step's start, when it is not the last state
+    if start is None and n > NESTED_ABOVE_N:
+        coarse = build_grid(NESTED_COARSE_N)
+        starts = {
+            step.alpha: (coarse.prolong(step.u, n), coarse.prolong(step.v, n), step.c_est)
+            for step in _continue(config, coarse, alphas, newton, None, solved)
+            if step.u is not None
+        }
+    symmetric = 2 * config.exponents[0] == config.degrees[0]
+    for alpha in alphas[len(steps) :]:
         u0, v0, c0 = starts.get(alpha) or (u, v, c)
         system = _CoupledSystem(grid, config, alpha, symmetric)
         x, history, stop_reason, iters = damped_newton(
             system.restrict(np.concatenate([u0, v0, [c0]])),
             system.residual,
             system.newton_step,
-            schedule.newton,
+            newton,
         )
         ok = stop_reason == "converged"
         keep = ok or stop_reason == "roundoff_floor"
         u_new, v_new, c_new = system.unpack(x)
-        steps.append(
-            ContinuationStep(
-                alpha=alpha,
-                converged=ok,
-                iterations=iters,
-                residual_sup=history[-1],
-                c_est=float(c_new),
-                bordered_steps=system.bordered_steps,
-                stop_reason=stop_reason,
-                u=u_new.copy() if keep else None,
-                v=v_new.copy() if keep else None,
-            )
+        step = ContinuationStep(
+            alpha=alpha,
+            converged=ok,
+            iterations=iters,
+            residual_sup=history[-1],
+            c_est=float(c_new),
+            bordered_steps=system.bordered_steps,
+            stop_reason=stop_reason,
+            u=u_new.copy() if keep else None,
+            v=v_new.copy() if keep else None,
         )
+        steps.append(step)
         if not ok:
             break
-        u, v, c, alpha_fin = u_new, v_new, float(c_new), alpha
+        solved[n, alpha] = step
+        u, v, c = step.u, step.v, step.c_est
+    return steps
 
-    state = GravitatingState(
-        metric=ConformalMetric(u=u),
-        bundle=BundleMetricPotential(v=v),
+
+def _round_start(n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(u, v, c) of the round metric with the Fubini-Study bundle metric."""
+    return np.zeros(n), np.zeros(n), CONVENTION_C_COEFF
+
+
+def _last_state(steps, start, n) -> GravitatingState:
+    """The state of the last converged step, or the start at alpha = 0 when none converged."""
+    done = [step for step in steps if step.converged]
+    if done:
+        u, v, c, alpha = done[-1].u, done[-1].v, done[-1].c_est, done[-1].alpha
+    else:
+        (u, v, c), alpha = start or _round_start(n), 0.0
+    return GravitatingState(
+        metric=ConformalMetric(u=u.copy()),
+        bundle=BundleMetricPotential(v=v.copy()),
         c_value=c,
-        alpha=alpha_fin,
+        alpha=alpha,
     )
-    report = ContinuationReport(converged=steps[-1].converged, steps=steps, resolution=grid.n)
-    return state, report
-
-
-def _coarse_starts(config, schedule, n, override_obstruction):
-    """The schedule solved at NESTED_COARSE_N nodes, as (u, v, c) on n nodes by alpha.
-
-    Holds the coarse steps that converged or stopped on their floor.
-    """
-    coarse = build_grid(NESTED_COARSE_N)
-    _, report = solve_gravitating(config, schedule, coarse, override_obstruction)
-    return {
-        step.alpha: (coarse.prolong(step.u, n), coarse.prolong(step.v, n), step.c_est)
-        for step in report.steps
-        if step.u is not None
-    }
 
 
 def _refuse_obstructed(config: HiggsConfig, alpha: float, override: bool) -> None:
@@ -469,15 +498,17 @@ _EB_STEP_CAP = 0.05  # largest alpha step of the continuation behind each evalua
 
 
 def _schedule_to(alpha_target: float) -> tuple[float, ...]:
-    """Equal continuation steps from 0 to alpha_target, none longer than _EB_STEP_CAP.
+    """The continuation behind an EB evaluation: a shared lattice, then alpha_target.
 
-    The last entry is alpha_target itself, so a state solved to the end of
-    the schedule carries alpha_target as its alpha.
+    The lattice is the multiples k * _EB_STEP_CAP below alpha_target, so
+    every evaluation of one search steps through the same couplings and
+    each is solved once.  The last entry is alpha_target itself, so a state
+    solved to the end of the schedule carries alpha_target as its alpha.
     """
     if alpha_target <= 0.0:
         return (0.0,)
-    k = max(1, math.ceil(alpha_target / _EB_STEP_CAP))
-    return tuple(alpha_target * i / k for i in range(k)) + (alpha_target,)
+    lattice = (k * _EB_STEP_CAP for k in range(math.ceil(alpha_target / _EB_STEP_CAP) + 1))
+    return tuple(a for a in lattice if a < alpha_target) + (alpha_target,)
 
 
 @dataclass
@@ -504,16 +535,20 @@ def einstein_bogomolnyi_solve(
 ) -> EinsteinBogomolnyiResult:
     """Secant iteration on alpha for a zero topological constant.
 
-    Each evaluation of c at a coupling alpha runs a continuation from 0 in
-    steps of at most 0.05; its c is None when that continuation did not
-    converge, since the state it returns then belongs to a smaller coupling
-    or is the start guess.  The secant starts from alpha = 0 and
-    min(0.1, 1 / (tau N)), takes at most 12 further steps and stops once
-    |c| <= 1e-8.  The map alpha -> c_est is affine to quadrature accuracy
-    (c is topological), so the secant converges immediately.  The report
-    carries alpha* tau N next to the quoted prediction 1 and the
-    conventions-derived prediction 2; the discrepancy is documented, not
-    asserted away.  Bracket/convergence failure returns converged=False with
+    Each evaluation of c at a coupling alpha is the continuation of
+    solve_gravitating along ``_schedule_to(alpha)``: the multiples of 0.05
+    below alpha, then alpha.  Evaluations share that lattice, and each
+    continues from the largest lattice coupling an earlier evaluation of
+    the search already solved, so every coupling is solved once; its state
+    is the one a continuation from alpha = 0 reaches, bit for bit.  Its c
+    is None when that continuation did not converge, since the state it
+    returns then belongs to a smaller coupling or is the start guess.
+    The secant starts from alpha = 0 and min(0.1, 1 / (tau N)), takes at
+    most 12 further steps and stops once |c| <= 1e-8.  The map
+    alpha -> c_est is affine to quadrature accuracy (c is topological), so
+    the secant converges immediately.  The report carries alpha* tau N next
+    to the quoted prediction 1 and the conventions-derived prediction 2;
+    the discrepancy is documented, not asserted away.  Bracket/convergence failure returns converged=False with
     the endpoint c values.  ``state``, ``alpha_star`` and ``c_value``
     describe one evaluation: the last whose continuation converged, or
     alpha = 0 when none did; ``state.alpha`` is ``alpha_star``.
@@ -523,13 +558,13 @@ def einstein_bogomolnyi_solve(
     opts = newton or NewtonOptions()
     tau_n = float(config.tau) * sum(config.degrees)
 
+    solved = {}  # converged continuation steps by (n, alpha), shared by every evaluation
+
     def c_at(alpha: float) -> tuple[GravitatingState, float | None]:
         # the solve reads its couplings from the schedule, not config.alpha
-        schedule = ContinuationSchedule(alphas=_schedule_to(alpha), newton=opts)
-        state, report = solve_gravitating(
-            config, schedule, grid, override_obstruction=override_obstruction
-        )
-        return state, state.c_value if report.converged else None
+        steps = _continue(config, grid, _schedule_to(alpha), opts, None, solved)
+        converged = steps[-1].converged
+        return _last_state(steps, None, grid.n), steps[-1].c_est if converged else None
 
     a0 = 0.0
     a1 = min(_EB_FIRST_ALPHA, 1.0 / tau_n)

@@ -115,7 +115,9 @@ def damped_newton(x: np.ndarray, residual, newton_step, opts: NewtonOptions):
 
     ``residual(x)`` is the residual vector, whose sup-norm is driven below
     ``opts.tolerance``, and ``newton_step(x)`` the full Newton step at x.
-    Each step is halved until the sup-norm decreases.  The iteration stops
+    Each step is halved until the sup-norm decreases; a trial whose
+    residual overflows is evaluated without a floating-point warning, and
+    its non-finite sup-norm is rejected like any other.  The iteration stops
     for one of four reasons:
 
     * ``converged``: the sup-norm is below the tolerance;
@@ -150,7 +152,8 @@ def damped_newton(x: np.ndarray, residual, newton_step, opts: NewtonOptions):
         lam = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = x + lam * step
-            trial_r = residual(trial)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trial is halved
+                trial_r = residual(trial)
             trial_sup = sup_norm(trial_r)
             if trial_sup < history[-1]:
                 break

@@ -470,7 +470,7 @@ class TestReportContract:
         payload = {
             "command": "solve-gravitating",
             "problem": {"degrees": [2], "exponents": [1], "tau": 5},
-            # a tolerance far below the n = 513 floor of about 1.5e-10
+            # a tolerance far below the n = 513 floor of about 1.1e-10
             "numerics": {"n": 513, "schedule": [0, 0.05], "tolerance": 1e-12},
         }
         code, report = run_config(tmp_path, payload)

@@ -453,3 +453,12 @@ class TestCsvExport:
         parsed = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
         assert np.array_equal(parsed[:, 0], grid129.nodes)
         assert np.array_equal(parsed[:, 1], values)
+
+    def test_bytes_match_per_element_format(self, tmp_path):
+        path = tmp_path / "field.csv"
+        s = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.0 / 3.0])
+        values = np.array([-0.0, 5e-324, 1e300, -1e-300, math.pi, 0.1])
+        write_profile_csv(path, s, values, header="s,v")
+        lines = ["s,v"] + [f"{si:.17g},{vi:.17g}" for si, vi in zip(s, values)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert path.read_text().splitlines()[1] == "-1,-0"

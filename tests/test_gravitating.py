@@ -25,7 +25,9 @@ from gravortex import (
     solve_vortex,
     volume,
 )
+from gravortex import gravitating
 from gravortex.gravitating import (
+    _GAP,
     _CoupledSystem,
     _gauge_aware_step,
     _schedule_to,
@@ -295,6 +297,35 @@ class TestGaugeAwareStep:
         assert counts[:-1] == [0] * 5 and counts[-1] >= 1
         assert report.to_json_dict()["steps"][-1]["bordered_steps"] == counts[-1]
 
+    @pytest.mark.parametrize(
+        "degree, exponent, tau, n, alphas",
+        [
+            (2, 1, 5.0, 65, tuple(0.04 * k for k in range(6))),
+            (3, 1, 7.0, 129, (0.0,)),
+        ],
+        ids=["to-zero-constant", "asymmetric-round-start"],
+    )
+    def test_border_decision_matches_full_svd_gap(
+        self, monkeypatch, degree, exponent, tau, n, alphas
+    ):
+        # the one-sided estimate from J^-1 P decides as the full spectrum does
+        # on every linearization of a continuation, bordered or not
+        decisions = []
+
+        def recording(jac, rhs):
+            step, bordered = _gauge_aware_step(jac, rhs)
+            sing = np.linalg.svd(jac, compute_uv=False)
+            decisions.append((bordered, bool(sing[-1] < _GAP * sing[-2])))
+            return step, bordered
+
+        monkeypatch.setattr(gravitating, "_gauge_aware_step", recording)
+        cfg = HiggsConfig(degrees=(degree,), exponents=(exponent,), tau=tau)
+        _, report = solve_gravitating(cfg, ContinuationSchedule(alphas=alphas), build_grid(n))
+        assert report.converged
+        assert [b for b, _ in decisions] == [gap for _, gap in decisions]
+        assert any(b for b, _ in decisions)
+        assert len(decisions) == sum(step.iterations for step in report.steps)
+
 
 class TestContinuationSchedule:
     @pytest.mark.parametrize(
@@ -344,6 +375,34 @@ class TestEinsteinBogomolnyi:
         result = einstein_bogomolnyi_solve(symmetric_config, grid)
         assert result.converged
         assert result.state.alpha == result.alpha_star
+
+    @pytest.mark.parametrize("n", [65, 129, 257, 513])
+    def test_state_is_the_continuation_along_its_schedule(self, symmetric_config, n):
+        grid = build_grid(n)
+        result = einstein_bogomolnyi_solve(symmetric_config, grid)
+        assert result.converged
+        schedule = ContinuationSchedule(alphas=_schedule_to(result.alpha_star))
+        state, _ = solve_gravitating(symmetric_config, schedule, grid)
+        assert np.array_equal(result.state.metric.u, state.metric.u)
+        assert np.array_equal(result.state.bundle.v, state.bundle.v)
+        assert result.state.c_value == state.c_value == result.c_value
+        assert result.state.alpha == state.alpha == result.alpha_star
+
+    def test_each_lattice_coupling_solved_once(self, monkeypatch, grid, symmetric_config):
+        solved = []
+
+        class Recording(_CoupledSystem):
+            def __init__(self, grid, config, alpha, symmetric):
+                solved.append(alpha)
+                super().__init__(grid, config, alpha, symmetric)
+
+        monkeypatch.setattr(gravitating, "_CoupledSystem", Recording)
+        result = einstein_bogomolnyi_solve(symmetric_config, grid)
+        assert result.converged and len(result.secant_history) == 3
+        # every coupling of the three schedules, each once and in increasing order
+        wanted = set().union(*(_schedule_to(a) for a, _ in result.secant_history))
+        assert solved == sorted(wanted)
+        assert solved[:4] == [0.0, 0.05, 0.1, 0.15000000000000002]
 
     @pytest.mark.parametrize("target", [0.20000000000000015, 0.05, 1.0 / 3.0, 0.7, 1e-3])
     def test_schedule_ends_at_its_target(self, target):

@@ -1,6 +1,7 @@
 """Abelian vortex residual/solver and rank-2 residual evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,19 @@ class TestSolveVortex:
         assert report.converged
         curv = bundle_curvature(grid, metric, 1, pot.v)
         assert abs(integrate(grid, metric, curv) - TWO_PI) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "n, reason", [(65, "converged"), (129, "converged"), (257, "roundoff_floor")]
+    )
+    def test_overflowing_line_search_trial_is_halved_silently(self, n, reason):
+        # the first full steps from the round start overflow exp(2v); such a
+        # trial is rejected and halved, and its evaluation warns nothing
+        cfg = HiggsConfig(degrees=(10,), exponents=(5,), tau=21.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = solve_vortex(build_grid(n), None, cfg)
+        assert report.stop_reason == reason
+        assert report.residual_sup < 1e-9
 
 
 class TestNonabelianResidual:

@@ -7,12 +7,8 @@ balancing conditions, automorphism verdicts, and quiver-bundle residuals.
 
 from .bundles import (
     AutVerdict,
-    Divisor,
     HiggsConfig,
     classify_automorphisms,
-    divisor_from_monomial,
-    divisor_gcd_degree,
-    higgs_divisor,
     higgs_profile,
 )
 from .errors import (

@@ -1,4 +1,4 @@
-"""Higgs configurations on the sphere, divisors, and automorphism verdicts.
+"""Higgs configurations on the sphere and their automorphism verdicts.
 
 Solvable configurations are monomial: on a degree-N line bundle the Higgs
 section is x0^(N-l) x1^l in homogeneous coordinates, with squared
@@ -7,9 +7,10 @@ Fubini--Study pointwise norm
     |phi|^2_FS(s) = (1+s)^l (1-s)^(N-l) / 2^N,
 
 vanishing to order l at s = -1 (w = 0) and order N-l at s = +1 (w = inf).
-Every divisor is therefore supported on the two poles, and the saturation
-degree of a rank-2 pair is the degree of the gcd of two monomials.  The
-coupling tau enters the obstruction predicates as the reduced integer ratio
+Its zeros lie on the two poles, so the automorphism verdict reads only
+whether 0 < l < N, and the saturation degree of a rank-2 pair is the
+degree of the gcd of two monomials.  The coupling tau enters the
+obstruction predicates as the reduced integer ratio
 :attr:`HiggsConfig.tau_ratio`.
 """
 
@@ -30,8 +31,6 @@ from .errors import (
 )
 from .geometry import AxisymGrid
 
-POINT_ZERO = "[1:0]"  # w = 0, s = -1
-POINT_INFINITY = "[0:1]"  # w = inf, s = +1
 _REALS = (int, float, Fraction, np.integer, np.floating)  # real numbers, bool aside
 
 
@@ -151,52 +150,6 @@ def higgs_profile(grid: AxisymGrid, config: HiggsConfig, j: int = 0) -> np.ndarr
     return monomial_norm_sq(grid.nodes, config.degrees[j], ell)
 
 
-# ---------------------------------------------------------------------------
-# divisors of monomials
-
-
-@dataclass(frozen=True)
-class Divisor:
-    """Effective divisor of a monomial: multiplicities at the two poles."""
-
-    points: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        labels = [p for p, _ in self.points]
-        if len(set(labels)) != len(labels) or not set(labels) <= {POINT_ZERO, POINT_INFINITY}:
-            raise ConfigurationError(
-                f"divisor locations must be distinct poles {POINT_ZERO} or {POINT_INFINITY}"
-            )
-        for _, mult in self.points:
-            if mult < 1:
-                raise ConfigurationError("divisor multiplicities must be >= 1")
-
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.points)
-
-    @property
-    def support_size(self) -> int:
-        return len(self.points)
-
-
-def divisor_from_monomial(n_deg: int, ell: int) -> Divisor:
-    points = []
-    if ell > 0:
-        points.append((POINT_ZERO, ell))
-    if n_deg - ell > 0:
-        points.append((POINT_INFINITY, n_deg - ell))
-    return Divisor(points=tuple(points))
-
-
-def higgs_divisor(config: HiggsConfig) -> Divisor:
-    """Zero divisor of the abelian Higgs monomial."""
-    config.require_abelian("higgs_divisor")
-    if config.exponents[0] is None:
-        raise ConfigurationError("the Higgs field must be nonzero to have a divisor")
-    return divisor_from_monomial(config.degrees[0], config.exponents[0])
-
-
 def saturation_degree(config: HiggsConfig) -> int:
     """deg[phi] = min(l1, l2) + min(N1-l1, N2-l2) of a rank-2 monomial pair.
 
@@ -211,12 +164,6 @@ def saturation_degree(config: HiggsConfig) -> int:
     return min(l1, l2) + min(n1 - l1, n2 - l2)
 
 
-def divisor_gcd_degree(config: HiggsConfig) -> tuple[Divisor, int]:
-    """Common-zero divisor of the two monomials and :func:`saturation_degree`."""
-    degree = saturation_degree(config)
-    return divisor_from_monomial(degree, min(config.exponents)), degree
-
-
 # ---------------------------------------------------------------------------
 # automorphism classification
 
@@ -228,8 +175,8 @@ KIND_TORUS = "torus"
 class AutVerdict:
     """Type of the automorphism group of (sphere, bundle, Higgs section).
 
-    The group is non-reductive (a Borel C* x| C) exactly when the zero
-    divisor has a single support point; that case obstructs the coupled
+    The group is non-reductive (a Borel C* x| C) exactly when the Higgs
+    field vanishes at a single point; that case obstructs the coupled
     equations.  A monomial with zeros at both poles leaves a torus.
     """
 
@@ -241,7 +188,13 @@ _NON_REDUCTIVE = AutVerdict(kind=KIND_NON_REDUCTIVE, obstruction=True)
 _TORUS = AutVerdict(kind=KIND_TORUS, obstruction=False)
 
 
-def classify_automorphisms(divisor: Divisor) -> AutVerdict:
-    if divisor.support_size == 0:
-        raise ConfigurationError("empty divisor: the Higgs field must be nonzero")
-    return _NON_REDUCTIVE if divisor.support_size == 1 else _TORUS
+def classify_automorphisms(config: HiggsConfig) -> AutVerdict:
+    """Verdict of the abelian monomial x0^(N-l) x1^l: a torus when 0 < l < N.
+
+    At l = 0 or l = N the only zero is one pole, of order N.
+    """
+    config.require_abelian("classify_automorphisms")
+    (n_deg,), (ell,) = config.degrees, config.exponents
+    if ell is None:
+        raise ConfigurationError("the Higgs field must be nonzero to classify its automorphisms")
+    return _TORUS if 0 < ell < n_deg else _NON_REDUCTIVE

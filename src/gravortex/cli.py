@@ -28,6 +28,7 @@ from .errors import (
     GravortexError,
     InfeasibleError,
     ObstructionError,
+    WrongRankError,
 )
 from .geometry import build_grid, check_resolution, round_metric, write_profile_csv
 from .gravitating import (
@@ -64,6 +65,8 @@ COMMANDS = (
     "quiver-check",
     "sweep",
 )
+
+_ABELIAN_COMMANDS = ("solve-vortex", "solve-gravitating", "eb-solve")
 
 OUTPUT_DIR_ENV = "GRAVORTEX_OUT"
 
@@ -177,7 +180,7 @@ def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
             arrows=tuple(Arrow(name=a["id"], tail=a["tail"], head=a["head"]) for a in arrows),
         )
         ranks = q.get("ranks", dict.fromkeys(quiver.vertices, 1))
-        return QuiverBundleSpec(
+        spec = QuiverBundleSpec(
             quiver=quiver,
             ranks={v: _json_int(r, f"{where}.ranks.{v}") for v, r in ranks.items()},
             degrees={v: _json_int(d, f"{where}.degrees.{v}") for v, d in q["degrees"].items()},
@@ -194,6 +197,8 @@ def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
                 for a in arrows
             },
         )
+        spec.require_rank_one("quiver-check")  # quiver_vortex_residual is rank-1 only
+        return spec
     except ConfigurationError as exc:
         errors.append(str(exc))
     except KeyError as exc:
@@ -277,9 +282,7 @@ def parse_config(text: str) -> RunConfig:
         errors.append(str(exc))
     if numerics_raw.get("schedule") is not None:
         try:
-            schedule = ContinuationSchedule(
-                alphas=numerics_raw["schedule"], newton=newton or NewtonOptions()
-            )
+            schedule = ContinuationSchedule(alphas=numerics_raw["schedule"])
         except ConfigurationError as exc:
             errors.append(str(exc))
 
@@ -323,10 +326,13 @@ def parse_config(text: str) -> RunConfig:
             errors.append("missing required key: problem.quiver")
     elif command in COMMANDS:
         higgs = _validate_problem(problem, errors)
-        if command == "futaki" and higgs is not None:
+        if higgs is not None:
             try:
-                futaki_exact(higgs)  # refuses a vanishing Higgs component
-            except ConfigurationError as exc:
+                if command == "futaki":
+                    futaki_exact(higgs)  # refuses a vanishing Higgs component
+                elif command in _ABELIAN_COMMANDS:
+                    higgs.require_abelian(command)
+            except (ConfigurationError, WrongRankError) as exc:
                 errors.append(str(exc))
 
     if errors:
@@ -376,9 +382,13 @@ def _run_solve_vortex(config: RunConfig, report: dict, outdir: str) -> int:
 def _run_solve_gravitating(config: RunConfig, report: dict, outdir: str) -> int:
     higgs, numerics = config.higgs, config.numerics
     grid = build_grid(numerics.n)
-    schedule = numerics.schedule or ContinuationSchedule(alphas=(0.0,), newton=numerics.newton)
+    schedule = numerics.schedule or ContinuationSchedule(alphas=(0.0,))
     state, cont = solve_gravitating(
-        higgs, schedule, grid, override_obstruction=config.override_obstruction
+        higgs,
+        schedule,
+        grid,
+        override_obstruction=config.override_obstruction,
+        newton=numerics.newton,
     )
     report["continuation"] = cont.to_json_dict()
     report["solver"] = cont.final_solve_report().to_json_dict()

@@ -36,7 +36,7 @@ overridden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class GravitatingState:
 
 @dataclass
 class ContinuationSchedule:
-    """Increasing coupling values starting at 0, plus Newton options.
+    """Increasing coupling values starting at 0.
 
     ``alphas`` is a list or tuple of finite real numbers, neither booleans
     nor numeric strings; it is kept as a tuple of floats.  A
@@ -91,7 +91,6 @@ class ContinuationSchedule:
     """
 
     alphas: tuple[float, ...]
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
 
     def __post_init__(self):
         if not isinstance(self.alphas, (list, tuple)):
@@ -367,6 +366,7 @@ def solve_gravitating(
     grid: AxisymGrid,
     override_obstruction: bool = False,
     initial: GravitatingState | None = None,
+    newton: NewtonOptions | None = None,
 ) -> tuple[GravitatingState, ContinuationReport]:
     """Natural continuation in the coupling, seeding each step with the last.
 
@@ -384,15 +384,21 @@ def solve_gravitating(
     solve's Newton steps are not in their ``iterations``.
     The continuation stops at the first step that does not converge (its
     ``stop_reason`` says why) and returns the last converged state with
-    converged=False.
+    converged=False.  Every step runs with ``newton``, by default
+    ``NewtonOptions()``.  The potentials of ``initial`` must be finite
+    vectors on ``grid`` (:func:`~gravortex.vortex.grid_vector`).
     """
     config.require_abelian("solve_gravitating")
     check_vortex_window(config)
     _refuse_obstructed(config, schedule.alphas[-1], override_obstruction)
     start = None
     if initial is not None:
-        start = (initial.metric.u.copy(), initial.bundle.v.copy(), initial.c_value)
-    steps = _continue(config, grid, schedule.alphas, schedule.newton, start, solved={})
+        start = (
+            grid_vector(grid, initial.metric.u, "initial metric potential").copy(),
+            grid_vector(grid, initial.bundle.v, "initial bundle potential").copy(),
+            initial.c_value,
+        )
+    steps = _continue(config, grid, schedule.alphas, newton or NewtonOptions(), start, solved={})
     report = ContinuationReport(converged=steps[-1].converged, steps=steps, resolution=grid.n)
     return _last_state(steps, start, grid.n), report
 

@@ -28,7 +28,9 @@ All predicates (solvability windows, balancing, z-stability, the vanishing
 of the Futaki character) are decided exactly, in integers: tau is the reduced
 ratio p/q of :attr:`HiggsConfig.tau_ratio`, and each rational inequality is
 cross-multiplied by its positive denominator.  A ``Fraction`` is built only
-for a returned value or a quoted one.
+for a returned value or a quoted one.  The automorphism verdict of an
+abelian field reads its exponent alone (:func:`classify_automorphisms`:
+one zero when l = 0 or l = N).
 """
 
 from __future__ import annotations
@@ -40,12 +42,11 @@ from fractions import Fraction
 import numpy as np
 
 from .bundles import (
+    AutVerdict,
     HiggsConfig,
     classify_automorphisms,
-    higgs_divisor,
     higgs_profile,
     saturation_degree,
-    AutVerdict,
 )
 from .errors import ConfigurationError, PoleError
 from .geometry import (
@@ -97,12 +98,8 @@ def abelian_coupled_obstructions(config: HiggsConfig, alpha: float) -> list[str]
     coupling; at alpha > 0 a nonzero Futaki character obstructs as well.
     Both are decided in exact arithmetic.
     """
-    return _coupled_reasons(config, alpha, classify_automorphisms(higgs_divisor(config)))
-
-
-def _coupled_reasons(config: HiggsConfig, alpha: float, automorphisms: AutVerdict) -> list[str]:
     reasons = []
-    if automorphisms.obstruction:
+    if classify_automorphisms(config).obstruction:
         reasons.append(
             "the Higgs field has only one zero, so the automorphism group is "
             "non-reductive (C* x| C) and the coupled equations admit no solution"
@@ -315,8 +312,8 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
             report.obstructed = True
             reasons.append(vanishing)
         else:
-            report.matsushima = classify_automorphisms(higgs_divisor(config))
-            coupled = _coupled_reasons(config, float(config.alpha), report.matsushima)
+            report.matsushima = classify_automorphisms(config)
+            coupled = abelian_coupled_obstructions(config, float(config.alpha))
             report.obstructed = report.obstructed or bool(coupled)
             reasons.extend(coupled)
         report.verdict = (

@@ -110,6 +110,14 @@ class QuiverBundleSpec:
     def arrow_degree(self, arrow: Arrow) -> int:
         return self.degrees[arrow.head] - self.degrees[arrow.tail]
 
+    def require_rank_one(self, op: str) -> None:
+        for v in self.quiver.vertices:
+            if self.ranks[v] != 1:
+                raise ConfigurationError(
+                    f"{op} requires rank-1 vertex bundles, got rank {self.ranks[v]} "
+                    f"at vertex {v!r}"
+                )
+
 
 def arrow_profile(grid: AxisymGrid, spec: QuiverBundleSpec, arrow: Arrow) -> np.ndarray:
     """Squared FS norm of the monomial arrow section on the grid."""
@@ -164,9 +172,7 @@ def commutator(
     ``potentials[v]`` is the bundle potential value v_j(s); arrow norms pick
     up the weight exp(2 v_head - 2 v_tail) on top of the FS profile.
     """
-    for v in spec.quiver.vertices:
-        if spec.ranks[v] != 1:
-            raise ConfigurationError("scalar commutator path requires rank-1 vertices")
+    spec.require_rank_one("the scalar commutator")
     s = float(point_s)
     out = {v: 0.0 for v in spec.quiver.vertices}
     for a in spec.quiver.arrows:
@@ -310,11 +316,8 @@ def quiver_vortex_residual(
     + 2(tau_h/sigma_h - tau_t/sigma_t)) |phi_a|^2 - c with c by mean
     projection; the curvature-square term vanishes identically on a curve.
     """
+    spec.require_rank_one("analytic residual evaluation")
     for v in spec.quiver.vertices:
-        if spec.ranks[v] != 1:
-            raise ConfigurationError(
-                "analytic residual evaluation requires rank-1 vertex bundles"
-            )
         if v not in potentials:
             raise ConfigurationError(f"missing potential for vertex {v!r}")
     if metric is None:

@@ -272,8 +272,9 @@ def solve_vortex(
     """Damped Newton iteration for the abelian vortex equation.
 
     The solution is unique, so the converged result does not depend on the
-    initial guess.  Without ``v0`` the iteration starts from zero, except on
-    the round metric at n > NESTED_ABOVE_N: there it starts from a solve at
+    initial guess ``v0``, a finite vector on ``grid`` (:func:`grid_vector`).
+    Without ``v0`` the iteration starts from zero, except on the round
+    metric at n > NESTED_ABOVE_N: there it starts from a solve at
     NESTED_COARSE_N nodes that converged or stopped on its round-off floor,
     prolonged by its Chebyshev coefficients (:meth:`AxisymGrid.prolong`),
     which is already accurate to the fine grid's round-off floor.  The
@@ -286,7 +287,7 @@ def solve_vortex(
     check_vortex_window(config)
     opts = options or NewtonOptions()
     if v0 is not None:
-        v = np.asarray(v0, dtype=float).copy()
+        v = grid_vector(grid, v0, "initial guess").copy()
     elif grid.n > NESTED_ABOVE_N and (metric is None or not np.any(metric.u)):
         coarse = build_grid(NESTED_COARSE_N)
         pot, report = solve_vortex(coarse, None, config, opts)
@@ -294,8 +295,6 @@ def solve_vortex(
         v = coarse.prolong(pot.v, grid.n) if usable else np.zeros(grid.n)
     else:
         v = np.zeros(grid.n)
-    if not np.all(np.isfinite(v)):
-        raise NumericInputError("initial guess contains non-finite entries")
     if metric is None:
         metric = round_metric(grid)
     residual, jacobian = _vortex_system(grid, metric, config)

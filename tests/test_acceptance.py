@@ -18,12 +18,10 @@ from gravortex import (
     NewtonOptions,
     build_grid,
     classify_automorphisms,
-    divisor_gcd_degree,
     einstein_bogomolnyi_solve,
     futaki_exact,
     futaki_quadrature,
     gravitating_residual,
-    higgs_divisor,
     higgs_profile,
     integrate,
     normalize_volume,
@@ -31,6 +29,7 @@ from gravortex import (
     solve_gravitating,
     solve_vortex,
 )
+from gravortex.bundles import saturation_degree
 from gravortex.cli import EXIT_OBSTRUCTED, main
 from gravortex.gravitating import c_from_integral_identity
 from gravortex.quiver import gravitating_vortex_spec, quiver_vortex_residual
@@ -168,7 +167,7 @@ def test_criterion_06_gravitating_continuation():
 
 def test_criterion_07_obstruction_gating(tmp_path):
     cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0)
-    verdict = classify_automorphisms(higgs_divisor(cfg))
+    verdict = classify_automorphisms(cfg)
     assert verdict.kind == "non_reductive_borel" and verdict.obstruction
     config_path = tmp_path / "config.json"
     config_path.write_text(
@@ -201,7 +200,7 @@ def test_criterion_08_window_agreement():
             for l1 in range(n1 + 1):
                 for l2 in range(n2 + 1):
                     cfg = HiggsConfig(degrees=(n1, n2), exponents=(l1, l2), tau=1.0)
-                    _, sat = divisor_gcd_degree(cfg)
+                    sat = saturation_degree(cfg)
                     reduced = n1 + n2 - min(l1, l2) - min(n1 - l1, n2 - l2)
                     for tau in taus:
                         full = 2 * n2 < tau < 2 * (n1 + n2 - sat)

@@ -1,4 +1,4 @@
-"""Higgs configurations, monomial divisors, saturation degrees, automorphisms."""
+"""Higgs configurations, monomial profiles, saturation degrees, automorphism verdicts."""
 
 import math
 from fractions import Fraction
@@ -15,15 +15,17 @@ from gravortex import (
     WrongRankError,
     build_grid,
     classify_automorphisms,
-    divisor_from_monomial,
-    divisor_gcd_degree,
-    higgs_divisor,
     higgs_profile,
     integrate,
 )
-from gravortex.bundles import POINT_INFINITY, POINT_ZERO, Divisor
+from gravortex.bundles import saturation_degree
 
 TWO_PI = 2.0 * math.pi
+
+
+def poles_where_monomial_vanishes(n_deg: int, ell: int) -> int:
+    """Reference: x0^(N-l) x1^l vanishes to order l at w = 0 and N-l at w = inf."""
+    return (ell > 0) + (n_deg - ell > 0)
 
 
 @pytest.fixture(scope="module")
@@ -124,18 +126,16 @@ class TestDivisorGcd:
     )
     def test_examples(self, degrees, exponents, expected):
         cfg = HiggsConfig(degrees=degrees, exponents=exponents, tau=9.0)
-        divisor, degree = divisor_gcd_degree(cfg)
-        assert degree == expected
-        assert divisor.degree == expected
+        assert saturation_degree(cfg) == expected
 
     def test_degenerate_pair(self):
         cfg = HiggsConfig(degrees=(1, 2), exponents=(0, None), tau=5.0)
         with pytest.raises(DegeneratePairError):
-            divisor_gcd_degree(cfg)
+            saturation_degree(cfg)
 
     def test_wrong_rank(self):
         with pytest.raises(WrongRankError):
-            divisor_gcd_degree(HiggsConfig((1,), (0,), 3.0))
+            saturation_degree(HiggsConfig((1,), (0,), 3.0))
 
     @given(
         n=st.integers(1, 6),
@@ -147,7 +147,7 @@ class TestDivisorGcd:
         l1, l2 = min(l1, n), min(l2, n)
         cfg = HiggsConfig(degrees=(n, n), exponents=(l1, l2), tau=100.0)
         swapped = HiggsConfig(degrees=(n, n), exponents=(l2, l1), tau=100.0)
-        assert divisor_gcd_degree(cfg)[1] == divisor_gcd_degree(swapped)[1]
+        assert saturation_degree(cfg) == saturation_degree(swapped)
 
     @given(
         n1=st.integers(1, 6),
@@ -160,7 +160,7 @@ class TestDivisorGcd:
         n1, n2 = sorted((n1, n2))
         l1, l2 = min(l1, n1), min(l2, n2)
         cfg = HiggsConfig(degrees=(n1, n2), exponents=(l1, l2), tau=100.0)
-        assert divisor_gcd_degree(cfg)[1] <= min(n1, n2)
+        assert saturation_degree(cfg) <= min(n1, n2)
 
 
 class TestBinaryForms:
@@ -168,50 +168,39 @@ class TestBinaryForms:
 
     def test_monomial_divisor(self):
         # x0^2 x1: zero of order 1 at w=0, order 2 at w=inf
-        divisor = divisor_from_monomial(3, 1)
-        assert divisor.degree == 3
-        assert divisor.support_size == 2
-        assert divisor.points == ((POINT_ZERO, 1), (POINT_INFINITY, 2))
+        assert poles_where_monomial_vanishes(3, 1) == 2
+        assert classify_automorphisms(HiggsConfig((3,), (1,), 9.0)).kind == "torus"
 
     def test_gcd_degree_counts_infinity(self):
         # x0 | both forms: f1 = x0^2 x1 (deg 3), f2 = x0 x1^2 (deg 3)
         cfg = HiggsConfig(degrees=(3, 3), exponents=(1, 2), tau=9.0)
-        assert divisor_gcd_degree(cfg)[1] == 2
+        assert saturation_degree(cfg) == 2
 
     def test_zero_form_rejected(self):
-        with pytest.raises(ConfigurationError):
-            higgs_divisor(HiggsConfig(degrees=(2,), exponents=(None,), tau=5.0))
-
-    def test_points_off_the_poles_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Divisor(points=(("[1:1]", 1),))
-        with pytest.raises(ConfigurationError):
-            Divisor(points=((POINT_ZERO, 1), (POINT_ZERO, 2)))
+        with pytest.raises(ConfigurationError, match="Higgs field must be nonzero"):
+            classify_automorphisms(HiggsConfig(degrees=(2,), exponents=(None,), tau=5.0))
 
 
 class TestAutomorphisms:
     def test_single_support_point_obstructs(self):
-        verdict = classify_automorphisms(divisor_from_monomial(3, 0))
-        assert verdict.kind == "non_reductive_borel"
-        assert verdict.obstruction
+        for ell in (0, 3):  # x0^3 and x1^3
+            verdict = classify_automorphisms(HiggsConfig((3,), (ell,), 9.0))
+            assert verdict.kind == "non_reductive_borel"
+            assert verdict.obstruction
 
     def test_two_points_torus(self):
-        verdict = classify_automorphisms(divisor_from_monomial(2, 1))
+        verdict = classify_automorphisms(HiggsConfig((2,), (1,), 5.0))
         assert verdict.kind == "torus"
         assert not verdict.obstruction
 
-    def test_empty_divisor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            classify_automorphisms(Divisor(points=()))
+    def test_depends_only_on_support_cardinality(self):
+        for n_deg in range(1, 9):
+            for ell in range(n_deg + 1):
+                verdict = classify_automorphisms(HiggsConfig((n_deg,), (ell,), 100.0))
+                one_zero = poles_where_monomial_vanishes(n_deg, ell) == 1
+                assert verdict.obstruction == one_zero, (n_deg, ell)
+                assert verdict.kind == ("non_reductive_borel" if one_zero else "torus")
 
-    @given(st.permutations([(POINT_ZERO, 2), (POINT_INFINITY, 1)]))
-    @settings(max_examples=2, deadline=None)
-    def test_depends_only_on_support_cardinality(self, points):
-        verdict = classify_automorphisms(Divisor(points=tuple(points)))
-        assert verdict.kind == "torus"
-
-    def test_higgs_divisor_matches_exponent(self):
-        cfg = HiggsConfig(degrees=(4,), exponents=(1,), tau=9.0)
-        divisor = higgs_divisor(cfg)
-        assert divisor.degree == 4
-        assert divisor.support_size == 2
+    def test_requires_abelian(self):
+        with pytest.raises(WrongRankError):
+            classify_automorphisms(HiggsConfig((1, 2), (0, 1), 9.0))

@@ -600,6 +600,10 @@ class TestParseTimeErrors:
             ({**QUIVER, "sigma": {"a": 1.0}}, "vertex 'b' missing sigma or tau"),
             # a string is not the list of its characters
             ({**QUIVER, "vertices": "ab"}, "problem.quiver.vertices must be a list, got 'ab'"),
+            (
+                {**QUIVER, "ranks": {"a": 1, "b": 2}},
+                "quiver-check requires rank-1 vertex bundles, got rank 2 at vertex 'b'",
+            ),
         ],
     )
     def test_malformed_quiver_exit_one(self, tmp_path, capsys, quiver, message):
@@ -607,6 +611,15 @@ class TestParseTimeErrors:
         code, err = self.run_text(tmp_path, capsys, json.dumps(config))
         assert code == EXIT_USAGE
         assert err == [f"config error: {message}"]
+
+    @pytest.mark.parametrize("command", ["solve-vortex", "solve-gravitating", "eb-solve"])
+    def test_rank_two_solve_exit_one(self, tmp_path, capsys, command):
+        problem = {"degrees": [1, 2], "exponents": [0, 1], "tau": 5}
+        code, err = self.run_text(
+            tmp_path, capsys, json.dumps({"command": command, "problem": problem})
+        )
+        assert code == EXIT_USAGE
+        assert err == [f"config error: {command} requires an abelian (rank-1) configuration"]
 
     def test_quiver_spec_built_once_at_parse_time(self):
         config = parse_config(

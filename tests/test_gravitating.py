@@ -14,6 +14,7 @@ from gravortex import (
     HiggsConfig,
     InfeasibleError,
     NewtonOptions,
+    NumericInputError,
     ObstructionError,
     build_grid,
     einstein_bogomolnyi_solve,
@@ -155,6 +156,24 @@ class TestSolveGravitating:
         with pytest.raises(InfeasibleError):
             solve_gravitating(cfg, ContinuationSchedule(alphas=(0.0,)), grid)
 
+    @pytest.mark.parametrize(
+        "u, v, error, message",
+        [
+            # one entry too many used to converge from a misaligned start
+            (np.zeros(66), np.zeros(65), ConfigurationError, "initial metric potential resolution"),
+            (np.zeros(64), np.zeros(65), ConfigurationError, "initial metric potential resolution"),
+            (np.full(65, np.nan), np.zeros(65), NumericInputError, "non-finite"),
+            (np.zeros(65), np.zeros(66), ConfigurationError, "initial bundle potential resolution"),
+        ],
+    )
+    def test_bad_initial_state_rejected(self, symmetric_config, u, v, error, message):
+        initial = GravitatingState(
+            metric=ConformalMetric(u=u), bundle=BundleMetricPotential(v=v), c_value=4.0, alpha=0.0
+        )
+        schedule = ContinuationSchedule(alphas=(0.0,))
+        with pytest.raises(error, match=message):
+            solve_gravitating(symmetric_config, schedule, build_grid(65), initial=initial)
+
     def test_determinism_bit_identical(self, grid, symmetric_config):
         schedule = ContinuationSchedule(alphas=(0.0, 0.05))
         s1, r1 = solve_gravitating(symmetric_config, schedule, grid)
@@ -188,9 +207,7 @@ class TestSolveGravitating:
         coarse, fine = build_grid(129), build_grid(257)
         s_c, r_c = solve_gravitating(symmetric_config, schedule, coarse)
         s_f, r_f = solve_gravitating(
-            symmetric_config,
-            ContinuationSchedule(alphas=(0.0, 0.05, 0.1), newton=NewtonOptions(tolerance=1e-9)),
-            fine,
+            symmetric_config, schedule, fine, newton=NewtonOptions(tolerance=1e-9)
         )
         assert r_c.converged and r_f.converged
         interp_u = coarse.prolong(s_c.metric.u, fine.n)

@@ -29,6 +29,7 @@ from gravortex import (
     stability_check,
     vortex_residual,
 )
+from gravortex.bundles import saturation_degree
 from gravortex.quiver import gravitating_vortex_spec
 from gravortex.obstructions import abelian_coupled_obstructions, z_stability_check
 
@@ -250,8 +251,6 @@ class TestWindowsAndStability:
 
     def test_window_agreement_exhaustive(self):
         # reduced form vs saturation-degree form on the full monomial lattice
-        from gravortex import divisor_gcd_degree
-
         count = 0
         for n1 in range(1, 7):
             for n2 in range(n1, 7):
@@ -260,7 +259,7 @@ class TestWindowsAndStability:
                         cfg = HiggsConfig(
                             degrees=(n1, n2), exponents=(l1, l2), tau=1.0
                         )
-                        _, sat = divisor_gcd_degree(cfg)
+                        sat = saturation_degree(cfg)
                         reduced_bound = (
                             n1 + n2 - min(l1, l2) - min(n1 - l1, n2 - l2)
                         )

@@ -13,6 +13,7 @@ from gravortex import (
     InfeasibleError,
     NewtonOptions,
     NonabelianMetric,
+    NumericInputError,
     WrongRankError,
     build_grid,
     higgs_profile,
@@ -146,6 +147,18 @@ class TestSolveVortex:
         pot_b, rep_b = solve_vortex(grid, None, cfg, v0=bump)
         assert rep_a.converged and rep_b.converged
         assert np.max(np.abs(pot_a.v - pot_b.v)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "v0, error, message",
+        [
+            (np.zeros(128), ConfigurationError, "initial guess resolution does not match"),
+            (np.full(129, np.inf), NumericInputError, "initial guess contains non-finite"),
+        ],
+    )
+    def test_bad_initial_guess_rejected(self, grid, v0, error, message):
+        cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0)
+        with pytest.raises(error, match=message):
+            solve_vortex(grid, None, cfg, v0=v0)
 
     def test_mean_identity_at_solution(self, grid):
         cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0)

@@ -13,7 +13,6 @@ from .bundles import (
 )
 from .errors import (
     ConfigurationError,
-    DegeneratePairError,
     GravortexError,
     InfeasibleError,
     NumericInputError,

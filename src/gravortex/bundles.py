@@ -24,11 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegeneratePairError,
-    WrongRankError,
-)
+from .errors import ConfigurationError, WrongRankError
 from .geometry import AxisymGrid
 
 _REALS = (int, float, Fraction, np.integer, np.floating)  # real numbers, bool aside
@@ -151,16 +147,18 @@ def higgs_profile(grid: AxisymGrid, config: HiggsConfig, j: int = 0) -> np.ndarr
 
 
 def saturation_degree(config: HiggsConfig) -> int:
-    """deg[phi] = min(l1, l2) + min(N1-l1, N2-l2) of a rank-2 monomial pair.
+    """deg[phi], the degree of the saturation of phi(O) in a rank-2 split pair.
 
-    The gcd of the monomials is x0^min(N1-l1, N2-l2) x1^min(l1, l2).
+    With both monomials nonzero their gcd is x0^min(N1-l1, N2-l2)
+    x1^min(l1, l2), of degree min(l1, l2) + min(N1-l1, N2-l2); with one
+    component zero the saturation is the other summand, of its degree.
     """
     config.require_rank2("saturation_degree")
     (n1, n2), (l1, l2) = config.degrees, config.exponents
+    if l1 is None and l2 is None:
+        raise ConfigurationError("the Higgs field must be nonzero to saturate its image")
     if l1 is None or l2 is None:
-        raise DegeneratePairError(
-            "saturation of a pair with a vanishing component is the other line"
-        )
+        return n1 if l2 is None else n2
     return min(l1, l2) + min(n1 - l1, n2 - l2)
 
 

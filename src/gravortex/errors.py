@@ -26,10 +26,6 @@ class InfeasibleError(GravortexError):
     """Solve refused because the stated solvability window is violated."""
 
 
-class DegeneratePairError(GravortexError):
-    """Saturation of a rank-2 pair is undefined because one component vanishes."""
-
-
 class PoleError(GravortexError):
     """Rational predicate hit a vanishing denominator; the message names it."""
 

@@ -13,7 +13,8 @@ built on half its rows and mirrored on first use, and above it through
 FFT-computed Chebyshev coefficients in O(n log n), with no ``d1``.  The
 Laplacian is two such derivatives and the antiderivative works on the
 same coefficients.  Every residual, the solvers' own included, applies the
-Laplacian this way; the dense matrix :attr:`AxisymGrid.lap_fs` is read
+Laplacian this way; the dense :attr:`AxisymGrid.lap_fs` and its fold
+:attr:`AxisymGrid.lap_fs_even`, products of two ``d1`` factors, are read
 only where the Newton Jacobians are assembled, so a fine grid builds
 ``d1`` only for a Jacobian.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +73,9 @@ class AxisymGrid:
 
     The round Laplacian is applied matrix-free by :meth:`apply_lap_fs`, two
     :meth:`diff` calls: O(n^2) products with ``d1`` up to NESTED_ABOVE_N
-    nodes, O(n log n) FFTs above.  ``d1`` (8 n^2 bytes) is built on first
-    access, and the dense matrix :attr:`lap_fs` costs an O(n^3) product on
-    first access; only the Newton Jacobians read it.
+    nodes, O(n log n) FFTs above.  ``d1`` (8 n^2 bytes), :attr:`lap_fs` and
+    :attr:`lap_fs_even` (O(n^3) products) are cached properties, built on
+    first access; only the Newton Jacobians read the last two.
     """
 
     n: int
@@ -81,14 +83,10 @@ class AxisymGrid:
     weights: np.ndarray
     bary: np.ndarray = field(repr=False)  # barycentric weights of the node set
 
-    @property
+    @cached_property
     def d1(self) -> np.ndarray:
-        """Dense first-derivative matrix, built on first access and cached."""
-        cached = getattr(self, "_d1", None)
-        if cached is None:
-            cached = _dense_d1(self.nodes, self.bary)
-            object.__setattr__(self, "_d1", cached)
-        return cached
+        """Dense first-derivative matrix, built on first access."""
+        return _dense_d1(self.nodes, self.bary)
 
     def diff(self, f: np.ndarray) -> np.ndarray:
         """Derivative of the nodal interpolant of a grid vector, at the nodes.
@@ -115,48 +113,33 @@ class AxisymGrid:
         # it; the nodes run along x = -s, so d/ds = -d/dx
         return -m * np.fft.irfft(b, 2 * m)[: m + 1]
 
-    @property
+    @cached_property
     def lap_fs(self) -> np.ndarray:
         """Dense round-metric Laplacian in divergence form, -2 d1 (1-s^2) d1."""
-        cached = getattr(self, "_lap_fs", None)
-        if cached is None:
-            cached = self._dense_lap_fs()
-            object.__setattr__(self, "_lap_fs", cached)
-        return cached
-
-    def _dense_lap_fs(self) -> np.ndarray:
         lap = self.d1 @ ((1.0 - self.nodes**2)[:, None] * self.d1)
         lap *= -2.0  # in place: one n x n temporary fewer
         return lap
 
-    @property
+    @cached_property
     def lap_fs_even(self) -> np.ndarray:
         """:attr:`lap_fs` on even grid vectors, as a map of their values at s >= 0.
 
         With mid = n // 2, entry (a, b) averages the rows of the mirror nodes
         mid +- a and sums the columns of the mirror nodes mid +- b (the middle
         node is its own mirror), so ``lap_fs_even @ f[mid:]`` is the mirror
-        average of ``(lap_fs @ f)[mid:]`` for every even f.  Cached like
-        :attr:`lap_fs`; the parity-reduced Newton Jacobian reads it.  It
-        folds :attr:`lap_fs` without caching it when it is not cached yet:
-        a parity-reduced solve never reads the full matrix, which would hold
-        8 n^2 bytes through the solve.
+        average of ``(lap_fs @ f)[mid:]`` for every even f.  The rows of the
+        left ``d1`` factor and the columns of the right one are folded before
+        the product, n^3 / 4 multiply-adds with no :attr:`lap_fs`, which it
+        matches to round-off.  The parity-reduced Newton Jacobian reads it.
         """
-        cached = getattr(self, "_lap_fs_even", None)
-        if cached is None:
-            full = getattr(self, "_lap_fs", None)
-            if full is None:
-                full = self._dense_lap_fs()
-            hi = np.arange(self.n // 2, self.n)
-            lo = self.n - 1 - hi
-            rows = full[hi]
-            rows += full[lo]
-            rows *= 0.5
-            del full  # before the column fold allocates
-            cached = rows[:, hi] + rows[:, lo]
-            cached[:, 0] *= 0.5  # the middle column was added to itself
-            object.__setattr__(self, "_lap_fs_even", cached)
-        return cached
+        hi = np.arange(self.n // 2, self.n)
+        lo = self.n - 1 - hi
+        rows = 0.5 * (self.d1[hi] + self.d1[lo])
+        cols = (1.0 - self.nodes**2)[:, None] * (self.d1[:, hi] + self.d1[:, lo])
+        cols[:, 0] *= 0.5  # the middle column was added to itself
+        lap = rows @ cols
+        lap *= -2.0
+        return lap
 
     def apply_lap_fs(self, f: np.ndarray) -> np.ndarray:
         """Round-metric Laplacian of a grid vector, -2 (d/ds) ((1-s^2) (d/ds) f).

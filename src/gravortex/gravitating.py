@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bundles import HiggsConfig, finite_float, higgs_profile
-from .errors import ConfigurationError, ObstructionError
+from .errors import ConfigurationError, NumericInputError, ObstructionError
 from .geometry import (
     NESTED_ABOVE_N,
     AxisymGrid,
@@ -386,13 +386,16 @@ def solve_gravitating(
     ``stop_reason`` says why) and returns the last converged state with
     converged=False.  Every step runs with ``newton``, by default
     ``NewtonOptions()``.  The potentials of ``initial`` must be finite
-    vectors on ``grid`` (:func:`~gravortex.vortex.grid_vector`).
+    vectors on ``grid`` (:func:`~gravortex.vortex.grid_vector`) and its
+    ``c_value`` a finite number.
     """
     config.require_abelian("solve_gravitating")
     check_vortex_window(config)
     _refuse_obstructed(config, schedule.alphas[-1], override_obstruction)
     start = None
     if initial is not None:
+        if not math.isfinite(initial.c_value):
+            raise NumericInputError("initial c_value is not finite")
         start = (
             grid_vector(grid, initial.metric.u, "initial metric potential").copy(),
             grid_vector(grid, initial.bundle.v, "initial bundle potential").copy(),

@@ -283,9 +283,9 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
     """Evaluate every applicable predicate; a report is always produced.
 
     A Higgs field with every component zero is obstructed in either rank
-    (:func:`vanishing_higgs_reason`).  When one rank-2 component is zero the
-    saturation of phi(O) is the other summand, so deg[phi] is its degree,
-    the window is empty and the balancing condition is not defined.
+    (:func:`vanishing_higgs_reason`).  When one rank-2 component is zero
+    deg[phi] is the degree of the other (:func:`saturation_degree`), the
+    window is empty and the balancing condition is not defined.
     """
     echo = {
         "degrees": list(config.degrees),
@@ -329,9 +329,8 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
         reasons.append(vanishing)
         report.verdict = "no solution of the coupled equations: " + vanishing
         return report
-    (n1, n2), (l1, l2) = config.degrees, config.exponents
-    # with one component zero, the saturation of phi(O) is the other summand
-    sat_degree = n1 if l2 is None else n2 if l1 is None else saturation_degree(config)
+    n1, n2 = config.degrees
+    sat_degree = saturation_degree(config)
     report.saturation_degree = sat_degree
     report.nonabelian_window = 2 * n2 * q < p < 2 * (n1 + n2 - sat_degree) * q
     if not report.nonabelian_window:

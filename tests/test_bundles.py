@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gravortex import (
     ConfigurationError,
-    DegeneratePairError,
     HiggsConfig,
     WrongRankError,
     build_grid,
@@ -128,9 +127,14 @@ class TestDivisorGcd:
         cfg = HiggsConfig(degrees=degrees, exponents=exponents, tau=9.0)
         assert saturation_degree(cfg) == expected
 
-    def test_degenerate_pair(self):
-        cfg = HiggsConfig(degrees=(1, 2), exponents=(0, None), tau=5.0)
-        with pytest.raises(DegeneratePairError):
+    def test_one_zero_component_is_the_other_summand(self):
+        for exponents, expected in [((0, None), 1), ((1, None), 1), ((None, 0), 2), ((None, 2), 2)]:
+            cfg = HiggsConfig(degrees=(1, 2), exponents=exponents, tau=5.0)
+            assert saturation_degree(cfg) == expected
+
+    def test_zero_pair_rejected(self):
+        cfg = HiggsConfig(degrees=(1, 2), exponents=(None, None), tau=5.0)
+        with pytest.raises(ConfigurationError, match="Higgs field must be nonzero"):
             saturation_degree(cfg)
 
     def test_wrong_rank(self):

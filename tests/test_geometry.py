@@ -114,7 +114,7 @@ class TestBuildGrid:
         code = (
             "import hashlib; from gravortex import build_grid; g = build_grid(1025); "
             "f = 1.0 / (1.3 - g.nodes) + g.nodes**7; "
-            "print(hashlib.sha1(g.apply_lap_fs(f).tobytes()).hexdigest(), hasattr(g, '_d1'))"
+            "print(hashlib.sha1(g.apply_lap_fs(f).tobytes()).hexdigest(), 'd1' in vars(g))"
         )
         outputs = []
         for threads in ("1", "2"):
@@ -129,9 +129,9 @@ class TestBuildGrid:
 
     def test_d1_built_on_first_access(self):
         grid = build_grid(129)
-        assert not hasattr(grid, "_d1")
+        assert "d1" not in vars(grid)
         d1 = grid.d1
-        assert grid.d1 is d1 and grid._d1 is d1
+        assert grid.d1 is d1 and vars(grid)["d1"] is d1
 
     def test_quadrature_exact_for_s_squared(self):
         grid = build_grid(65)
@@ -230,7 +230,7 @@ class TestDiff:
             if k <= m - 1:
                 lap = 2.0 * x * slope + 2.0 * k * k * t
                 assert np.max(np.abs(grid.apply_lap_fs(t) - lap)) <= 1e-11 * n * scale, k
-        assert hasattr(grid, "_d1") == (n <= NESTED_ABOVE_N)
+        assert ("d1" in vars(grid)) == (n <= NESTED_ABOVE_N)
 
     @pytest.mark.parametrize("n", (33, 129, 257))
     def test_dense_path_bit_identical(self, n):
@@ -368,11 +368,24 @@ class TestLaplacian:
         fresh, warm = build_grid(129), build_grid(129)
         full = warm.lap_fs
         assert np.array_equal(fresh.lap_fs_even, warm.lap_fs_even)
-        assert not hasattr(fresh, "_lap_fs")
+        assert "lap_fs" not in vars(fresh)
         mid = fresh.n // 2
         f = np.cos(fresh.nodes) + fresh.nodes**4
         folded = fresh.lap_fs_even @ f[mid:]
         assert np.max(np.abs(folded - (full @ f)[mid:])) <= 1e-9
+
+    @pytest.mark.parametrize("n", (33, 129, 257, 1025))
+    def test_even_fold_matches_folded_lap_fs(self, n):
+        # folding the d1 factors and folding their product differ by round-off
+        grid = build_grid(n)
+        full = grid.lap_fs
+        hi = np.arange(n // 2, n)
+        lo = n - 1 - hi
+        rows = 0.5 * (full[hi] + full[lo])
+        folded = rows[:, hi] + rows[:, lo]
+        folded[:, 0] *= 0.5
+        tol = 1e-14 * np.max(np.abs(full))
+        assert np.max(np.abs(grid.lap_fs_even - folded)) <= tol
 
     def test_spectral_convergence(self):
         # analytic function with a pole just outside [-1, 1]: the error decays

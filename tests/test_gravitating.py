@@ -174,6 +174,24 @@ class TestSolveGravitating:
         with pytest.raises(error, match=message):
             solve_gravitating(symmetric_config, schedule, build_grid(65), initial=initial)
 
+    @pytest.mark.parametrize("c_value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c_value_rejected(self, symmetric_config, c_value):
+        zeros = np.zeros(65)
+        initial = GravitatingState(
+            metric=ConformalMetric(u=zeros), bundle=BundleMetricPotential(v=zeros),
+            c_value=c_value, alpha=0.0,
+        )
+        schedule = ContinuationSchedule(alphas=(0.0,))
+        with pytest.raises(NumericInputError, match="initial c_value"):
+            solve_gravitating(symmetric_config, schedule, build_grid(65), initial=initial)
+
+    def test_parity_reduced_solve_builds_only_the_fold(self, symmetric_config):
+        # the even-parity Jacobian folds the d1 factors, never the full Laplacian
+        grid = build_grid(129)
+        _, report = solve_gravitating(symmetric_config, ContinuationSchedule(alphas=(0.0,)), grid)
+        assert report.converged
+        assert "lap_fs_even" in vars(grid) and "lap_fs" not in vars(grid)
+
     def test_determinism_bit_identical(self, grid, symmetric_config):
         schedule = ContinuationSchedule(alphas=(0.0, 0.05))
         s1, r1 = solve_gravitating(symmetric_config, schedule, grid)

@@ -338,9 +338,10 @@ class TestAbelianFutakiGate:
 class TestMatrixFreeEvaluation:
     """Residuals and the Futaki quadrature never build the dense Laplacian.
 
-    ``AxisymGrid.lap_fs`` caches its O(n^3) matrix in ``_lap_fs`` on first
-    access; only the Newton Jacobians should pay for it.  ``vortex_residual``
-    and ``gravitating_residual`` evaluate the solvers' own residual maps.
+    ``AxisymGrid.lap_fs`` caches its O(n^3) matrix in the instance dict on
+    first access; only the Newton Jacobians should pay for it.
+    ``vortex_residual`` and ``gravitating_residual`` evaluate the solvers'
+    own residual maps.
     """
 
     @staticmethod
@@ -387,7 +388,7 @@ class TestMatrixFreeEvaluation:
     def test_dense_laplacian_not_built(self, name):
         grid = build_grid(65)
         self._evaluations(grid)[name]()
-        assert not hasattr(grid, "_lap_fs")
+        assert "lap_fs" not in vars(grid)
 
     def test_fine_grid_builds_no_d1(self):
         # above NESTED_ABOVE_N nodes every evaluation differentiates by FFT,
@@ -401,7 +402,7 @@ class TestMatrixFreeEvaluation:
         hdata = NonabelianMetric(0.1 * s, -0.1 * s, np.full(grid.n, 0.1))
         res = nonabelian_residual(grid, None, hdata, rank2)
         assert np.all(np.isfinite(res.r11)) and np.all(np.isfinite(res.offdiag))
-        assert not hasattr(grid, "_d1")
+        assert "d1" not in vars(grid)
 
 
 class TestVanishingComponents:
@@ -427,3 +428,15 @@ class TestVanishingComponents:
                         assert report.saturation_degree == other
                         assert report.nonabelian_window is False and report.obstructed
                         assert report.balanced is None and report.balancing_lhs is None
+
+    def test_z_stability_agrees_with_the_report(self):
+        # the public check and the report take deg[phi] from saturation_degree
+        for n1 in range(1, 5):
+            for n2 in range(n1, 5):
+                for exponents in [(l1, None) for l1 in range(n1 + 1)] + [
+                    (None, l2) for l2 in range(n2 + 1)
+                ]:
+                    for k in range(1, 20):
+                        cfg = HiggsConfig((n1, n2), exponents, tau=k / 2, alpha=1.0)
+                        report = stability_check(cfg)
+                        assert z_stability_check(cfg) == (report.z_stable, report.z_witness)

@@ -13,10 +13,11 @@ built on half its rows and mirrored on first use, and above it through
 FFT-computed Chebyshev coefficients in O(n log n), with no ``d1``.  The
 Laplacian is two such derivatives and the antiderivative works on the
 same coefficients.  Every residual, the solvers' own included, applies the
-Laplacian this way; the dense :attr:`AxisymGrid.lap_fs` and its fold
-:attr:`AxisymGrid.lap_fs_even`, products of two ``d1`` factors, are read
-only where the Newton Jacobians are assembled, so a fine grid builds
-``d1`` only for a Jacobian.
+Laplacian this way.  The dense :attr:`AxisymGrid.lap_fs` and its
+even-parity fold :attr:`AxisymGrid.lap_fs_even` are read only where the
+Newton Jacobians are assembled; each is filled entrywise in O(n^2) from a
+closed form in the rows of ``d1``, computed block by block, so no matrix
+product builds them and a grid above NESTED_ABOVE_N holds no ``d1``.
 
 Conventions (see CONVENTIONS.md for the full ledger):
 
@@ -51,8 +52,8 @@ MAX_NODES = 4097
 # Chebyshev coefficients, and solves on them are nested (seeded from a
 # coarse solve, see vortex.NESTED_COARSE_N).
 NESTED_ABOVE_N = 257
-# rows per block when d1 is filled; at n = 4097 a block's two temporaries
-# are 4 MiB each, below the size of the n = 1025 matrices
+# rows per block when d1, lap_fs or lap_fs_even is filled; at n = 4097 a
+# block's temporaries are 4 MiB each, below the size of the n = 1025 matrices
 _ROW_BLOCK = 128
 
 
@@ -74,8 +75,10 @@ class AxisymGrid:
     The round Laplacian is applied matrix-free by :meth:`apply_lap_fs`, two
     :meth:`diff` calls: O(n^2) products with ``d1`` up to NESTED_ABOVE_N
     nodes, O(n log n) FFTs above.  ``d1`` (8 n^2 bytes), :attr:`lap_fs` and
-    :attr:`lap_fs_even` (O(n^3) products) are cached properties, built on
-    first access; only the Newton Jacobians read the last two.
+    :attr:`lap_fs_even` are cached properties, each built on first access
+    in O(n^2) elementwise numpy work, the same bits for every BLAS thread
+    count; only the Newton Jacobians read the last two, and neither reads
+    ``d1``.
     """
 
     n: int
@@ -115,9 +118,19 @@ class AxisymGrid:
 
     @cached_property
     def lap_fs(self) -> np.ndarray:
-        """Dense round-metric Laplacian in divergence form, -2 d1 (1-s^2) d1."""
-        lap = self.d1 @ ((1.0 - self.nodes**2)[:, None] * self.d1)
-        lap *= -2.0  # in place: one n x n temporary fewer
+        """Dense round-metric Laplacian in divergence form, -2 d1 (1-s^2) d1.
+
+        Built entrywise in O(n^2) (:func:`_lap_fs_rows`) on rows 0..n//2;
+        the rest is their exact mirror, as the matrix is centro-symmetric:
+        ``lap_fs == lap_fs[::-1, ::-1]``.  The middle row is symmetric as
+        computed, since the middle diagonal entry of ``d1`` is exactly zero
+        at every accepted n.
+        """
+        n, mid = self.n, self.n // 2
+        lap = np.empty((n, n))
+        for rows, blk in _lap_fs_rows(self.nodes, self.bary):
+            lap[rows] = blk
+        np.copyto(lap[mid + 1 :], lap[mid - 1 :: -1, ::-1])
         return lap
 
     @cached_property
@@ -127,19 +140,21 @@ class AxisymGrid:
         With mid = n // 2, entry (a, b) averages the rows of the mirror nodes
         mid +- a and sums the columns of the mirror nodes mid +- b (the middle
         node is its own mirror), so ``lap_fs_even @ f[mid:]`` is the mirror
-        average of ``(lap_fs @ f)[mid:]`` for every even f.  The rows of the
-        left ``d1`` factor and the columns of the right one are folded before
-        the product, n^3 / 4 multiply-adds with no :attr:`lap_fs`, which it
-        matches to round-off.  The parity-reduced Newton Jacobian reads it.
+        average of ``(lap_fs @ f)[mid:]`` for every even f.  By the
+        centro-symmetry of :attr:`lap_fs` that is L[mid-a, mid-b] +
+        L[mid-a, mid+b] for b > 0 and L[mid-a, mid] for b = 0, read off the
+        rows 0..mid of :func:`_lap_fs_rows` block by block with no
+        :attr:`lap_fs`; it equals the mirror fold of :attr:`lap_fs` bit for
+        bit.  The parity-reduced Newton Jacobians read it.
         """
-        hi = np.arange(self.n // 2, self.n)
-        lo = self.n - 1 - hi
-        rows = 0.5 * (self.d1[hi] + self.d1[lo])
-        cols = (1.0 - self.nodes**2)[:, None] * (self.d1[:, hi] + self.d1[:, lo])
-        cols[:, 0] *= 0.5  # the middle column was added to itself
-        lap = rows @ cols
-        lap *= -2.0
-        return lap
+        mid = self.n // 2
+        even = np.empty((mid + 1, mid + 1))
+        for rows, blk in _lap_fs_rows(self.nodes, self.bary):
+            # row i of lap_fs is row mid - i of the fold
+            out = even[mid + 1 - rows.stop : mid + 1 - rows.start][::-1]
+            np.add(blk[:, mid::-1], blk[:, mid:], out=out)
+            out[:, 0] = blk[:, mid]
+        return even
 
     def apply_lap_fs(self, f: np.ndarray) -> np.ndarray:
         """Round-metric Laplacian of a grid vector, -2 (d/ds) ((1-s^2) (d/ds) f).
@@ -169,6 +184,17 @@ class AxisymGrid:
         if m_fine > m:
             c[m] *= 0.5  # the top coefficient of the interpolant is halved
         return m_fine * np.fft.irfft(c, 2 * m_fine)[: m_fine + 1]
+
+
+def fold_even(g: np.ndarray) -> np.ndarray:
+    """Mirror average of a grid vector at s >= 0: entry j averages nodes mid +- j, mid = n // 2."""
+    mid = g.shape[0] // 2
+    return 0.5 * (g[mid:] + g[mid::-1])
+
+
+def unfold_even(y: np.ndarray) -> np.ndarray:
+    """The even grid vector whose values at the nodes mid + j (s >= 0) are y[j]."""
+    return np.concatenate([y[:0:-1], y])
 
 
 def check_resolution(n) -> None:
@@ -232,34 +258,94 @@ def build_grid(n: int) -> AxisymGrid:
     return AxisymGrid(n=n, nodes=s, weights=weights, bary=bary)
 
 
+def _row_blocks(n: int):
+    """The rows 0..n//2 (the upper half, the middle row included) in blocks of _ROW_BLOCK."""
+    mid = n // 2
+    for r0 in range(0, mid + 1, _ROW_BLOCK):
+        yield slice(r0, min(r0 + _ROW_BLOCK, mid + 1))
+
+
+def _d1_rows(s: np.ndarray, bary: np.ndarray, rows: slice, out, inv, work) -> None:
+    """Write the rows ``rows`` of the differentiation matrix of the nodes s to ``out``.
+
+    ``inv`` receives 1 / (s_i - s_j), with 1 on the diagonal, and ``work``
+    is scratch space; both have out's shape.  The weight ratios b_j / b_i
+    are powers of two in size, so their products with ``inv`` are the
+    rounded quotients b_j / (b_i (s_i - s_j)).  The diagonal is the negated
+    sum of the row's off-diagonal entries to within one rounding, so
+    d1 @ const vanishes to round-off; the sums are elementwise numpy work,
+    not BLAS products, so the rows depend on neither the block split nor
+    the BLAS thread count.
+    """
+    diag = (np.arange(out.shape[0]), np.arange(rows.start, rows.stop))
+    np.subtract(s[rows, None], s[None, :], out=inv)
+    inv[diag] = 1.0
+    np.reciprocal(inv, out=inv)
+    np.multiply(bary[None, :] / bary[rows, None], inv, out=out)
+    out[diag] = 0.0
+    out[diag] = -_row_sums(out, work=work)
+
+
 def _dense_d1(s: np.ndarray, bary: np.ndarray) -> np.ndarray:
     """The differentiation matrix of the nodes s with barycentric weights bary.
 
-    Computed on its upper half of rows, the middle row included, and the
-    rest is mirrored from it.
+    Computed on its upper half of rows, the middle row included, in row
+    blocks that bound the temporaries, and the rest is mirrored from it.
     """
     n = s.shape[0]
     mid = n // 2
-    j = np.arange(n)
     d1 = np.empty((n, n))
-    # Row blocks bound the temporaries.  The diagonal is the negated sum of
-    # the row's off-diagonal entries to within one rounding, so d1 @ const
-    # vanishes to round-off; the sums are elementwise numpy work, not BLAS
-    # products, so d1 depends on neither the block split nor the BLAS thread
-    # count.
-    for r0 in range(0, mid + 1, _ROW_BLOCK):
-        rows = slice(r0, min(r0 + _ROW_BLOCK, mid + 1))
-        blk = d1[rows]
-        diag = (np.arange(blk.shape[0]), j[rows])
-        dx = s[rows, None] - s[None, :]
-        dx[diag] = 1.0
-        np.divide(bary[None, :] / bary[rows, None], dx, out=blk)
-        blk[diag] = 0.0
-        blk[diag] = -_row_sums(blk, work=dx)  # dx is free after the divide
+    k = min(_ROW_BLOCK, mid + 1)
+    inv, work = np.empty((k, n)), np.empty((k, n))
+    for rows in _row_blocks(n):
+        m = rows.stop - rows.start
+        _d1_rows(s, bary, rows, d1[rows], inv[:m], work[:m])
     # s and bary are exactly symmetric, so d1[m - i, m - j] = -d1[i, j]
     # exactly; writing through out= needs no half-size temporary
     np.negative(d1[mid - 1 :: -1, ::-1], out=d1[mid + 1 :])
     return d1
+
+
+def _lap_fs_rows(s: np.ndarray, bary: np.ndarray):
+    """Yield (rows, block) over :func:`_row_blocks`: those rows of -2 d1 (1-s^2) d1, in O(n^2).
+
+    Each block is a view of one buffer that the next block overwrites.
+    With W = diag(1-s^2), S = diag(s) and D2 the second-derivative matrix,
+
+        d1 W d1 = W D2 - 2 S d1 + (n-1) b_j / b_i,
+
+    because the interpolant of the degree-n polynomial (1-s^2) p' at the n
+    nodes is (1-s^2) p' + (n-1) c omega, with c the leading coefficient
+    sum_j f_j / omega'(s_j) of the degree n-1 interpolant p of f, omega
+    the node polynomial and 1/omega'(s_i) proportional to b_i.  Off the
+    diagonal D2_ij = 2 d1_ij (d1_ii - 1/(s_i - s_j)) (Baltensperger and
+    Trummer, "Spectral differencing with a twist", SIAM J. Sci. Comput. 24,
+    2003), and the diagonal is the negated sum of the row's off-diagonal
+    entries to within one rounding, because the Laplacian of a constant
+    vanishes.  The rows of d1 come from :func:`_d1_rows`, so the blocks
+    are elementwise numpy work, the same for every BLAS thread count, and
+    need no dense ``d1``.
+    """
+    n = s.shape[0]
+    k = min(_ROW_BLOCK, n // 2 + 1)
+    lap, d1, inv, work = (np.empty((k, n)) for _ in range(4))
+    for rows in _row_blocks(n):
+        m = rows.stop - rows.start
+        blk, d, w = lap[:m], d1[:m], inv[:m]
+        _d1_rows(s, bary, rows, d, w, work[:m])
+        si = s[rows, None]
+        diag = (np.arange(m), np.arange(rows.start, rows.stop))
+        # -4 d1_ij ((1-s_i^2) (d1_ii - 1/(s_i - s_j)) - s_i) = -2 (W D2 - 2 S d1)_ij
+        np.subtract(d[diag][:, None], w, out=w)
+        w *= -4.0 * (1.0 - si * si)
+        w += 4.0 * si
+        w *= d
+        # -2 (n-1) b_j / b_i, exact: the weights are 1 or 1/2 in size
+        np.divide((-2.0 * (n - 1)) * bary[None, :], bary[rows, None], out=blk)
+        blk += w
+        blk[diag] = 0.0
+        blk[diag] = -_row_sums(blk, work=w)
+        yield rows, blk
 
 
 @dataclass(frozen=True, eq=False)

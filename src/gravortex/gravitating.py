@@ -49,6 +49,7 @@ from .geometry import (
     ROUND_SCALAR_CURVATURE,
     ROUND_VOLUME,
     build_grid,
+    fold_even,
     integrate,
     laplacian,
     scalar_curvature,
@@ -302,7 +303,7 @@ class _CoupledSystem:
 
     def fold(self, g: np.ndarray) -> np.ndarray:
         """Mirror average of a grid vector (the identity in full space)."""
-        return 0.5 * (g[self.hi] + g[self.lo])
+        return fold_even(g) if self.symmetric else g
 
     def unpack(self, x: np.ndarray):
         z = x[self.expand]

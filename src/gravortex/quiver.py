@@ -11,11 +11,12 @@ for arbitrary ranks through exact pointwise linear algebra.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import monomial_norm_sq
+from .bundles import finite_float, monomial_norm_sq
 from .errors import ConfigurationError
 from .geometry import (
     AxisymGrid,
@@ -64,6 +65,11 @@ class Quiver:
         return [a for a in self.arrows if a.tail == vertex]
 
 
+def _require_integer(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuiverBundleSpec:
     """Per-vertex ranks/degrees, per-arrow monomial data, and parameters.
@@ -71,7 +77,11 @@ class QuiverBundleSpec:
     ``section_exponents[arrow]`` is the monomial exponent of the arrow
     section of O(d_head - d_tail); None means the zero section; sections
     may carry a constant scale (``section_scales``, default 1).  sigma must
-    be positive at every vertex; rho is the metric coupling.
+    be positive at every vertex; rho is the metric coupling.  Ranks,
+    degrees and exponents are integers and rho, sigma, tau and the scales
+    finite numbers, none of them booleans
+    (:func:`~gravortex.bundles.finite_float`); a ConfigurationError names
+    the first value that breaks a rule.
     """
 
     quiver: Quiver
@@ -84,19 +94,26 @@ class QuiverBundleSpec:
     section_scales: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        finite_float(self.rho, "rho")
         for v in self.quiver.vertices:
             if v not in self.ranks or v not in self.degrees:
                 raise ConfigurationError(f"vertex {v!r} missing rank or degree")
+            _require_integer(self.ranks[v], f"rank at vertex {v!r}")
+            _require_integer(self.degrees[v], f"degree at vertex {v!r}")
             if self.ranks[v] < 1:
                 raise ConfigurationError(f"vertex {v!r} must have rank >= 1")
             if v not in self.sigma or v not in self.tau:
                 raise ConfigurationError(f"vertex {v!r} missing sigma or tau")
-            if not (self.sigma[v] > 0):
+            if not finite_float(self.sigma[v], f"sigma at vertex {v!r}") > 0:
                 raise ConfigurationError(f"sigma must be positive at vertex {v!r}")
+            finite_float(self.tau[v], f"tau at vertex {v!r}")
+        for name, scale in self.section_scales.items():
+            finite_float(scale, f"scale of arrow {name!r}")
         for a in self.quiver.arrows:
             ell = self.section_exponents.get(a.name)
             if ell is None:
                 continue
+            _require_integer(ell, f"exponent of arrow {a.name!r}")
             gap = self.degrees[a.head] - self.degrees[a.tail]
             if gap < 0:
                 raise ConfigurationError(

@@ -31,8 +31,10 @@ from .geometry import (
     AxisymGrid,
     ConformalMetric,
     build_grid,
+    fold_even,
     integrate,
     round_metric,
+    unfold_even,
 )
 
 
@@ -240,11 +242,20 @@ def check_vortex_window(config: HiggsConfig) -> None:
         )
 
 
-def _vortex_system(grid: AxisymGrid, metric: ConformalMetric, config: HiggsConfig):
+def _vortex_system(
+    grid: AxisymGrid, metric: ConformalMetric, config: HiggsConfig, symmetric: bool = False
+):
     """R1 as a map of v at a fixed metric, and its Jacobian Delta_omega + |phi|^2_H.
 
     The residual applies the Laplacian matrix-free; only the Jacobian reads
-    the dense :attr:`AxisymGrid.lap_fs`.
+    a dense Laplacian, :attr:`AxisymGrid.lap_fs`.  With ``symmetric`` the
+    Jacobian is the even-parity reduction, as the coupled solver's is: the
+    full Jacobian with the rows of each mirror pair of nodes averaged and
+    their columns summed, assembled at half size from
+    :attr:`AxisymGrid.lap_fs_even` and the mirror averages
+    (:func:`~gravortex.geometry.fold_even`) of its diagonal scalings.  It
+    acts on the values at s >= 0 of an even v, and is exact at even v and
+    an even metric potential.
     """
     profile = higgs_profile(grid, config, 0)
     tau = float(config.tau)
@@ -255,8 +266,13 @@ def _vortex_system(grid: AxisymGrid, metric: ConformalMetric, config: HiggsConfi
         return vortex_equation(curv, np.exp(2.0 * v) * profile, tau)
 
     def jacobian(v: np.ndarray) -> np.ndarray:
-        jac = np.exp(-2.0 * metric.u)[:, None] * grid.lap_fs
-        jac.flat[:: grid.n + 1] += np.exp(2.0 * v) * profile
+        scale, diag = np.exp(-2.0 * metric.u), np.exp(2.0 * v) * profile
+        if symmetric:
+            scale, diag, lap = fold_even(scale), fold_even(diag), grid.lap_fs_even
+        else:
+            lap = grid.lap_fs
+        jac = scale[:, None] * lap
+        jac.flat[:: lap.shape[0] + 1] += diag
         return jac
 
     return residual, jacobian
@@ -277,11 +293,16 @@ def solve_vortex(
     metric at n > NESTED_ABOVE_N: there it starts from a solve at
     NESTED_COARSE_N nodes that converged or stopped on its round-off floor,
     prolonged by its Chebyshev coefficients (:meth:`AxisymGrid.prolong`),
-    which is already accurate to the fine grid's round-off floor.  The
-    report covers the fine iteration only; the coarse solve's steps are not
-    in its ``iterations`` or history.  Every stop that is not ``converged``
-    (see :func:`damped_newton`) reports converged=False, a NaN residual
-    included; the report is never silently wrong.
+    which is already accurate to the fine grid's round-off floor.  When
+    2l = N and the metric potential is exactly even (the round metric
+    among them), the solution is even: the start is replaced by its even
+    part, and every Newton step is a linear solve of half the size on the
+    even-parity subspace (:func:`_vortex_system`), copied to both nodes of
+    each mirror pair.  The report covers the fine iteration only; the
+    coarse solve's steps are not in its ``iterations`` or history.  Every
+    stop that is not ``converged`` (see :func:`damped_newton`) reports
+    converged=False, a NaN residual included; the report is never silently
+    wrong.
     """
     config.require_abelian("solve_vortex")
     check_vortex_window(config)
@@ -297,13 +318,19 @@ def solve_vortex(
         v = np.zeros(grid.n)
     if metric is None:
         metric = round_metric(grid)
-    residual, jacobian = _vortex_system(grid, metric, config)
-    v, history, stop_reason, iterations = damped_newton(
-        v,
-        residual,
-        lambda vv: np.linalg.solve(jacobian(vv), -residual(vv)),
-        opts,
+    symmetric = 2 * config.exponents[0] == config.degrees[0] and np.array_equal(
+        metric.u, metric.u[::-1]
     )
+    residual, jacobian = _vortex_system(grid, metric, config, symmetric)
+    if symmetric:
+        v = 0.5 * (v + v[::-1])
+
+    def newton_step(vv: np.ndarray) -> np.ndarray:
+        if not symmetric:
+            return np.linalg.solve(jacobian(vv), -residual(vv))
+        return unfold_even(np.linalg.solve(jacobian(vv), -fold_even(residual(vv))))
+
+    v, history, stop_reason, iterations = damped_newton(v, residual, newton_step, opts)
     report = SolveReport(
         converged=stop_reason == "converged",
         iterations=iterations,

@@ -107,14 +107,18 @@ class TestBuildGrid:
         assert len(digests[0]) == 40 and digests[0] == digests[1]
 
     def test_lap_fs_independent_of_blas_threads(self):
-        # above NESTED_ABOVE_N the Laplacian is FFTs and cumulative sums, no BLAS
+        # above NESTED_ABOVE_N the applied Laplacian is FFTs and cumulative
+        # sums, and lap_fs and lap_fs_even are filled entrywise by numpy at
+        # every n: no BLAS product touches any of them
         import gravortex
 
         src = str(Path(gravortex.__file__).resolve().parents[1])
         code = (
             "import hashlib; from gravortex import build_grid; g = build_grid(1025); "
+            "sha = lambda a: hashlib.sha1(a.tobytes()).hexdigest(); "
             "f = 1.0 / (1.3 - g.nodes) + g.nodes**7; "
-            "print(hashlib.sha1(g.apply_lap_fs(f).tobytes()).hexdigest(), 'd1' in vars(g))"
+            "print(sha(g.apply_lap_fs(f)), 'd1' in vars(g), *(sha(getattr(build_grid(n), a)) "
+            "for n in (257, 1025) for a in ('lap_fs', 'lap_fs_even')))"
         )
         outputs = []
         for threads in ("1", "2"):
@@ -124,7 +128,7 @@ class TestBuildGrid:
                 [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
             )
             outputs.append(out.stdout.split())
-        assert len(outputs[0][0]) == 40 and outputs[0] == outputs[1]
+        assert len(outputs[0]) == 6 and outputs[0] == outputs[1]
         assert outputs[0][1] == "False"
 
     def test_d1_built_on_first_access(self):
@@ -373,6 +377,24 @@ class TestLaplacian:
         f = np.cos(fresh.nodes) + fresh.nodes**4
         folded = fresh.lap_fs_even @ f[mid:]
         assert np.max(np.abs(folded - (full @ f)[mid:])) <= 1e-9
+
+    @pytest.mark.parametrize("n", (129, 257, 1025))
+    def test_lap_fs_legendre_eigenvalues(self, n):
+        # Delta_FS P_l = 2 l (l + 1) P_l for every degree l <= n - 2 the
+        # dense Laplacian is exact on; built entrywise, its error relative
+        # to the eigenvalue stays below 1.5e-16 n^2, which the O(n^3)
+        # product -2 d1 (1 - s^2) d1 misses by 3.4x at n = 257 and 1025
+        grid = build_grid(n)
+        legendre = np.polynomial.legendre.legvander(grid.nodes, n - 2)[:, 1:]
+        ell = np.arange(1, n - 1)
+        eig = 2.0 * ell * (ell + 1)
+        err = np.max(np.abs(grid.lap_fs @ legendre - eig * legendre), axis=0) / eig
+        assert np.max(err) <= 1.5e-16 * n * n
+
+    @pytest.mark.parametrize("n", (33, 129, 257, 1025, 1043))
+    def test_lap_fs_centro_symmetric(self, n):
+        lap = build_grid(n).lap_fs
+        assert np.array_equal(lap, lap[::-1, ::-1])
 
     @pytest.mark.parametrize("n", (33, 129, 257, 1025))
     def test_even_fold_matches_folded_lap_fs(self, n):

@@ -1,17 +1,19 @@
 """Newton linearizations against central differences of the shared residuals.
 
 The vortex Jacobian Delta_omega + |phi|^2_H and the coupled (u, v, c)
-Jacobian, in full space and parity-folded, are compared column by column
-with central differences of the same residual definitions the solvers
-iterate on.  Entries agree to 1e-7 relative to 1 + |J|; a wrong term or a
-wrong fold shows up at O(1).  The parity-reduced Jacobian, assembled at
-half size, is also compared with the index fold of the full-space one.
+Jacobian, each in full space and parity-folded, are compared column by
+column with central differences of the same residual definitions the
+solvers iterate on.  Entries agree to 1e-7 relative to 1 + |J|; a wrong
+term or a wrong fold shows up at O(1).  The parity-reduced Jacobians,
+assembled at half size, are also compared with the index fold of the
+full-space ones.
 """
 
 import numpy as np
 import pytest
 
 from gravortex import HiggsConfig, build_grid, normalize_volume
+from gravortex.geometry import fold_even, unfold_even
 from gravortex.gravitating import _CoupledSystem
 from gravortex.vortex import _vortex_system
 
@@ -47,6 +49,27 @@ def test_vortex_jacobian(n):
     residual, jacobian = _vortex_system(grid, metric, cfg)
     v = smooth_field(rng, grid.nodes, 0.3)
     assert_matches(jacobian(v), central_jacobian(residual, v))
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_parity_reduced_vortex_jacobian(n):
+    grid = build_grid(n)
+    rng = np.random.default_rng(n + 1)
+    even = lambda f: f + f[::-1]  # noqa: E731
+    metric = normalize_volume(grid, even(smooth_field(rng, grid.nodes, 0.1)))
+    cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
+    residual, jacobian = _vortex_system(grid, metric, cfg, symmetric=True)
+    _, full_jacobian = _vortex_system(grid, metric, cfg)
+    y = fold_even(even(smooth_field(rng, grid.nodes, 0.15)))
+    jac = jacobian(unfold_even(y))
+    assert jac.shape == (n // 2 + 1, n // 2 + 1)
+    assert_matches(jac, central_jacobian(lambda z: fold_even(residual(unfold_even(z))), y))
+    # fold: average the rows of each mirror pair, then sum its columns
+    full = full_jacobian(unfold_even(y))
+    rows, mid = fold_even(full), n // 2
+    folded = rows[:, mid:] + rows[:, mid::-1]
+    folded[:, 0] = rows[:, mid]
+    assert np.max(np.abs(jac - folded)) <= 1e-14 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("n", [33, 65])

@@ -1,6 +1,7 @@
 """Quiver data model, commutators, trace identity, and residual dictionary."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,43 @@ class TestQuiverModel:
                 sigma={"a": 0.0},
                 tau={"a": 1.0},
             )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"ranks": {"a": 1.5, "b": 1}}, "rank at vertex 'a' must be an integer, got 1.5"),
+            ({"ranks": {"a": 1, "b": True}}, "rank at vertex 'b' must be an integer, got True"),
+            ({"degrees": {"a": 0, "b": "2"}}, "degree at vertex 'b' must be an integer, got '2'"),
+            ({"degrees": {"a": 0.0, "b": 2}}, "degree at vertex 'a' must be an integer, got 0.0"),
+            (
+                {"section_exponents": {"x": 1.0}},
+                "exponent of arrow 'x' must be an integer, got 1.0",
+            ),
+            ({"section_exponents": {"x": True}}, "exponent of arrow 'x' must be an integer"),
+            ({"sigma": {"a": "1", "b": 1.0}}, "sigma at vertex 'a' must be a number, got '1'"),
+            ({"sigma": {"a": 1.0, "b": True}}, "sigma at vertex 'b' must be a number, got True"),
+            ({"tau": {"a": 0.0, "b": math.nan}}, "tau at vertex 'b' must be a finite number"),
+            ({"tau": {"a": "0", "b": 1.0}}, "tau at vertex 'a' must be a number, got '0'"),
+            ({"rho": math.nan}, "rho must be a finite number, got nan"),
+            ({"rho": "1"}, "rho must be a number, got '1'"),
+            ({"section_scales": {"x": math.inf}}, "scale of arrow 'x' must be a finite number"),
+            ({"section_scales": {"x": None}}, "scale of arrow 'x' must be a number, got None"),
+        ],
+    )
+    def test_malformed_values_rejected(self, change, message):
+        fields = dict(
+            quiver=Quiver(vertices=("a", "b"), arrows=(Arrow("x", "a", "b"),)),
+            ranks={"a": 1, "b": 1},
+            degrees={"a": 0, "b": 2},
+            section_exponents={"x": 1},
+            rho=1.0,
+            sigma={"a": 1.0, "b": 1.0},
+            tau={"a": 0.0, "b": 1.0},
+            section_scales={"x": 0.5},
+        )
+        QuiverBundleSpec(**fields)  # the unchanged fields are valid
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            QuiverBundleSpec(**{**fields, **change})
 
     def test_arrow_needs_nonnegative_degree_gap(self):
         q = Quiver(vertices=("a", "b"), arrows=(Arrow("x", "a", "b"),))

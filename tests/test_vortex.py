@@ -139,6 +139,35 @@ class TestSolveVortex:
         assert report.converged
         assert np.max(np.abs(pot.v - pot.v[::-1])) <= 1e-11
 
+    def test_symmetric_solve_takes_the_half_size_step(self):
+        grid = build_grid(129)
+        cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
+        _, report = solve_vortex(grid, None, cfg)
+        assert report.converged
+        assert "lap_fs_even" in vars(grid) and "lap_fs" not in vars(grid)
+
+    @pytest.mark.parametrize("even_metric", [True, False], ids=["2l != N", "non-even metric"])
+    def test_full_size_step_otherwise(self, even_metric):
+        grid = build_grid(129)
+        if even_metric:
+            cfg, metric = HiggsConfig(degrees=(3,), exponents=(1,), tau=7.0), None
+        else:
+            cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
+            metric = random_metric(grid, np.random.default_rng(4))
+        _, report = solve_vortex(grid, metric, cfg)
+        assert report.converged
+        assert "lap_fs" in vars(grid) and "lap_fs_even" not in vars(grid)
+
+    def test_symmetric_solve_from_non_even_start(self, grid):
+        # the start is replaced by its even part, and every step is even
+        cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
+        bump = 0.5 * np.exp(-4.0 * (grid.nodes - 0.3) ** 2)
+        pot, report = solve_vortex(grid, None, cfg, v0=bump)
+        reference, _ = solve_vortex(grid, None, cfg)
+        assert report.converged
+        assert np.array_equal(pot.v, pot.v[::-1])
+        assert np.max(np.abs(pot.v - reference.v)) <= 1e-9
+
     def test_uniqueness_from_random_start(self, grid):
         cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0)
         rng = np.random.default_rng(8)

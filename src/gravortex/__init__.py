@@ -39,7 +39,6 @@ from .gravitating import (
     GravitatingState,
     einstein_bogomolnyi_solve,
     gravitating_residual,
-    general_coupled_residual,
     solve_gravitating,
 )
 from .obstructions import (
@@ -54,11 +53,8 @@ from .quiver import (
     Arrow,
     Quiver,
     QuiverBundleSpec,
-    ReductionParams,
-    commutator,
     commutator_values,
     quiver_vortex_residual,
-    reduction_parameters,
     trace_identity_check,
 )
 from .reporting import __version__, conventions_hash

@@ -19,13 +19,21 @@ a common alternative curvature normalization yields 2 - 2 alpha tau N.
 Reports carry both predictions and never silently reconcile them.
 
 Symmetric configurations (2l = N) are solved on the even-parity subspace:
-the sphere's dilation automorphisms generate an odd null direction of the
-coupled linearization (a one-parameter family of pulled-back solutions),
-and parity reduction removes that direction.  It does not remove the even
-concentration family at the zero-constant coupling alpha tau N = 2, where
-the Jacobian of the reduced system becomes singular too; each Newton step
-therefore tests for a spectral gap at the bottom of the spectrum and
-borders the solve only when it finds one (``_gauge_aware_step``).
+the sphere's dilations generate an odd null direction of the coupled
+linearization (a one-parameter family of pulled-back solutions), and
+parity reduction removes it.  At alpha = 0 the equations decouple: the
+round metric (u = 0, c = 4) solves the metric equation exactly and R1 is
+the vortex equation on it, so the continuation takes that step with
+``solve_vortex``, and the coupled Newton iteration runs only at
+alpha > 0.  A full-space (2l != N) solve therefore never meets the
+dilation direction at alpha = 0.
+
+Near the zero-constant coupling alpha tau N = 2 the smallest singular
+value of the reduced Jacobian is about 0.13 |c|, and its singular vector
+is a grid sawtooth (the top Chebyshev mode), not a family of solutions;
+each Newton step therefore tests for a spectral gap at the bottom of the
+spectrum and borders the solve only when it finds one
+(``_gauge_aware_step``).
 
 Asymmetric two-zero monomials (2l != N) have no solution at alpha > 0:
 their Futaki character 2 pi alpha (2N - tau)(2l - N) is nonzero, so the
@@ -41,7 +49,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bundles import HiggsConfig, finite_float, higgs_profile
-from .errors import ConfigurationError, NumericInputError, ObstructionError
+from .errors import ConfigurationError, ObstructionError
 from .geometry import (
     NESTED_ABOVE_N,
     AxisymGrid,
@@ -51,11 +59,10 @@ from .geometry import (
     build_grid,
     fold_even,
     integrate,
-    laplacian,
     scalar_curvature,
     volume,
 )
-from .obstructions import abelian_coupled_obstructions, moment_map_form
+from .obstructions import abelian_coupled_obstructions
 from .vortex import (
     NESTED_COARSE_N,
     BundleMetricPotential,
@@ -65,6 +72,8 @@ from .vortex import (
     check_vortex_window,
     damped_newton,
     grid_vector,
+    solve_vortex,
+    sup_norm,
     vortex_equation,
 )
 
@@ -233,14 +242,15 @@ _GAP = 1e-6  # border when the estimate of sigma_min / sigma_{min-1} falls below
 def _gauge_aware_step(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Newton step that stays well-posed when the linearization degenerates.
 
-    At the zero-constant coupling the solution is non-isolated (a
-    concentration family), so the Jacobian acquires an exact null direction
-    and the plain step's component along it is round-off divided by a
-    vanishing singular value.  One LU solve takes the step together with a
-    fixed random probe block P.  The two largest singular values of J^-1 P
-    are one-sided estimates of 1/sigma_min and 1/sigma_{min-1}, the
-    single-pass randomized range finder of Halko, Martinsson and Tropp
-    (SIAM Review 53, 2011) applied to J^-1.  Only a spectral gap,
+    Near the zero-constant coupling the smallest singular value of the
+    Jacobian falls like about 0.13 |c|; its singular vector is a grid
+    sawtooth, the top Chebyshev mode, and the plain step's component along
+    it is round-off divided by a vanishing singular value.  One LU solve
+    takes the step together with a fixed random probe block P.  The two
+    largest singular values of J^-1 P are one-sided estimates of
+    1/sigma_min and 1/sigma_{min-1}, the single-pass randomized range
+    finder of Halko, Martinsson and Tropp (SIAM Review 53, 2011) applied to
+    J^-1.  Only a spectral gap,
     sigma_min < _GAP sigma_{min-1}, or a singular factor sends the step to
     a bordered solve pinned to the singular pair of the full SVD; ordinary
     conditioning (sigma_min / sigma_max tiny but no gap) keeps the plain
@@ -366,7 +376,7 @@ def solve_gravitating(
     schedule: ContinuationSchedule,
     grid: AxisymGrid,
     override_obstruction: bool = False,
-    initial: GravitatingState | None = None,
+    v0: np.ndarray | None = None,
     newton: NewtonOptions | None = None,
 ) -> tuple[GravitatingState, ContinuationReport]:
     """Natural continuation in the coupling, seeding each step with the last.
@@ -375,39 +385,35 @@ def solve_gravitating(
     scheduled coupling (a single-zero Higgs field, or a nonzero Futaki
     character) unless explicitly overridden; the override exists because
     numerical divergence is not a theorem and must not be asserted as one.
-    Without ``initial`` the first step starts from the round metric and
-    every later step from the previous fine state, except at
-    n > NESTED_ABOVE_N: there the whole schedule is first solved at
-    NESTED_COARSE_N nodes, and each fine step starts from the coarse step
-    at the same alpha, prolonged by Chebyshev coefficients
+    Every schedule starts at alpha = 0, where the equations decouple: the
+    round metric (u = 0, c = 4) solves the metric equation exactly, and
+    the step is :func:`~gravortex.vortex.solve_vortex` on it, started from
+    ``v0``, a finite vector on ``grid``
+    (:func:`~gravortex.vortex.grid_vector`), or from zero.  Every later step
+    is a coupled Newton solve started from the previous state, except at
+    n > NESTED_ABOVE_N without ``v0``: there the whole schedule is first
+    solved at NESTED_COARSE_N nodes, and each fine step starts from the
+    coarse step at the same alpha, prolonged by Chebyshev coefficients
     (:meth:`AxisymGrid.prolong`), when that step converged or stopped on
     its round-off floor.  The report covers the fine steps only; the coarse
     solve's Newton steps are not in their ``iterations``.
     The continuation stops at the first step that does not converge (its
     ``stop_reason`` says why) and returns the last converged state with
-    converged=False.  Every step runs with ``newton``, by default
-    ``NewtonOptions()``.  The potentials of ``initial`` must be finite
-    vectors on ``grid`` (:func:`~gravortex.vortex.grid_vector`) and its
-    ``c_value`` a finite number.
+    converged=False, or, when no step converged, the start at alpha = 0:
+    u = 0, ``v0`` or 0, and c = 4.  Every step runs with ``newton``, by
+    default ``NewtonOptions()``.
     """
     config.require_abelian("solve_gravitating")
     check_vortex_window(config)
     _refuse_obstructed(config, schedule.alphas[-1], override_obstruction)
-    start = None
-    if initial is not None:
-        if not math.isfinite(initial.c_value):
-            raise NumericInputError("initial c_value is not finite")
-        start = (
-            grid_vector(grid, initial.metric.u, "initial metric potential").copy(),
-            grid_vector(grid, initial.bundle.v, "initial bundle potential").copy(),
-            initial.c_value,
-        )
-    steps = _continue(config, grid, schedule.alphas, newton or NewtonOptions(), start, solved={})
+    if v0 is not None:
+        v0 = grid_vector(grid, v0, "initial guess").copy()
+    steps = _continue(config, grid, schedule.alphas, newton or NewtonOptions(), v0, solved={})
     report = ContinuationReport(converged=steps[-1].converged, steps=steps, resolution=grid.n)
-    return _last_state(steps, start, grid.n), report
+    return _last_state(steps, v0, grid.n), report
 
 
-def _continue(config, grid, alphas, newton, start, solved) -> list[ContinuationStep]:
+def _continue(config, grid, alphas, newton, v0, solved) -> list[ContinuationStep]:
     """The steps of the natural continuation along ``alphas``, as solve_gravitating reports them.
 
     ``solved`` holds converged steps by (n, alpha) from earlier
@@ -416,12 +422,12 @@ def _continue(config, grid, alphas, newton, start, solved) -> list[ContinuationS
     solved again, and the first step after it starts from the last reused
     step: the state a continuation along the same prefix reaches, so the
     steps do not depend on what ``solved`` held.  Without a reused prefix
-    the first step starts from ``start``, (u, v, c), or from the round
-    state when ``start`` is None.  With ``start`` None and n >
-    NESTED_ABOVE_N, each step instead starts from the step at its alpha of
-    the same continuation at NESTED_COARSE_N nodes, prolonged, when that
-    step converged or stopped on its floor.  The continuation stops at the
-    first step that does not converge.
+    the first step is alpha = 0 (:func:`_round_step`), started from ``v0``
+    or from zero.  With ``v0`` None and n > NESTED_ABOVE_N, each step
+    instead starts from the step at its alpha of the same continuation at
+    NESTED_COARSE_N nodes, prolonged, when that step converged or stopped
+    on its floor; so no alpha = 0 step solves the coarse grid twice.  The
+    continuation stops at the first step that does not converge.
     """
     n = grid.n
     steps = []
@@ -429,12 +435,8 @@ def _continue(config, grid, alphas, newton, start, solved) -> list[ContinuationS
         if (n, alpha) not in solved:
             break
         steps.append(solved[n, alpha])
-    if steps:
-        u, v, c = steps[-1].u, steps[-1].v, steps[-1].c_est
-    else:
-        u, v, c = start or _round_start(n)
     starts = {}  # by alpha: a step's start, when it is not the last state
-    if start is None and n > NESTED_ABOVE_N:
+    if v0 is None and n > NESTED_ABOVE_N:
         coarse = build_grid(NESTED_COARSE_N)
         starts = {
             step.alpha: (coarse.prolong(step.u, n), coarse.prolong(step.v, n), step.c_est)
@@ -443,48 +445,75 @@ def _continue(config, grid, alphas, newton, start, solved) -> list[ContinuationS
         }
     symmetric = 2 * config.exponents[0] == config.degrees[0]
     for alpha in alphas[len(steps) :]:
-        u0, v0, c0 = starts.get(alpha) or (u, v, c)
-        system = _CoupledSystem(grid, config, alpha, symmetric)
-        x, history, stop_reason, iters = damped_newton(
-            system.restrict(np.concatenate([u0, v0, [c0]])),
-            system.residual,
-            system.newton_step,
-            newton,
-        )
-        ok = stop_reason == "converged"
-        keep = ok or stop_reason == "roundoff_floor"
-        u_new, v_new, c_new = system.unpack(x)
-        step = ContinuationStep(
-            alpha=alpha,
-            converged=ok,
-            iterations=iters,
-            residual_sup=history[-1],
-            c_est=float(c_new),
-            bordered_steps=system.bordered_steps,
-            stop_reason=stop_reason,
-            u=u_new.copy() if keep else None,
-            v=v_new.copy() if keep else None,
-        )
+        start = starts.get(alpha)
+        if alpha == 0.0:  # the first step, since every schedule starts at 0
+            step = _round_step(config, grid, newton, start[1] if start else v0)
+        else:
+            last = steps[-1]
+            start = start or (last.u, last.v, last.c_est)
+            step = _coupled_step(config, grid, alpha, symmetric, newton, start)
         steps.append(step)
-        if not ok:
+        if not step.converged:
             break
         solved[n, alpha] = step
-        u, v, c = step.u, step.v, step.c_est
     return steps
 
 
-def _round_start(n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(u, v, c) of the round metric with the Fubini-Study bundle metric."""
-    return np.zeros(n), np.zeros(n), CONVENTION_C_COEFF
+def _round_step(config, grid, newton, v0) -> ContinuationStep:
+    """The alpha = 0 step: the vortex equation on the round metric, with (u, c) = (0, 4).
+
+    The round metric solves the metric equation exactly at alpha = 0, so
+    R1 is the equation :func:`~gravortex.vortex.solve_vortex` solves, here
+    from ``v0`` or from zero, never from a coarse solve of its own; its
+    report gives the step's iterations and stop.  The step's residual is
+    the sup of (R1, R2, volume row) at the result, where R2 is exactly 0.
+    """
+    v0 = np.zeros(grid.n) if v0 is None else v0
+    pot, report = solve_vortex(grid, None, config, newton, v0=v0)
+    system = _CoupledSystem(grid, config, 0.0, symmetric=False)
+    x = np.concatenate([np.zeros(grid.n), pot.v, [CONVENTION_C_COEFF]])
+    residual_sup = sup_norm(system.residual(x))
+    return _step(0.0, system, x, report.stop_reason, report.iterations, residual_sup)
 
 
-def _last_state(steps, start, n) -> GravitatingState:
+def _coupled_step(config, grid, alpha, symmetric, newton, start) -> ContinuationStep:
+    """A step at alpha > 0: damped Newton on (R1, R2, volume row) from start = (u, v, c)."""
+    system = _CoupledSystem(grid, config, alpha, symmetric)
+    u0, v0, c0 = start
+    x, history, stop_reason, iterations = damped_newton(
+        system.restrict(np.concatenate([u0, v0, [c0]])),
+        system.residual,
+        system.newton_step,
+        newton,
+    )
+    return _step(alpha, system, x, stop_reason, iterations, history[-1])
+
+
+def _step(alpha, system, x, stop_reason, iterations, residual_sup) -> ContinuationStep:
+    """The step that ended at x; it keeps x when it converged or stopped on its floor."""
+    keep = stop_reason in ("converged", "roundoff_floor")
+    u, v, c = system.unpack(x)
+    return ContinuationStep(
+        alpha=alpha,
+        converged=stop_reason == "converged",
+        iterations=iterations,
+        residual_sup=residual_sup,
+        c_est=float(c),
+        bordered_steps=system.bordered_steps,
+        stop_reason=stop_reason,
+        u=u.copy() if keep else None,
+        v=v.copy() if keep else None,
+    )
+
+
+def _last_state(steps, v0, n) -> GravitatingState:
     """The state of the last converged step, or the start at alpha = 0 when none converged."""
     done = [step for step in steps if step.converged]
     if done:
         u, v, c, alpha = done[-1].u, done[-1].v, done[-1].c_est, done[-1].alpha
     else:
-        (u, v, c), alpha = start or _round_start(n), 0.0
+        u, c, alpha = np.zeros(n), CONVENTION_C_COEFF, 0.0
+        v = np.zeros(n) if v0 is None else v0
     return GravitatingState(
         metric=ConformalMetric(u=u.copy()),
         bundle=BundleMetricPotential(v=v.copy()),
@@ -616,35 +645,3 @@ def einstein_bogomolnyi_solve(
         endpoint_c_values=endpoints,
     )
 
-
-def general_coupled_residual(
-    grid: AxisymGrid, state: GravitatingState, config: HiggsConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals in the general coupled form, for cross-checking.
-
-    The first equation, assembled through the circle-action moment map on
-    the fiber (m = -(i/2)|phi|^2_H, central constant z = -i tau/2 after
-    normalizing the couplings to be equal), is i(Lambda F + m - z) = R1.
-    The second is the moment-map form G of the curvature equation:
-
-        R1' = i Lambda_omega F_H + (1/2)(|phi|^2_H - tau)  (= R1 exactly),
-        R2' = S_omega + alpha Delta_omega |phi|^2_H
-              - 2 alpha tau (i Lambda_omega F_H) - mean.
-
-    Both are the same equations written two ways: algebraically
-    R2'_full = R2_full - 2 alpha tau R1, so the forms agree pointwise at
-    any vortex solution up to the documented constants.
-    """
-    config.require_abelian("general_coupled_residual")
-    tau = float(config.tau)
-    phi_sq = np.exp(2.0 * state.bundle.v) * higgs_profile(grid, config, 0)
-    curv = bundle_curvature(grid, state.metric, config.degrees[0], state.bundle.v)
-    full = moment_map_form(
-        scalar_curvature(grid, state.metric).s_field,
-        float(state.alpha),
-        laplacian(grid, state.metric, phi_sq),
-        tau,
-        curv,
-    )
-    mean = integrate(grid, state.metric, full) / volume(grid, state.metric)
-    return vortex_equation(curv, phi_sq, tau), full - mean

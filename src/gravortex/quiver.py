@@ -3,9 +3,9 @@
 Quivers are stored with explicit head/tail maps so parallel arrows are
 first-class.  The analytic residual path is restricted to rank-1 vertex
 bundles with monomial arrow sections on the volume-2*pi sphere, which is
-the family the coupled-solver examples live in, and so is the parameter
-derivation; the algebraic layer (commutators, the trace identity) works
-for arbitrary ranks through exact pointwise linear algebra.
+the family the coupled-solver examples live in; the algebraic layer
+(commutators, the trace identity) works for arbitrary ranks through exact
+pointwise linear algebra.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import ConfigurationError
 from .geometry import (
     AxisymGrid,
     ConformalMetric,
-    ROUND_VOLUME,
     integrate,
     laplacian,
     scalar_curvature,
@@ -181,30 +180,6 @@ def commutator_values(
     return out
 
 
-def commutator(
-    spec: QuiverBundleSpec, potentials: dict[str, float], point_s: float
-) -> dict[str, complex]:
-    """Rank-1 commutator at a sphere point from scalar vertex potentials.
-
-    ``potentials[v]`` is the bundle potential value v_j(s); arrow norms pick
-    up the weight exp(2 v_head - 2 v_tail) on top of the FS profile.
-    """
-    spec.require_rank_one("the scalar commutator")
-    s = float(point_s)
-    out = {v: 0.0 for v in spec.quiver.vertices}
-    for a in spec.quiver.arrows:
-        ell = spec.section_exponents.get(a.name)
-        if ell is None:
-            continue
-        scale = spec.section_scales.get(a.name, 1.0)
-        fs = monomial_norm_sq(s, spec.arrow_degree(a), ell, scale)
-        weight = math.exp(2.0 * potentials[a.head] - 2.0 * potentials[a.tail])
-        val = fs * weight
-        out[a.head] += val
-        out[a.tail] -= val
-    return out
-
-
 @dataclass
 class TraceIdentityReport:
     lhs: float
@@ -254,59 +229,6 @@ def trace_identity_check(
     lhs = math.fsum(lhs_terms)
     rhs = math.fsum(rhs_terms)
     return TraceIdentityReport(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))
-
-
-# ---------------------------------------------------------------------------
-# dimensional-reduction parameter bookkeeping
-
-
-@dataclass(frozen=True)
-class ReductionParams:
-    """Inputs of the parameter dictionary: multiplicities and slopes.
-
-    ``dims[v]`` is the multiplicity dim M_v (must be positive);
-    ``mu_eps[v]`` the user-supplied fiberwise slope; ``mu_total`` the
-    global slope of the equivariant bundle upstairs.
-    """
-
-    dims: dict[str, int]
-    mu_eps: dict[str, float]
-    mu_total: float
-
-    def __post_init__(self):
-        for v, d in self.dims.items():
-            if d < 1:
-                raise ConfigurationError(f"dim M must be positive at vertex {v!r}")
-
-
-_RICCI_TOTAL = 4.0 * math.pi  # integral of the Ricci form of the sphere, 2 pi chi
-
-
-def reduction_parameters(
-    params: ReductionParams,
-    rho: float,
-    slopes: dict[str, float] | None = None,
-) -> tuple[dict[str, float], dict[str, float], float]:
-    """Derived (sigma, tau) vectors and the topological constant on the sphere.
-
-    sigma_v = dim M_v and tau_v = sigma_v (mu_total - mu_eps_v).  The
-    constant follows from integrating the curvature equation over the
-    volume-2*pi sphere (vol = ROUND_VOLUME) with rank-1 vertex bundles:
-
-        c vol = 2 * 4 pi + 4 rho vol sum (tau_v/sigma_v - slope_v) tau_v,
-
-    where 4 pi is the integral of the Ricci form; the integrals of Tr F^2
-    vanish identically on a curve.  ``slopes`` defaults to 0 at every vertex.
-    """
-    sigma = {v: float(d) for v, d in params.dims.items()}
-    tau = {
-        v: sigma[v] * (params.mu_total - params.mu_eps[v]) for v in params.dims
-    }
-    slopes = slopes or {v: 0.0 for v in params.dims}
-    total = 2.0 * _RICCI_TOTAL
-    for v in params.dims:
-        total += 4.0 * rho * ROUND_VOLUME * (tau[v] / sigma[v] - slopes[v]) * tau[v]
-    return sigma, tau, total / ROUND_VOLUME
 
 
 # ---------------------------------------------------------------------------

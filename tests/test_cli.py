@@ -519,7 +519,8 @@ class TestReportContract:
         )
         assert code == EXIT_OK
         jsonschema.validate(report, report_schema())
-        # the alpha tau N = 2 step meets the concentration family and borders
+        # at alpha tau N = 2 the smallest singular value, about 0.13 |c|, is
+        # that of a grid sawtooth (the top Chebyshev mode); the step borders
         counts = [step["bordered_steps"] for step in report["continuation"]["steps"]]
         assert counts[:2] == [0, 0] and counts[2] >= 1
 

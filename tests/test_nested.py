@@ -5,9 +5,7 @@ import pytest
 
 from gravortex import (
     BundleMetricPotential,
-    ConformalMetric,
     ContinuationSchedule,
-    GravitatingState,
     HiggsConfig,
     NewtonOptions,
     build_grid,
@@ -15,7 +13,7 @@ from gravortex import (
     solve_vortex,
     vortex_residual,
 )
-from gravortex.gravitating import CONVENTION_C_COEFF, _CoupledSystem
+from gravortex.gravitating import _CoupledSystem
 from gravortex.geometry import round_metric
 from gravortex.vortex import _vortex_system, damped_newton, roundoff_floor
 
@@ -48,13 +46,7 @@ def test_vortex_ladder(n):
 def test_coupled_ladder(n):
     grid = build_grid(n)
     _, report = solve_gravitating(CFG, SCHEDULE, grid)
-    start = GravitatingState(
-        metric=ConformalMetric(u=np.zeros(n)),
-        bundle=BundleMetricPotential(v=np.zeros(n)),
-        c_value=CONVENTION_C_COEFF,
-        alpha=0.0,
-    )
-    _, zero_report = solve_gravitating(CFG, SCHEDULE, grid, initial=start)
+    _, zero_report = solve_gravitating(CFG, SCHEDULE, grid, v0=np.zeros(n))
     assert len(report.steps) == len(zero_report.steps)
     for step, zero_step in zip(report.steps, zero_report.steps):
         assert step.stop_reason in ACCEPTED and zero_step.stop_reason in ACCEPTED

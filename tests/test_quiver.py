@@ -15,21 +15,14 @@ from gravortex import (
     HiggsConfig,
     Quiver,
     QuiverBundleSpec,
-    ReductionParams,
     build_grid,
-    commutator,
     commutator_values,
     gravitating_residual,
     quiver_vortex_residual,
-    reduction_parameters,
     trace_identity_check,
     vortex_residual,
 )
 from gravortex.quiver import gravitating_vortex_spec
-
-
-def a2_spec(n_deg=2, ell=1, tau=5.0, alpha=0.1):
-    return gravitating_vortex_spec(n_deg, ell, tau, alpha)
 
 
 @pytest.fixture(scope="module")
@@ -142,30 +135,6 @@ class TestQuiverModel:
 
 
 class TestCommutator:
-    def test_a2_signs(self, grid):
-        spec = a2_spec()
-        values = commutator(spec, {"src": 0.3, "dst": -0.1}, 0.0)
-        # one arrow: + at the head, - at the tail, equal magnitude
-        assert values["dst"] > 0 > values["src"]
-        assert values["dst"] == pytest.approx(-values["src"], rel=1e-14)
-        # magnitude: scale^2 * profile * exp weights with profile(0) = 1/4
-        expected = 0.5 * 0.25 * math.exp(2 * (-0.1) - 2 * 0.3)
-        assert values["dst"] == pytest.approx(expected, rel=1e-14)
-
-    def test_all_sections_zero(self):
-        q = Quiver(vertices=("a", "b"), arrows=(Arrow("x", "a", "b"),))
-        spec = QuiverBundleSpec(
-            quiver=q,
-            ranks={"a": 1, "b": 1},
-            degrees={"a": 0, "b": 2},
-            section_exponents={"x": None},
-            rho=1.0,
-            sigma={"a": 1.0, "b": 1.0},
-            tau={"a": 0.0, "b": 1.0},
-        )
-        values = commutator(spec, {"a": 0.0, "b": 0.0}, 0.3)
-        assert values == {"a": 0.0, "b": 0.0}
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_unweighted_trace_cancellation(self, seed):
@@ -224,64 +193,6 @@ class TestTraceIdentity:
         # defect equals the pairing of tau/sigma with the vertex-equation error
         expected = abs(good.rhs - report.rhs)
         assert report.defect == pytest.approx(expected, rel=1e-10)
-
-
-class TestReductionParameters:
-    def test_formula_collapse_for_unit_dims(self):
-        params = ReductionParams(dims={"a": 1, "b": 1}, mu_eps={"a": 0.0, "b": 0.0}, mu_total=2.5)
-        sigma, tau, _ = reduction_parameters(params, rho=1.0)
-        assert sigma == {"a": 1.0, "b": 1.0}
-        assert tau == {"a": 2.5, "b": 2.5}
-
-    def test_two_vertex_example(self):
-        params = ReductionParams(
-            dims={"a": 1, "b": 2}, mu_eps={"a": 0.0, "b": 0.5}, mu_total=1.0
-        )
-        sigma, tau, _ = reduction_parameters(params, rho=1.0)
-        assert sigma == {"a": 1.0, "b": 2.0}
-        assert tau == {"a": 1.0, "b": 1.0}
-
-    def test_homogeneity_in_slopes(self):
-        params = ReductionParams(
-            dims={"a": 2, "b": 3}, mu_eps={"a": 0.25, "b": -0.5}, mu_total=2.0
-        )
-        sigma1, tau1, _ = reduction_parameters(params, rho=0.5)
-        scaled = ReductionParams(
-            dims={"a": 2, "b": 3},
-            mu_eps={"a": 0.75, "b": -1.5},
-            mu_total=6.0,
-        )
-        sigma2, tau2, _ = reduction_parameters(scaled, rho=0.5)
-        assert sigma1 == sigma2
-        for v in tau1:
-            assert tau2[v] == pytest.approx(3.0 * tau1[v], rel=1e-14)
-
-    def test_nonpositive_dim_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ReductionParams(dims={"a": 0}, mu_eps={"a": 0.0}, mu_total=1.0)
-
-    def test_constant_matches_gravitating_dictionary(self):
-        # A2 dictionary params: sigma=(1,1), tau=(0, tau/2), slopes=(0, N)
-        n_deg, tau_val, alpha = 2, 5.0, 0.1
-        params = ReductionParams(
-            dims={"src": 1, "dst": 1},
-            mu_eps={"src": 0.0, "dst": 0.0},
-            mu_total=0.0,
-        )
-        sigma = {"src": 1.0, "dst": 1.0}
-        tau = {"src": 0.0, "dst": tau_val / 2.0}
-        # evaluate the constant directly from the displayed formula
-        _, _, c = reduction_parameters(
-            ReductionParams(
-                dims={"src": 1, "dst": 1},
-                mu_eps={"src": 0.0, "dst": -tau_val / 2.0},
-                mu_total=0.0,
-            ),
-            rho=alpha,
-            slopes={"src": 0.0, "dst": float(n_deg)},
-        )
-        expected = 4.0 + alpha * tau_val**2 - 2.0 * alpha * tau_val * n_deg
-        assert c == pytest.approx(expected, rel=1e-12)
 
 
 class TestQuiverResidual:

@@ -21,12 +21,15 @@ Reports carry both predictions and never silently reconcile them.
 Symmetric configurations (2l = N) are solved on the even-parity subspace:
 the sphere's dilations generate an odd null direction of the coupled
 linearization (a one-parameter family of pulled-back solutions), and
-parity reduction removes it.  At alpha = 0 the equations decouple: the
-round metric (u = 0, c = 4) solves the metric equation exactly and R1 is
-the vortex equation on it, so the continuation takes that step with
-``solve_vortex``, and the coupled Newton iteration runs only at
-alpha > 0.  A full-space (2l != N) solve therefore never meets the
-dilation direction at alpha = 0.
+parity reduction removes it.  The iterate stays on the full grid, as the
+vortex solver's does: the start is replaced by its even part, and each
+Newton step is solved at half size and unfolded
+(:func:`~gravortex.geometry.unfold_even`).  At alpha = 0 the equations
+decouple: the round metric (u = 0, c = 4) solves the metric equation
+exactly and R1 is the vortex equation on it, so the continuation takes
+that step with ``solve_vortex``, and the coupled Newton iteration runs
+only at alpha > 0.  A full-space (2l != N) solve therefore never meets
+the dilation direction at alpha = 0.
 
 Near the zero-constant coupling alpha tau N = 2 the smallest singular
 value of the reduced Jacobian is about 0.13 |c|, and its singular vector
@@ -60,11 +63,13 @@ from .geometry import (
     fold_even,
     integrate,
     scalar_curvature,
+    unfold_even,
     volume,
 )
 from .obstructions import abelian_coupled_obstructions
 from .vortex import (
     NESTED_COARSE_N,
+    USABLE_STOPS,
     BundleMetricPotential,
     NewtonOptions,
     SolveReport,
@@ -277,47 +282,32 @@ def _gauge_aware_step(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, boo
 class _CoupledSystem:
     """R1, R2 and the volume row as a map of x = (u, v, c), and its Jacobian.
 
-    With ``symmetric`` the unknowns are the even-parity reduction of x:
-    reduced entry j of u (and of v) stands for the mirror pair of grid
-    nodes (hi[j], lo[j]) = (mid + j, mid - j).  ``top`` and ``bottom`` list
-    the pair of every reduced entry (the middle node and c pair with
-    themselves).  Restriction averages a pair and ``expand`` copies a
-    reduced vector back to the grid.  The residuals stay on the full grid;
-    the reduced Jacobian, the full one with paired rows averaged and paired
-    columns summed, is assembled at half size from the mirror averages of
-    its diagonal scalings and :attr:`AxisymGrid.lap_fs_even`, which is
-    exact because the iterates are even.
+    x holds u and v on the full grid, then c.  With ``symmetric`` the
+    Newton step is taken on the even-parity subspace, as
+    :func:`~gravortex.vortex.solve_vortex` takes it: the Jacobian, the full
+    one with the rows of each mirror pair of nodes averaged and their
+    columns summed, is assembled at half size from the mirror averages
+    (:func:`~gravortex.geometry.fold_even`) of its diagonal scalings and
+    :attr:`AxisymGrid.lap_fs_even`, which is exact at an even x; it is
+    solved against the folded residual, and the step is unfolded
+    (:func:`~gravortex.geometry.unfold_even`), so an even x stays even.
     """
 
     def __init__(self, grid: AxisymGrid, config: HiggsConfig, alpha: float, symmetric: bool):
-        n = self.n = grid.n
+        self.n = grid.n
         self.grid, self.alpha, self.symmetric = grid, alpha, symmetric
         self.profile = higgs_profile(grid, config, 0)
         self.tau = float(config.tau)
         self.n_deg = config.degrees[0]
         self.bordered_steps = 0
-        if symmetric:
-            mid = n // 2
-            self.hi = np.arange(mid, n)
-            self.lo = n - 1 - self.hi
-            mirror = np.abs(np.arange(n) - mid)
-            self.expand = np.concatenate([mirror, mid + 1 + mirror, [2 * mid + 2]])
-        else:
-            self.hi = self.lo = np.arange(n)
-            self.expand = np.arange(2 * n + 1)
-        self.top = np.concatenate([self.hi, n + self.hi, [2 * n]])
-        self.bottom = np.concatenate([self.lo, n + self.lo, [2 * n]])
-
-    def restrict(self, z: np.ndarray) -> np.ndarray:
-        return 0.5 * (z[self.top] + z[self.bottom])
 
     def fold(self, g: np.ndarray) -> np.ndarray:
         """Mirror average of a grid vector (the identity in full space)."""
         return fold_even(g) if self.symmetric else g
 
     def unpack(self, x: np.ndarray):
-        z = x[self.expand]
-        return z[: self.n], z[self.n : 2 * self.n], z[2 * self.n]
+        n = self.n
+        return x[:n], x[n : 2 * n], x[2 * n]
 
     def equations(self, x: np.ndarray):
         """(R1, R2, volume row) on the full grid, and the terms the Jacobian reuses.
@@ -342,7 +332,7 @@ class _CoupledSystem:
         return np.concatenate([r1, r2, [r3]])
 
     def linearization(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Jacobian and negated residual of the (reduced) system at x."""
+        """Jacobian and negated residual, both folded with ``symmetric``, at x."""
         (r1, r2, r3), (u, emu, phih, s_field, curv, lap_phih) = self.equations(x)
         fold, alpha = self.fold, self.alpha
         lap = self.grid.lap_fs_even if self.symmetric else self.grid.lap_fs
@@ -360,15 +350,20 @@ class _CoupledSystem:
         j22[diag, diag] += self.tau * dphi
         jac[m : 2 * m, m : 2 * m] = alpha * j22
         jac[m : 2 * m, 2 * m] = -1.0
-        # the volume row is not averaged; its paired columns sum
         vol = 2.0 * np.pi * self.grid.weights * np.exp(2.0 * u)
-        jac[2 * m, :m] = vol[self.hi] + np.where(self.hi != self.lo, vol[self.lo], 0.0)
-        return jac, -self.restrict(np.concatenate([r1, r2, [r3]]))
+        if self.symmetric:  # the volume row is not averaged; its mirror columns sum
+            vol = 2.0 * fold(vol)
+            vol[0] *= 0.5
+        jac[2 * m, :m] = vol
+        return jac, -np.concatenate([fold(r1), fold(r2), [r3]])
 
     def newton_step(self, x: np.ndarray) -> np.ndarray:
         step, bordered = _gauge_aware_step(*self.linearization(x))
         self.bordered_steps += bordered
-        return step
+        if not self.symmetric:
+            return step
+        m = self.n // 2 + 1
+        return np.concatenate([unfold_even(step[:m]), unfold_even(step[m : 2 * m]), step[2 * m :]])
 
 
 def solve_gravitating(
@@ -480,18 +475,17 @@ def _coupled_step(config, grid, alpha, symmetric, newton, start) -> Continuation
     """A step at alpha > 0: damped Newton on (R1, R2, volume row) from start = (u, v, c)."""
     system = _CoupledSystem(grid, config, alpha, symmetric)
     u0, v0, c0 = start
+    if symmetric:  # the even part, as solve_vortex starts
+        u0, v0 = 0.5 * (u0 + u0[::-1]), 0.5 * (v0 + v0[::-1])
     x, history, stop_reason, iterations = damped_newton(
-        system.restrict(np.concatenate([u0, v0, [c0]])),
-        system.residual,
-        system.newton_step,
-        newton,
+        np.concatenate([u0, v0, [c0]]), system.residual, system.newton_step, newton
     )
     return _step(alpha, system, x, stop_reason, iterations, history[-1])
 
 
 def _step(alpha, system, x, stop_reason, iterations, residual_sup) -> ContinuationStep:
     """The step that ended at x; it keeps x when it converged or stopped on its floor."""
-    keep = stop_reason in ("converged", "roundoff_floor")
+    keep = stop_reason in USABLE_STOPS
     u, v, c = system.unpack(x)
     return ContinuationStep(
         alpha=alpha,
@@ -587,10 +581,11 @@ def einstein_bogomolnyi_solve(
     alpha -> c_est is affine to quadrature accuracy (c is topological), so
     the secant converges immediately.  The report carries alpha* tau N next
     to the quoted prediction 1 and the conventions-derived prediction 2;
-    the discrepancy is documented, not asserted away.  Bracket/convergence failure returns converged=False with
-    the endpoint c values.  ``state``, ``alpha_star`` and ``c_value``
-    describe one evaluation: the last whose continuation converged, or
-    alpha = 0 when none did; ``state.alpha`` is ``alpha_star``.
+    the discrepancy is documented, not asserted away.  Bracket/convergence
+    failure returns converged=False with the endpoint c values.  ``state``,
+    ``alpha_star`` and ``c_value`` describe one evaluation: the last whose
+    continuation converged, or alpha = 0 when none did; ``state.alpha`` is
+    ``alpha_star``.
     """
     config.require_abelian("einstein_bogomolnyi_solve")
     check_vortex_window(config)

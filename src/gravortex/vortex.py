@@ -76,6 +76,7 @@ _ROUNDOFF_STEP = 1e-12  # a Newton increment below this, relative to 1 + |x|, is
 _FLOOR_FACTOR = 4.0  # a residual within this factor of its floor estimate is on the floor
 _FLOOR_PROBES = 3  # one-ulp perturbations per floor estimate
 _MAX_HALVINGS = 30  # step halvings per line search before it stalls
+USABLE_STOPS = ("converged", "roundoff_floor")  # stops whose last iterate may seed or be kept
 
 
 @dataclass
@@ -312,7 +313,7 @@ def solve_vortex(
     elif grid.n > NESTED_ABOVE_N and (metric is None or not np.any(metric.u)):
         coarse = build_grid(NESTED_COARSE_N)
         pot, report = solve_vortex(coarse, None, config, opts)
-        usable = report.stop_reason in ("converged", "roundoff_floor")
+        usable = report.stop_reason in USABLE_STOPS
         v = coarse.prolong(pot.v, grid.n) if usable else np.zeros(grid.n)
     else:
         v = np.zeros(grid.n)

@@ -35,6 +35,18 @@ def smooth_field(rng, s, amp):
     return a * np.sin(2.0 * s + b) + c * s * s
 
 
+def fold(z):
+    """The even-parity reduction of x = (u, v, c): mirror averages of u and v, then c."""
+    n = z.size // 2
+    return np.concatenate([fold_even(z[:n]), fold_even(z[n : 2 * n]), z[2 * n :]])
+
+
+def unfold(y):
+    """The x = (u, v, c) with even u and v whose reduction is y."""
+    m = y.size // 2
+    return np.concatenate([unfold_even(y[:m]), unfold_even(y[m : 2 * m]), y[2 * m :]])
+
+
 def assert_matches(jac, fd):
     assert jac.shape == fd.shape
     assert np.all(np.abs(jac - fd) <= RTOL * (1.0 + np.abs(jac)))
@@ -85,16 +97,17 @@ def test_coupled_jacobian(n, degree, exponent, tau, symmetric):
     system = _CoupledSystem(grid, cfg, 0.3, symmetric)
     u = normalize_volume(grid, smooth_field(rng, grid.nodes, 0.2)).u
     v = smooth_field(rng, grid.nodes, 0.3)
-    x = system.restrict(np.concatenate([u, v, [1.7]]))
+    x = np.concatenate([u, v, [1.7]])
+    reduce, expand = (fold, unfold) if symmetric else (lambda z: z, lambda z: z)
+    y = reduce(x)  # the coordinates the Newton step is solved in
 
-    def reduced_residual(y):
-        r1, r2, r3 = system.equations(y)[0]
-        return system.restrict(np.concatenate([r1, r2, [r3]]))
+    def reduced_residual(z):
+        return reduce(system.residual(expand(z)))
 
-    jac, rhs = system.linearization(x)
-    assert np.array_equal(rhs, -reduced_residual(x))
+    jac, rhs = system.linearization(expand(y))
+    assert np.array_equal(rhs, -reduced_residual(y))
     assert jac.shape == ((n + 2, n + 2) if symmetric else (2 * n + 1, 2 * n + 1))
-    assert_matches(jac, central_jacobian(reduced_residual, x))
+    assert_matches(jac, central_jacobian(reduced_residual, y))
 
 
 @pytest.mark.parametrize("n", [33, 65, 129])
@@ -108,16 +121,14 @@ def test_half_size_assembly_is_fold_of_full_space(n):
     even = lambda f: f + f[::-1]  # noqa: E731
     u = normalize_volume(grid, even(smooth_field(rng, grid.nodes, 0.1))).u
     v = even(smooth_field(rng, grid.nodes, 0.15))
-    x = reduced.restrict(np.concatenate([u, v, [1.7]]))
-    assert np.array_equal(x[reduced.expand], np.concatenate([u, v, [1.7]]))
+    x = np.concatenate([u, v, [1.7]])
+    assert np.array_equal(unfold(fold(x)), x)
 
     jac, rhs = reduced.linearization(x)
-    jac_full, rhs_full = full.linearization(x[reduced.expand])
-    top, bottom = reduced.top, reduced.bottom
-    rows = 0.5 * (jac_full[top] + jac_full[bottom])
-    folded = rows[:, top]
-    paired = top != bottom
-    folded[:, paired] += rows[:, bottom[paired]]
+    jac_full, rhs_full = full.linearization(x)
+    rows = np.array([fold(col) for col in jac_full.T]).T
+    expand = np.array([unfold(e) for e in np.eye(n + 2)]).T
+    folded = rows @ expand
     assert jac.shape == (n + 2, n + 2)
     assert np.max(np.abs(jac - folded)) <= 1e-14 * np.max(np.abs(jac_full))
-    assert np.array_equal(rhs, reduced.restrict(rhs_full))
+    assert np.array_equal(rhs, fold(rhs_full))

@@ -52,7 +52,7 @@ def test_coupled_ladder(n):
         assert step.stop_reason in ACCEPTED and zero_step.stop_reason in ACCEPTED
         assert step.iterations <= 2
         system = _CoupledSystem(grid, CFG, step.alpha, symmetric=True)
-        x = system.restrict(np.concatenate([step.u, step.v, [step.c_est]]))
+        x = np.concatenate([step.u, step.v, [step.c_est]])
         floor = roundoff_floor(system.residual, x, system.residual(x))
         assert step.stop_reason == "converged" or step.residual_sup <= 4.0 * floor
         assert np.max(np.abs(step.u - zero_step.u)) <= 1e-12
@@ -60,6 +60,22 @@ def test_coupled_ladder(n):
     final = report.final_solve_report()
     assert final.stop_reason == report.steps[-1].stop_reason
     assert final.converged == (final.stop_reason == "converged")
+
+
+@pytest.mark.parametrize(
+    "n, alphas",
+    [(65, tuple(0.04 * k for k in range(6))), (513, SCHEDULE.alphas)],
+    ids=["n65-to-zero-constant", "n513-prolonged"],
+)
+def test_symmetric_steps_are_exactly_even(n, alphas):
+    # every step of a 2l = N continuation keeps an even iterate bit for bit;
+    # at n = 513 the fine steps start from the prolonged n = 129 steps
+    _, report = solve_gravitating(CFG, ContinuationSchedule(alphas=alphas), build_grid(n))
+    assert [step.alpha for step in report.steps] == list(alphas)
+    for step in report.steps:
+        assert step.stop_reason in ACCEPTED
+        assert np.array_equal(step.u, step.u[::-1])
+        assert np.array_equal(step.v, step.v[::-1])
 
 
 @pytest.mark.parametrize("scale", (1e-14, -1e-14))

@@ -39,7 +39,8 @@ from .gravitating import (
     gravitating_residual,
     solve_gravitating,
 )
-from .obstructions import futaki_closed_form, futaki_exact, futaki_quadrature, stability_check
+from .obstructions import futaki_closed_form, futaki_exact, futaki_quadrature
+from .obstructions import obstruction_predicates, stability_check
 from .quiver import (
     Arrow,
     Quiver,
@@ -488,17 +489,16 @@ def _run_sweep(config: RunConfig, report: dict, outdir: str) -> int:
     keys = sorted(config.sweep["over"])
     rows = []
     for combo, higgs in config.sweep_points:
-        verdict = stability_check(higgs)
-        row = {k: v for k, v in zip(keys, combo)}
+        # the predicates alone: a row quotes no reason
+        verdict = obstruction_predicates(higgs)
+        row = dict(zip(keys, combo))
         row.update(
-            {
-                "obstructed": verdict.obstructed,
-                "abelian_window": verdict.abelian_window,
-                "nonabelian_window": verdict.nonabelian_window,
-                "balanced": verdict.balanced,
-                "z_stable": verdict.z_stable,
-                "futaki_value": verdict.futaki_value,
-            }
+            obstructed=verdict.obstructed,
+            abelian_window=verdict.abelian_window,
+            nonabelian_window=verdict.nonabelian_window,
+            balanced=verdict.balanced,
+            z_stable=verdict.z_stable,
+            futaki_value=verdict.futaki_value,
         )
         rows.append(row)
     report["sweep"] = {"rows": rows, "parameters": keys}

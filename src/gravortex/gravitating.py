@@ -255,27 +255,35 @@ def _gauge_aware_step(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, boo
     largest singular values of J^-1 P are one-sided estimates of
     1/sigma_min and 1/sigma_{min-1}, the single-pass randomized range
     finder of Halko, Martinsson and Tropp (SIAM Review 53, 2011) applied to
-    J^-1.  Only a spectral gap,
-    sigma_min < _GAP sigma_{min-1}, or a singular factor sends the step to
-    a bordered solve pinned to the singular pair of the full SVD; ordinary
-    conditioning (sigma_min / sigma_max tiny but no gap) keeps the plain
-    LU step.  Returns the step and whether it bordered.
+    J^-1.  Only a spectral gap, sigma_min < _GAP sigma_{min-1}, sends the
+    step to a bordered solve pinned to the singular pair (u_min, v_min).  The
+    top left singular vectors of J^-1 P and J^-T P estimate v_min and u_min;
+    J^-1 maps u_min to v_min / sigma_min, so one inverse-iteration step
+    refines each from the other side: u = J^-T v_hat, v = J^-1 u_hat.  Only
+    a singular or non-finite solve takes the pair from a full SVD.  Ordinary
+    conditioning (sigma_min / sigma_max tiny but no gap) keeps the plain LU
+    step.  Returns the step and whether it bordered.
     """
     m = jac.shape[0]
     probe = np.random.default_rng(0).standard_normal((m, _PROBES))
+    pair = None
     try:
         sol = np.linalg.solve(jac, np.column_stack([rhs, probe]))
         if np.all(np.isfinite(sol)):
-            inverse = np.linalg.svd(sol[:, 1:], compute_uv=False)
+            basis, inverse, _ = np.linalg.svd(sol[:, 1:], full_matrices=False)
             if inverse[1] >= _GAP * inverse[0]:
                 return sol[:, 0], False
+            adjoint = np.linalg.solve(jac.T, np.column_stack([basis[:, 0], probe]))
+            u_hat = np.linalg.svd(adjoint[:, 1:], full_matrices=False)[0][:, 0]
+            pair = [w / np.linalg.norm(w) for w in (adjoint[:, 0], np.linalg.solve(jac, u_hat))]
     except np.linalg.LinAlgError:
         pass
-    left, _, right_t = np.linalg.svd(jac)
+    if pair is None or not np.all(np.isfinite(pair)):
+        left, _, right_t = np.linalg.svd(jac)
+        pair = left[:, -1], right_t[-1, :]
     bordered = np.zeros((m + 1, m + 1))
     bordered[:m, :m] = jac
-    bordered[:m, m] = left[:, -1]
-    bordered[m, :m] = right_t[-1, :]
+    bordered[:m, m], bordered[m, :m] = pair
     return np.linalg.solve(bordered, np.concatenate([rhs, [0.0]]))[:m], True
 
 

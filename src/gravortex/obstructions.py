@@ -36,7 +36,8 @@ one zero when l = 0 or l = N).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -86,9 +87,17 @@ def futaki_exact(config: HiggsConfig) -> Fraction:
 
 def futaki_closed_form(config: HiggsConfig) -> float:
     """Imaginary part of the Futaki character, 2 pi alpha times :func:`futaki_exact`."""
+    return _futaki_value(config, _futaki_numerator(config))
+
+
+def _futaki_value(config: HiggsConfig, numerator: int) -> float:
     # int / int is correctly rounded, so this equals float(futaki_exact(config))
-    futaki = _futaki_numerator(config) / config.tau_ratio[1]
-    return 2.0 * math.pi * float(config.alpha) * futaki
+    return 2.0 * math.pi * float(config.alpha) * (numerator / config.tau_ratio[1])
+
+
+def _abelian_conditions(config: HiggsConfig, alpha: float, numerator: int):
+    """The automorphism verdict, and whether the Futaki ``numerator`` obstructs at alpha."""
+    return classify_automorphisms(config), alpha > 0 and numerator != 0
 
 
 def abelian_coupled_obstructions(config: HiggsConfig, alpha: float) -> list[str]:
@@ -99,13 +108,14 @@ def abelian_coupled_obstructions(config: HiggsConfig, alpha: float) -> list[str]
     Both are decided in exact arithmetic.
     """
     reasons = []
-    if classify_automorphisms(config).obstruction:
+    futaki_numerator = _futaki_numerator(config)
+    matsushima, futaki_obstructs = _abelian_conditions(config, alpha, futaki_numerator)
+    if matsushima.obstruction:
         reasons.append(
             "the Higgs field has only one zero, so the automorphism group is "
             "non-reductive (C* x| C) and the coupled equations admit no solution"
         )
-    futaki_numerator = _futaki_numerator(config)
-    if alpha > 0 and futaki_numerator != 0:
+    if futaki_obstructs:
         futaki = Fraction(futaki_numerator, config.tau_ratio[1])
         reasons.append(
             "the Futaki character 2 pi alpha (2N - tau)(2l - N) = "
@@ -199,6 +209,12 @@ def balancing_condition(config: HiggsConfig) -> tuple[Fraction, bool]:
     config.require_rank2("balancing_condition")
     if None in config.exponents:
         raise ConfigurationError("balancing requires both Higgs components nonzero")
+    numerator, denominator = _balancing_terms(config)
+    return Fraction(numerator, denominator), numerator == 0
+
+
+def _balancing_terms(config: HiggsConfig) -> tuple[int, int]:
+    """Integer numerator and denominator of the balancing sum; PoleError at tau = 2 N_j."""
     (n1, n2), (l1, l2) = config.degrees, config.exponents
     p, q = config.tau_ratio
     gap1, gap2 = 2 * n1 * q - p, 2 * n2 * q - p  # q (2 N_j - tau)
@@ -206,8 +222,7 @@ def balancing_condition(config: HiggsConfig) -> tuple[Fraction, bool]:
         if gap == 0:
             raise PoleError(f"balancing denominator 2N - tau vanishes at N={nj}")
     # the sum over the common denominator (2 N1 - tau)(2 N2 - tau), times q
-    numerator = (2 * l1 - n1) * gap1 + (2 * l2 - n2) * gap2
-    return Fraction(q * numerator, gap1 * gap2), numerator == 0
+    return q * ((2 * l1 - n1) * gap1 + (2 * l2 - n2) * gap2), gap1 * gap2
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +235,8 @@ class StabilityReport:
 
     ``reasons`` quotes the mathematical condition responsible for each
     obstruction; ``obstructed`` is True when some no-go fired inside the
-    applicable window.
+    applicable window.  :func:`obstruction_predicates` fills all but the text
+    fields ``balancing_lhs``, ``verdict`` and ``reasons``: :func:`stability_check` adds them.
     """
 
     config: dict  # echo of the checked configuration
@@ -238,7 +254,11 @@ class StabilityReport:
     reasons: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields as JSON values, ``matsushima`` as a dict; nested values are shared."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        m = self.matsushima
+        out["matsushima"] = None if m is None else {"kind": m.kind, "obstruction": m.obstruction}
+        return out
 
 
 def z_stability_check(config: HiggsConfig) -> tuple[bool, dict | None]:
@@ -279,8 +299,10 @@ def _z_witness(config: HiggsConfig, sat_degree: int) -> dict | None:
     return None
 
 
-def stability_check(config: HiggsConfig) -> StabilityReport:
-    """Evaluate every applicable predicate; a report is always produced.
+def obstruction_predicates(config: HiggsConfig) -> StabilityReport:
+    """The windows, z-stability, balancing, the two conditions of
+    :func:`abelian_coupled_obstructions`, ``obstructed`` and the Futaki value,
+    decided in integers; the report has no text.
 
     A Higgs field with every component zero is obstructed in either rank
     (:func:`vanishing_higgs_reason`).  When one rank-2 component is zero
@@ -293,86 +315,101 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
         "tau": config.tau,
         "alpha": config.alpha,
     }
-    report = StabilityReport(config=echo)
     p, q = config.tau_ratio
-    reasons = report.reasons
-    vanishing = vanishing_higgs_reason(config)
-    if None not in config.exponents:
-        report.futaki_value = futaki_closed_form(config)
-
+    vanishing = vanishing_higgs_reason(config) is not None
+    numerator = None if None in config.exponents else _futaki_numerator(config)
+    futaki_value = None if numerator is None else _futaki_value(config, numerator)
     if config.is_abelian:
-        n_deg = config.degrees[0]
-        report.abelian_window = p > 2 * n_deg * q
-        if not report.abelian_window:
-            report.obstructed = True
-            reasons.append(
-                f"the vortex window N < tau/2 fails: N={n_deg}, tau={config.tau}"
-            )
+        window = p > 2 * config.degrees[0] * q
         if vanishing:
-            report.obstructed = True
-            reasons.append(vanishing)
-        else:
-            report.matsushima = classify_automorphisms(config)
-            coupled = abelian_coupled_obstructions(config, float(config.alpha))
-            report.obstructed = report.obstructed or bool(coupled)
-            reasons.extend(coupled)
-        report.verdict = (
-            "no solution of the coupled equations: " + "; ".join(reasons)
-            if report.obstructed
-            else "no obstruction found (vortex window holds, automorphisms "
-            "reductive, Futaki character zero)"
+            return StabilityReport(echo, abelian_window=window, obstructed=True)
+        matsushima, futaki_obstructs = _abelian_conditions(config, float(config.alpha), numerator)
+        return StabilityReport(
+            echo,
+            abelian_window=window,
+            futaki_value=futaki_value,
+            matsushima=matsushima,
+            obstructed=not window or matsushima.obstruction or futaki_obstructs,
         )
-        return report
-
     if vanishing:
-        report.obstructed = True
-        reasons.append(vanishing)
-        report.verdict = "no solution of the coupled equations: " + vanishing
-        return report
+        return StabilityReport(echo, obstructed=True)
     n1, n2 = config.degrees
     sat_degree = saturation_degree(config)
-    report.saturation_degree = sat_degree
-    report.nonabelian_window = 2 * n2 * q < p < 2 * (n1 + n2 - sat_degree) * q
-    if not report.nonabelian_window:
-        report.obstructed = True
-        reasons.append(
-            "the rank-2 vortex window N2 < tau/2 < N1 + N2 - deg[phi] fails: "
-            f"N=({n1},{n2}), deg[phi]={sat_degree}, tau={config.tau}"
-        )
-    report.z_witness = _z_witness(config, sat_degree)
-    report.z_stable = report.z_witness is None
-    if not report.z_stable:
-        note = (
-            "z-stability fails: a subbundle violates "
-            "(deg V' + tau rk(L cap V'))/rk V' < (deg V + tau)/2 "
-            f"(witness: {report.z_witness['subbundle']})"
-        )
-        if report.nonabelian_window:
-            # the two predicates are stated with different tau normalizations;
-            # report the disagreement instead of reconciling it
-            note += (
-                "; note this disagrees with the solvability window, which holds: "
-                "the two conditions differ by a factor-2 normalization of tau"
+    window = 2 * n2 * q < p < 2 * (n1 + n2 - sat_degree) * q
+    witness = _z_witness(config, sat_degree)
+    balanced = None
+    if numerator is not None:
+        with suppress(PoleError):  # balancing is not defined at a pole tau = 2 N_j
+            balanced = _balancing_terms(config)[0] == 0
+    return StabilityReport(
+        echo,
+        nonabelian_window=window,
+        z_stable=witness is None,
+        z_witness=witness,
+        balanced=balanced,
+        futaki_value=futaki_value,
+        saturation_degree=sat_degree,
+        obstructed=not window or balanced is False,
+    )
+
+
+def stability_check(config: HiggsConfig) -> StabilityReport:
+    """:func:`obstruction_predicates` with a reason quoting each obstruction that
+    fired, and the verdict; a report is always produced."""
+    report = obstruction_predicates(config)
+    reasons = report.reasons
+    vanishing = vanishing_higgs_reason(config)
+    if config.is_abelian:
+        if not report.abelian_window:
+            reasons.append(
+                f"the vortex window N < tau/2 fails: N={config.degrees[0]}, tau={config.tau}"
             )
-        reasons.append(note)
-    if None not in config.exponents:
-        try:
-            lhs, balanced = balancing_condition(config)
-        except PoleError:
-            report.balancing_lhs = "undefined (tau = 2N pole)"
+        if vanishing:
+            reasons.append(vanishing)
         else:
-            report.balanced = balanced
+            reasons.extend(abelian_coupled_obstructions(config, float(config.alpha)))
+    elif vanishing:
+        reasons.append(vanishing)
+    else:
+        (n1, n2), sat_degree = config.degrees, report.saturation_degree
+        if not report.nonabelian_window:
+            reasons.append(
+                "the rank-2 vortex window N2 < tau/2 < N1 + N2 - deg[phi] fails: "
+                f"N=({n1},{n2}), deg[phi]={sat_degree}, tau={config.tau}"
+            )
+        if not report.z_stable:
+            note = (
+                "z-stability fails: a subbundle violates "
+                "(deg V' + tau rk(L cap V'))/rk V' < (deg V + tau)/2 "
+                f"(witness: {report.z_witness['subbundle']})"
+            )
+            if report.nonabelian_window:
+                # the two predicates are stated with different tau normalizations;
+                # report the disagreement instead of reconciling it
+                note += (
+                    "; note this disagrees with the solvability window, which holds: "
+                    "the two conditions differ by a factor-2 normalization of tau"
+                )
+            reasons.append(note)
+        if None not in config.exponents:
+            try:
+                lhs, _ = balancing_condition(config)
+            except PoleError:
+                lhs = "undefined (tau = 2N pole)"
             report.balancing_lhs = str(lhs)
-            if report.nonabelian_window and not balanced:
-                report.obstructed = True
+            if report.nonabelian_window and report.balanced is False:
                 reasons.append(
                     "the balancing condition (2l1-N1)/(2N2-tau) + (2l2-N2)/(2N1-tau) = 0 "
                     f"fails (value {lhs}), so no solution of the coupled rank-2 system "
                     "exists inside the window"
                 )
-    report.verdict = (
-        "no solution of the coupled equations: " + "; ".join(reasons)
-        if report.obstructed
-        else "no obstruction found within the computed predicates"
-    )
+    if report.obstructed:
+        report.verdict = "no solution of the coupled equations: " + "; ".join(reasons)
+    elif config.is_abelian:
+        report.verdict = (
+            "no obstruction found (vortex window holds, automorphisms "
+            "reductive, Futaki character zero)"
+        )
+    else:
+        report.verdict = "no obstruction found within the computed predicates"
     return report

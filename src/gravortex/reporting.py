@@ -43,4 +43,5 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_json(path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """One line of sorted-key JSON, encoded in C (``indent`` would force the Python encoder)."""
+    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")

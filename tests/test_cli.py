@@ -8,6 +8,7 @@ import os
 import jsonschema
 import pytest
 
+from gravortex import HiggsConfig, stability_check
 from gravortex.cli import (
     COMMANDS,
     EXIT_OBSTRUCTED,
@@ -20,6 +21,29 @@ from gravortex.cli import (
     parse_config,
 )
 from gravortex.reporting import conventions_hash, report_schema
+
+
+SWEEP_FIELDS = (
+    "obstructed",
+    "abelian_window",
+    "nonabelian_window",
+    "balanced",
+    "z_stable",
+    "futaki_value",
+)
+
+
+def higgs_lattice(max_degree):
+    """Every ordered degree tuple of either rank up to max_degree, with every
+    exponent, a vanishing (None) component included."""
+    for n in range(1, max_degree + 1):
+        for ell in [None, *range(n + 1)]:
+            yield [n], [ell]
+    for n1 in range(1, max_degree + 1):
+        for n2 in range(n1, max_degree + 1):
+            for l1 in [None, *range(n1 + 1)]:
+                for l2 in [None, *range(n2 + 1)]:
+                    yield [n1, n2], [l1, l2]
 
 
 def run_config(tmp_path, payload, extra_args=()):
@@ -300,6 +324,25 @@ class TestExecuteAndExitCodes:
         csv_path = [p for p in report["outputs"] if p.endswith("sweep_summary.csv")]
         assert csv_path and os.path.exists(csv_path[0])
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.3])
+    def test_sweep_rows_equal_stability_check(self, tmp_path, alpha):
+        # rows come from the predicates alone; each must read as the verdict
+        # stability_check gives the same configuration.  tau = k/2 meets every
+        # window edge and every balancing pole tau = 2N for N <= 4
+        taus = [k / 2 for k in range(1, 25)]
+        output = {"directory": str(tmp_path), "formats": []}
+        for degrees, exponents in higgs_lattice(4):
+            problem = {"degrees": degrees, "exponents": exponents, "alpha": alpha}
+            sweep = {"command": "sweep", "problem": problem, "sweep": {"over": {"tau": taus}}}
+            report, code = execute(parse_config(json.dumps(dict(sweep, output=output))))
+            assert code == EXIT_OK
+            for tau, row in zip(taus, report["sweep"]["rows"], strict=True):
+                assert row["tau"] == tau
+                config = HiggsConfig(tuple(degrees), tuple(exponents), tau=tau, alpha=alpha)
+                verdict = stability_check(config)
+                want = {key: getattr(verdict, key) for key in SWEEP_FIELDS}
+                assert {key: row[key] for key in SWEEP_FIELDS} == want, (problem, tau)
+
     def test_sweep_config_built_without_parse_config_fails_loudly(self, tmp_path):
         # the HiggsConfig of each sweep point is built once, by parse_config
         config = RunConfig(
@@ -523,6 +566,38 @@ class TestReportContract:
         # that of a grid sawtooth (the top Chebyshev mode); the step borders
         counts = [step["bordered_steps"] for step in report["continuation"]["steps"]]
         assert counts[:2] == [0, 0] and counts[2] >= 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {
+                "command": "stability",
+                "problem": {"degrees": [2, 2], "exponents": [1, 0], "tau": 5, "alpha": 1},
+            },
+            {
+                "command": "sweep",
+                "problem": {"degrees": [2, 3], "exponents": [1, 2], "alpha": 1},
+                "sweep": {"over": {"tau": [5, 7.5, 9]}},
+            },
+            {
+                "command": "solve-vortex",
+                "problem": {"degrees": [2], "exponents": [1], "tau": 5},
+                "numerics": {"n": 65},
+            },
+        ],
+        ids=["stability", "sweep", "solve-vortex"],
+    )
+    def test_report_file_is_the_returned_report(self, tmp_path, payload):
+        config = parse_config(json.dumps(dict(payload, output={"directory": str(tmp_path)})))
+        report, _ = execute(config)
+        path = tmp_path / "report.json"
+        text = path.read_text()
+        # one line of compact JSON, then a newline
+        assert text.endswith("}\n") and "\n" not in text[:-1]
+        # the returned report also lists the file itself, appended once it is written
+        assert report["outputs"][-1] == str(path)
+        written = dict(report, outputs=report["outputs"][:-1])
+        assert json.loads(text) == json.loads(json.dumps(written))
 
     def test_conventions_hash_embedded(self, tmp_path):
         _, report = run_config(

@@ -396,6 +396,33 @@ class TestGaugeAwareStep:
         assert counts[:-1] == [0] * 5 and counts[-1] >= 1
         assert report.to_json_dict()["steps"][-1]["bordered_steps"] == counts[-1]
 
+    @pytest.mark.parametrize("n", [65, 129])
+    def test_eb_search_borders_without_a_square_svd(self, monkeypatch, symmetric_config, n):
+        # the bordered step reads its singular pair from its own LU solves; a
+        # full SVD of the Jacobian would be a square one
+        shapes, steps = [], []
+        svd, continue_ = np.linalg.svd, gravitating._continue
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def recording_continue(*args, **kwargs):
+            out = continue_(*args, **kwargs)
+            steps.extend(out)
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(gravitating, "_continue", recording_continue)
+        result = einstein_bogomolnyi_solve(symmetric_config, build_grid(n))
+        assert result.converged
+        assert shapes and all(rows != cols for rows, cols in shapes)
+        # evaluations share their steps: count each coupling once
+        bordered = {step.alpha: step.bordered_steps for step in steps if step.bordered_steps}
+        ((alpha, count),) = bordered.items()
+        assert count == 1
+        assert alpha * 5.0 * 2 == pytest.approx(2.0, abs=1e-12)
+
     @pytest.mark.parametrize(
         "degree, exponent, tau, n, alphas",
         [(2, 1, 5.0, 65, tuple(0.04 * k for k in range(6)))],

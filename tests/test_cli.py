@@ -11,6 +11,8 @@ import pytest
 from gravortex import HiggsConfig, stability_check
 from gravortex.cli import (
     COMMANDS,
+    EXIT_IO,
+    EXIT_NOT_CONVERGED,
     EXIT_OBSTRUCTED,
     EXIT_OK,
     EXIT_USAGE,
@@ -20,6 +22,7 @@ from gravortex.cli import (
     main,
     parse_config,
 )
+from gravortex import reporting
 from gravortex.reporting import conventions_hash, report_schema
 
 
@@ -143,6 +146,45 @@ class TestExecuteAndExitCodes:
         csvs = [p for p in report["outputs"] if p.endswith(".csv")]
         assert csvs and os.path.exists(csvs[0])
 
+    def test_solve_vortex_max_iter_exit_three(self, tmp_path):
+        payload = {
+            "command": "solve-vortex",
+            "problem": {"degrees": [2], "exponents": [1], "tau": 5},
+            "numerics": {"n": 65, "max_iter": 1},
+        }
+        code, report = run_config(tmp_path, payload)
+        assert code == EXIT_NOT_CONVERGED and report["status"] == "not_converged"
+        assert report["solver"]["stop_reason"] == "max_iter"
+        assert not report["solver"]["converged"]
+
+    def test_output_directory_below_a_file_exit_four(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "config.json"
+        payload = {"command": "stability", "degrees": [2], "exponents": [1], "tau": 5}
+        path.write_text(json.dumps(payload))
+        code = main(["--config", str(path), "--out", str(tmp_path / "file" / "out")])
+        assert code == EXIT_IO
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["status"] == "error"
+        (reason,) = printed["reasons"]
+        assert reason.startswith("cannot create output directory: ")
+
+    def test_report_write_failure_exit_four(self, tmp_path, capsys, monkeypatch):
+        def failing_write(path, obj):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(reporting, "atomic_write_json", failing_write)
+        payload = {
+            "command": "stability",
+            "problem": {"degrees": [2], "exponents": [1], "tau": 5},
+            "output": {"directory": str(tmp_path)},
+        }
+        report, code = execute(parse_config(json.dumps(payload)))
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "error: cannot write report: disk full\n"
+        assert report["outputs"] == []  # no report.json was written
+        assert os.listdir(tmp_path) == []
+
     def test_solve_vortex_infeasible_exit_two(self, tmp_path):
         code, report = run_config(
             tmp_path,
@@ -242,6 +284,20 @@ class TestExecuteAndExitCodes:
         )
         assert code == EXIT_OK
         assert report["continuation"]["steps"][0]["converged"] is True
+
+    def test_gravitating_full_space_override_exit_three(self, tmp_path):
+        # (3,),(1,): the Futaki character refuses alpha > 0; overridden, the
+        # full-space coupled step runs and does not converge
+        payload = {
+            "command": "solve-gravitating",
+            "problem": {"degrees": [3], "exponents": [1], "tau": 7},
+            "numerics": {"n": 65, "schedule": [0, 0.05]},
+        }
+        code, report = run_config(tmp_path / "refused", payload)
+        assert code == EXIT_OBSTRUCTED and report["status"] == "obstructed"
+        code, report = run_config(tmp_path / "overridden", payload, ["--override-obstruction"])
+        assert code == EXIT_NOT_CONVERGED and report["status"] == "not_converged"
+        assert [s["converged"] for s in report["continuation"]["steps"]] == [True, False]
 
     def test_gravitating_ok(self, tmp_path):
         code, report = run_config(
@@ -680,11 +736,50 @@ class TestParseTimeErrors:
                 {**QUIVER, "ranks": {"a": 1, "b": 2}},
                 "quiver-check requires rank-1 vertex bundles, got rank 2 at vertex 'b'",
             ),
+            (
+                {**QUIVER, "arrows": [5]},
+                "problem.quiver is malformed: 'int' object is not subscriptable",
+            ),
+            (
+                {**QUIVER, "ranks": {"a": 1.5, "b": 1}},
+                "problem.quiver.ranks.a must be an integer, got 1.5",
+            ),
+            (
+                {**QUIVER, "degrees": {"a": 0, "b": True}},
+                "problem.quiver.degrees.b must be an integer, got True",
+            ),
+            (
+                {**QUIVER, "arrows": [{"id": "x", "tail": "a", "head": "b", "exponent": 1.0}]},
+                "problem.quiver exponent of arrow 'x' must be an integer, got 1.0",
+            ),
         ],
     )
     def test_malformed_quiver_exit_one(self, tmp_path, capsys, quiver, message):
         config = {"command": "quiver-check", "problem": {"quiver": quiver}, "n": 65}
         code, err = self.run_text(tmp_path, capsys, json.dumps(config))
+        assert code == EXIT_USAGE
+        assert err == [f"config error: {message}"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"command": ', "invalid JSON: Expecting value: line 1 column 13 (char 12)"),
+            ("[1]", "configuration must be a JSON object"),
+            (
+                '{"problem": {"degrees": [2], "exponents": [1], "tau": 5}}',
+                "missing required key: command",
+            ),
+            (
+                '{"command": "stability", "problem": {"degrees": [2], "exponents": [1],'
+                ' "tau": 5}, "output": {"formats": ["xml"]}}',
+                "unknown output format: 'xml'",
+            ),
+            ('{"command": "quiver-check", "n": 65}', "missing required key: problem.quiver"),
+        ],
+        ids=["invalid-json", "array", "no-command", "xml-format", "no-quiver"],
+    )
+    def test_config_error_exit_one(self, tmp_path, capsys, text, message):
+        code, err = self.run_text(tmp_path, capsys, text)
         assert code == EXIT_USAGE
         assert err == [f"config error: {message}"]
 

@@ -156,6 +156,22 @@ class TestSolveGravitating:
         _, report = solve_gravitating(cfg, ContinuationSchedule(alphas=(0.0,)), grid)
         assert report.converged
 
+    def test_overridden_full_space_step_stops_named(self):
+        # 2l != N: the alpha > 0 step runs in full space, reached only with
+        # the override of the Futaki obstruction; it does not converge
+        cfg = HiggsConfig(degrees=(3,), exponents=(1,), tau=7.0)
+        state, report = solve_gravitating(
+            cfg, ContinuationSchedule(alphas=(0.0, 0.05)), build_grid(65),
+            override_obstruction=True,
+        )
+        first, second = report.steps
+        assert first.converged and not report.converged
+        assert second.alpha == 0.05 and not second.converged
+        assert second.stop_reason in ("max_iter", "line_search_stall")
+        assert second.u is None and second.v is None
+        assert state.alpha == 0.0 and state.c_value == 4.0
+        assert np.array_equal(state.bundle.v, first.v)
+
     def test_infeasible_window_raises(self, grid):
         cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=4.0)
         with pytest.raises(InfeasibleError):
@@ -370,6 +386,20 @@ class TestGaugeAwareStep:
         else:
             assert sing[-1] < 1e-16 * sing[0] and sing[-2] > 1e-8 * sing[0]
             assert bordered
+
+    def test_singular_lu_borders_on_full_svd_pair(self, monkeypatch):
+        # an exactly singular J makes the LU solve raise; the singular pair
+        # then comes from a full (square) SVD
+        shapes, svd = [], np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        step, bordered = _gauge_aware_step(np.diag([1.0, 2.0, 3.0, 0.0]), np.ones(4))
+        assert bordered and shapes == [(4, 4)]
+        np.testing.assert_allclose(step, [1.0, 0.5, 1.0 / 3.0, 0.0], rtol=0, atol=1e-15)
 
     def test_n1025_ordinary_conditioning_does_not_border(self, symmetric_config):
         # sigma_min / sigma_max is below 1e-8 here without any degeneracy; a

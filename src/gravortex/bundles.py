@@ -17,6 +17,7 @@ obstruction predicates as the reduced integer ratio
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -48,6 +49,13 @@ def finite_float(value, name: str, message: str | None = None) -> float:
     if not math.isfinite(number):
         raise ConfigurationError(f"{name} must be a finite number, got {number!r}")
     return number
+
+
+def require_integer(value, name: str):
+    """value when it is an integer (a boolean is not); ConfigurationError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

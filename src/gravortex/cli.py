@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import reporting
-from .bundles import HiggsConfig, finite_float
+from .bundles import HiggsConfig, finite_float, require_integer
 from .errors import (
     ConfigurationError,
     GravortexError,
@@ -56,16 +56,6 @@ EXIT_USAGE = 1
 EXIT_OBSTRUCTED = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_IO = 4
-
-COMMANDS = (
-    "solve-vortex",
-    "solve-gravitating",
-    "eb-solve",
-    "futaki",
-    "stability",
-    "quiver-check",
-    "sweep",
-)
 
 _ABELIAN_COMMANDS = ("solve-vortex", "solve-gravitating", "eb-solve")
 
@@ -145,20 +135,20 @@ class RunConfig:
         return out
 
 
-def _json_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return value
+def _collect(errors: list[str], build, *args, **kwargs):
+    """build(*args, **kwargs), or None after appending the message of the config error it raised."""
+    try:
+        return build(*args, **kwargs)
+    except (ConfigurationError, WrongRankError) as exc:
+        errors.append(str(exc))
+        return None
 
 
 def _as_number(problem: dict, key: str, default: float, message: str, errors: list[str]):
     """problem[key] once :func:`finite_float` passes it; default if absent, None after an error."""
     if key not in problem:
         return default
-    try:
-        finite_float(problem[key], key, message)
-    except ConfigurationError as exc:
-        errors.append(str(exc))
+    if _collect(errors, finite_float, problem[key], key, message) is None:
         return None
     return problem[key]
 
@@ -183,11 +173,13 @@ def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
         ranks = q.get("ranks", dict.fromkeys(quiver.vertices, 1))
         spec = QuiverBundleSpec(
             quiver=quiver,
-            ranks={v: _json_int(r, f"{where}.ranks.{v}") for v, r in ranks.items()},
-            degrees={v: _json_int(d, f"{where}.degrees.{v}") for v, d in q["degrees"].items()},
+            ranks={v: require_integer(r, f"{where}.ranks.{v}") for v, r in ranks.items()},
+            degrees={
+                v: require_integer(d, f"{where}.degrees.{v}") for v, d in q["degrees"].items()
+            },
             section_exponents={
                 a["id"]: None if a.get("exponent") is None
-                else _json_int(a["exponent"], f"{where} exponent of arrow {a['id']!r}")
+                else require_integer(a["exponent"], f"{where} exponent of arrow {a['id']!r}")
                 for a in arrows
             },
             rho=finite_float(q.get("rho", 1.0), f"{where}.rho"),
@@ -270,22 +262,12 @@ def parse_config(text: str) -> RunConfig:
     errors.extend(f"unknown numerics key: {k!r}" for k in sorted({*numerics_raw} - _NUMERICS_KEYS))
 
     n = numerics_raw.get("n", Numerics.n)
-    try:
-        check_resolution(n)
-    except ConfigurationError as exc:
-        errors.append(str(exc))
-    newton = schedule = None
-    try:
-        newton = NewtonOptions(
-            **{k: numerics_raw[k] for k in ("tolerance", "max_iter") if k in numerics_raw}
-        )
-    except ConfigurationError as exc:
-        errors.append(str(exc))
+    _collect(errors, check_resolution, n)
+    newton_keys = {k: numerics_raw[k] for k in ("tolerance", "max_iter") if k in numerics_raw}
+    newton = _collect(errors, NewtonOptions, **newton_keys)
+    schedule = None
     if numerics_raw.get("schedule") is not None:
-        try:
-            schedule = ContinuationSchedule(alphas=numerics_raw["schedule"])
-        except ConfigurationError as exc:
-            errors.append(str(exc))
+        schedule = _collect(errors, ContinuationSchedule, alphas=numerics_raw["schedule"])
 
     output_raw = dict(raw.get("output", {}))
     errors.extend(f"unknown output key: {k!r}" for k in sorted({*output_raw} - _OUTPUT_KEYS))
@@ -327,14 +309,10 @@ def parse_config(text: str) -> RunConfig:
             errors.append("missing required key: problem.quiver")
     elif command in COMMANDS:
         higgs = _validate_problem(problem, errors)
-        if higgs is not None:
-            try:
-                if command == "futaki":
-                    futaki_exact(higgs)  # refuses a vanishing Higgs component
-                elif command in _ABELIAN_COMMANDS:
-                    higgs.require_abelian(command)
-            except (ConfigurationError, WrongRankError) as exc:
-                errors.append(str(exc))
+        if higgs is not None and command == "futaki":
+            _collect(errors, futaki_exact, higgs)  # refuses a vanishing Higgs component
+        elif higgs is not None and command in _ABELIAN_COMMANDS:
+            _collect(errors, higgs.require_abelian, command)
 
     if errors:
         raise ConfigValidationError(errors)
@@ -366,6 +344,14 @@ def _write_profiles(report: dict, outdir: str, grid, stem: str, **columns) -> No
         report["outputs"].append(path)
 
 
+def _exit_code(report: dict, converged: bool) -> int:
+    """EXIT_OK, or EXIT_NOT_CONVERGED with the report's status set to not_converged."""
+    if converged:
+        return EXIT_OK
+    report["status"] = "not_converged"
+    return EXIT_NOT_CONVERGED
+
+
 def _run_solve_vortex(config: RunConfig, report: dict, outdir: str) -> int:
     grid = build_grid(config.numerics.n)
     pot, solve_report = solve_vortex(
@@ -374,10 +360,7 @@ def _run_solve_vortex(config: RunConfig, report: dict, outdir: str) -> int:
     report["solver"] = solve_report.to_json_dict()
     if _want(config, "csv"):
         _write_profiles(report, outdir, grid, "vortex_{}.csv", v=pot.v)
-    if not solve_report.converged:
-        report["status"] = "not_converged"
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _exit_code(report, solve_report.converged)
 
 
 def _run_solve_gravitating(config: RunConfig, report: dict, outdir: str) -> int:
@@ -413,10 +396,7 @@ def _run_solve_gravitating(config: RunConfig, report: dict, outdir: str) -> int:
         if solved:
             u, v = state.metric.u, state.bundle.v
             _write_profiles(report, outdir, grid, "gravitating_{}.csv", u=u, v=v)
-    if not cont.converged:
-        report["status"] = "not_converged"
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _exit_code(report, cont.converged)
 
 
 def _run_eb_solve(config: RunConfig, report: dict, outdir: str) -> int:
@@ -432,10 +412,7 @@ def _run_eb_solve(config: RunConfig, report: dict, outdir: str) -> int:
     if result.converged and _want(config, "csv"):
         u, v = result.state.metric.u, result.state.bundle.v
         _write_profiles(report, outdir, grid, "eb_{}.csv", u=u, v=v)
-    if not result.converged:
-        report["status"] = "not_converged"
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _exit_code(report, result.converged)
 
 
 def _run_futaki(config: RunConfig, report: dict, outdir: str) -> int:
@@ -527,6 +504,7 @@ _RUNNERS = {
     "quiver-check": _run_quiver_check,
     "sweep": _run_sweep,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def execute(config: RunConfig) -> tuple[dict, int]:
@@ -573,10 +551,11 @@ def execute(config: RunConfig) -> tuple[dict, int]:
     report["wall_time_seconds"] = time.perf_counter() - start
     if _want(config, "json"):
         path = os.path.join(outdir, "report.json")
+        report["outputs"].append(path)  # the file lists itself
         try:
             reporting.atomic_write_json(path, report)
-            report["outputs"].append(path)
         except OSError as exc:
+            report["outputs"].pop()
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return report, EXIT_IO
     return report, code

@@ -11,12 +11,11 @@ pointwise linear algebra.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import finite_float, monomial_norm_sq
+from .bundles import finite_float, monomial_norm_sq, require_integer
 from .errors import ConfigurationError
 from .geometry import (
     AxisymGrid,
@@ -64,11 +63,6 @@ class Quiver:
         return [a for a in self.arrows if a.tail == vertex]
 
 
-def _require_integer(value, name: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class QuiverBundleSpec:
     """Per-vertex ranks/degrees, per-arrow monomial data, and parameters.
@@ -78,8 +72,8 @@ class QuiverBundleSpec:
     may carry a constant scale (``section_scales``, default 1).  sigma must
     be positive at every vertex; rho is the metric coupling.  Ranks,
     degrees and exponents are integers and rho, sigma, tau and the scales
-    finite numbers, none of them booleans
-    (:func:`~gravortex.bundles.finite_float`); a ConfigurationError names
+    finite numbers, none of them booleans (:func:`~gravortex.bundles.require_integer`,
+    :func:`~gravortex.bundles.finite_float`); a ConfigurationError names
     the first value that breaks a rule.
     """
 
@@ -97,8 +91,8 @@ class QuiverBundleSpec:
         for v in self.quiver.vertices:
             if v not in self.ranks or v not in self.degrees:
                 raise ConfigurationError(f"vertex {v!r} missing rank or degree")
-            _require_integer(self.ranks[v], f"rank at vertex {v!r}")
-            _require_integer(self.degrees[v], f"degree at vertex {v!r}")
+            require_integer(self.ranks[v], f"rank at vertex {v!r}")
+            require_integer(self.degrees[v], f"degree at vertex {v!r}")
             if self.ranks[v] < 1:
                 raise ConfigurationError(f"vertex {v!r} must have rank >= 1")
             if v not in self.sigma or v not in self.tau:
@@ -112,7 +106,7 @@ class QuiverBundleSpec:
             ell = self.section_exponents.get(a.name)
             if ell is None:
                 continue
-            _require_integer(ell, f"exponent of arrow {a.name!r}")
+            require_integer(ell, f"exponent of arrow {a.name!r}")
             gap = self.degrees[a.head] - self.degrees[a.tail]
             if gap < 0:
                 raise ConfigurationError(

@@ -600,7 +600,7 @@ class TestReportContract:
         assert not any(step["converged"] for step in report["continuation"]["steps"])
         # the start guess is neither checked nor exported as a solution
         assert report["checks"] is None
-        assert report["outputs"] == []
+        assert report["outputs"] == [str(tmp_path / "out" / "report.json")]
         assert os.listdir(tmp_path / "out") == ["report.json"]
         jsonschema.validate(report, report_schema())
 
@@ -650,10 +650,9 @@ class TestReportContract:
         text = path.read_text()
         # one line of compact JSON, then a newline
         assert text.endswith("}\n") and "\n" not in text[:-1]
-        # the returned report also lists the file itself, appended once it is written
+        # the report lists the file itself, in the file as in the returned report
         assert report["outputs"][-1] == str(path)
-        written = dict(report, outputs=report["outputs"][:-1])
-        assert json.loads(text) == json.loads(json.dumps(written))
+        assert json.loads(text) == json.loads(json.dumps(report))
 
     def test_conventions_hash_embedded(self, tmp_path):
         _, report = run_config(
@@ -907,7 +906,7 @@ class TestVanishingHiggsField:
         code, report = run_config(tmp_path, {"command": command, "problem": problem, "n": 65})
         assert code == EXIT_OBSTRUCTED and report["status"] == status
         assert any("the Higgs field vanishes identically" in r for r in report["reasons"])
-        assert report["outputs"] == []
+        assert report["outputs"] == [str(tmp_path / "out" / "report.json")]
         jsonschema.validate(report, report_schema())
 
     @pytest.mark.parametrize("exponents, sat_degree", [([0, None], 1), ([None, 1], 2)])
@@ -938,6 +937,6 @@ def test_unsolved_eb_search_exports_no_state(tmp_path):
     assert eb["c_value"] is None
     assert [c for _, c in eb["secant_history"]] == [None, None]
     assert eb["endpoint_c_values"] == [None, None]
-    assert report["outputs"] == []
+    assert report["outputs"] == [str(tmp_path / "out" / "report.json")]
     assert os.listdir(tmp_path / "out") == ["report.json"]
     jsonschema.validate(report, report_schema())

@@ -72,7 +72,8 @@ class QuiverBundleSpec:
     may carry a constant scale (``section_scales``, default 1).  sigma must
     be positive at every vertex; rho is the metric coupling.  Ranks,
     degrees and exponents are integers and rho, sigma, tau and the scales
-    finite numbers, none of them booleans (:func:`~gravortex.bundles.require_integer`,
+    finite numbers, none of them booleans
+    (:func:`~gravortex.bundles.require_integer`,
     :func:`~gravortex.bundles.finite_float`); a ConfigurationError names
     the first value that breaks a rule.
     """

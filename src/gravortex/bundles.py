@@ -16,46 +16,50 @@ obstruction predicates as the reduced integer ratio
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, WrongRankError
+from .errors import ConfigurationError, WrongRankError, finite_float, is_integer
 from .geometry import AxisymGrid
 
-_REALS = (int, float, Fraction, np.integer, np.floating)  # real numbers, bool aside
+
+TAU_NOT_POSITIVE = "tau must be positive"
 
 
-def finite_float(value, name: str, message: str | None = None) -> float:
-    """value as a finite float; ConfigurationError otherwise.
+@lru_cache(maxsize=1024)
+def _decimal_ratio(tau: float) -> tuple[int, int]:
+    """The reduced ratio of tau's shortest decimal repr; a sweep parses each tau once.
 
-    A boolean is not a number, although float() takes it, and neither is a
-    string.  ``message`` replaces the "<name> must be a number" of the error
-    a non-number gets.
+    A float is read through ``repr``, so that tau = 0.1 means 1/10, not its
+    binary expansion.
     """
-    if isinstance(value, bool) or not isinstance(value, _REALS):
-        raise ConfigurationError(f"{message or name + ' must be a number'}, got {value!r}")
+    return Decimal(repr(tau)).as_integer_ratio()
+
+
+def coupling_errors(tau, alpha) -> list[str]:
+    """One message per rule that tau or alpha breaks; empty for valid couplings.
+
+    Both must be finite numbers (:func:`~gravortex.errors.finite_float`), and
+    tau positive.  The messages come in a fixed order: tau's number check,
+    alpha's, then tau's sign.
+    """
+    errors = []
     try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigurationError(
-            f"{name} must be a finite number, got an integer too large for a float"
-        ) from None
-    if not math.isfinite(number):
-        raise ConfigurationError(f"{name} must be a finite number, got {number!r}")
-    return number
-
-
-def require_integer(value, name: str):
-    """value when it is an integer (a boolean is not); ConfigurationError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return value
+        positive = finite_float(tau, "tau", "tau must be a positive number") > 0
+    except ConfigurationError as exc:
+        errors.append(str(exc))
+        positive = True  # one message per value
+    try:
+        finite_float(alpha, "alpha", "alpha must be a number")
+    except ConfigurationError as exc:
+        errors.append(str(exc))
+    if not positive:
+        errors.append(TAU_NOT_POSITIVE)
+    return errors
 
 
 @dataclass(frozen=True)
@@ -67,40 +71,62 @@ class HiggsConfig:
     that component of the Higgs field vanishes identically.  The central
     element of the first equation is z = -i alpha tau / 2 (times the
     identity in rank 2), exposed through ``z_imag``.
+
+    Every value is checked here: degrees and exponents are integers, tau and
+    alpha pass :func:`coupling_errors`.  The stored degrees and exponents are
+    tuples of ints and alpha a float; tau is kept as given, so that an
+    integer or a Fraction keeps its exact ratio.  ``tau_ratio`` is tau as
+    the reduced ratio (p, q), q > 0, of its shortest decimal repr; the
+    obstruction predicates decide in these integers.
     """
 
     degrees: tuple[int, ...]
     exponents: tuple[int | None, ...]
     tau: float
     alpha: float = 0.0
+    tau_ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.degrees) not in (1, 2):
+        degrees, exponents = self.degrees, self.exponents
+        if type(degrees) is not tuple:
+            degrees = tuple(degrees)
+        if type(exponents) is not tuple:
+            exponents = tuple(exponents)
+        if len(degrees) not in (1, 2):
             raise ConfigurationError("degrees must have one (abelian) or two (rank-2) entries")
-        if len(self.exponents) != len(self.degrees):
+        if len(exponents) != len(degrees):
             raise ConfigurationError("exponents must parallel degrees")
-        for nj in self.degrees:
-            if isinstance(nj, bool) or not isinstance(nj, (int, np.integer)) or nj <= 0:
+        # normalized: tuples of plain ints (and None), which need no rebuilding
+        plain = degrees is self.degrees and exponents is self.exponents
+        for nj in degrees:
+            if not (is_integer(nj) and nj > 0):
                 raise ConfigurationError(f"degrees must be positive integers, got {nj!r}")
-        for nj, lj in zip(self.degrees, self.exponents):
+            plain = plain and type(nj) is int
+        for nj, lj in zip(degrees, exponents):
             if lj is None:
                 continue
-            if isinstance(lj, bool) or not isinstance(lj, (int, np.integer)) or not (0 <= lj <= nj):
+            if not (is_integer(lj) and 0 <= lj <= nj):
                 raise ConfigurationError(
                     f"exponents must satisfy 0 <= l <= N, got l={lj!r} for N={nj}"
                 )
-        if len(self.degrees) == 2 and self.degrees[0] > self.degrees[1]:
+            plain = plain and type(lj) is int
+        if len(degrees) == 2 and degrees[0] > degrees[1]:
             raise ConfigurationError("rank-2 degrees must be ordered N1 <= N2")
-        for name in ("tau", "alpha"):
-            finite_float(getattr(self, name), name, f"{name} must be a finite number")
-        if not self.tau > 0:
-            raise ConfigurationError("tau must be positive")
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        object.__setattr__(
-            self,
-            "exponents",
-            tuple(None if e is None else int(e) for e in self.exponents),
-        )
+        errors = coupling_errors(self.tau, self.alpha)
+        if errors:
+            raise ConfigurationError(errors[0])
+        if not plain:
+            object.__setattr__(self, "degrees", tuple(int(d) for d in degrees))
+            object.__setattr__(
+                self, "exponents", tuple(None if e is None else int(e) for e in exponents)
+            )
+        if type(self.alpha) is not float:
+            object.__setattr__(self, "alpha", float(self.alpha))
+        tau = self.tau
+        if isinstance(tau, (float, np.floating)):
+            object.__setattr__(self, "tau_ratio", _decimal_ratio(float(tau)))
+        else:
+            object.__setattr__(self, "tau_ratio", Fraction(tau).as_integer_ratio())
 
     @property
     def rank(self) -> int:
@@ -108,23 +134,12 @@ class HiggsConfig:
 
     @property
     def is_abelian(self) -> bool:
-        return self.rank == 1
-
-    @cached_property  # decimal parsing; the obstruction predicates each read it
-    def tau_ratio(self) -> tuple[int, int]:
-        """tau as the reduced ratio (p, q), q > 0, of its shortest decimal repr.
-
-        A float is read through ``repr``, so that tau = 0.1 means 1/10, not
-        its binary expansion.
-        """
-        if isinstance(self.tau, (float, np.floating)):
-            return Decimal(repr(float(self.tau))).as_integer_ratio()
-        return Fraction(self.tau).as_integer_ratio()
+        return len(self.degrees) == 1
 
     @property
     def z_imag(self) -> float:
         """Imaginary part of the central constant z = -i alpha tau / 2."""
-        return -0.5 * float(self.alpha) * float(self.tau)
+        return -0.5 * self.alpha * float(self.tau)
 
     def require_abelian(self, op: str) -> None:
         if not self.is_abelian:

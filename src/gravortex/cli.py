@@ -17,12 +17,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import reporting
-from .bundles import HiggsConfig, finite_float, require_integer
+from .bundles import TAU_NOT_POSITIVE, HiggsConfig, coupling_errors
 from .errors import (
     ConfigurationError,
     GravortexError,
@@ -48,6 +48,7 @@ from .quiver import (
     arrow_profile,
     quiver_vortex_residual,
     trace_identity_check,
+    value_name,
 )
 from .vortex import NewtonOptions, solve_vortex
 
@@ -84,7 +85,8 @@ class Numerics:
 
     def to_json_dict(self) -> dict:
         """n, tolerance and max_iter; the schedule only when given."""
-        out = {"n": self.n, **asdict(self.newton)}
+        newton = self.newton
+        out = {"n": self.n, "tolerance": newton.tolerance, "max_iter": newton.max_iter}
         if self.schedule is not None:
             out["schedule"] = self.schedule.alphas
         return out
@@ -128,7 +130,7 @@ class RunConfig:
             "command": self.command,
             "problem": dict(self.problem),
             "numerics": self.numerics.to_json_dict(),
-            "output": asdict(self.output),
+            "output": {"directory": self.output.directory, "formats": self.output.formats},
         }
         if self.sweep is not None:
             out["sweep"] = self.sweep
@@ -144,13 +146,16 @@ def _collect(errors: list[str], build, *args, **kwargs):
         return None
 
 
-def _as_number(problem: dict, key: str, default: float, message: str, errors: list[str]):
-    """problem[key] once :func:`finite_float` passes it; default if absent, None after an error."""
-    if key not in problem:
-        return default
-    if _collect(errors, finite_float, problem[key], key, message) is None:
-        return None
-    return problem[key]
+# where each QuiverBundleSpec value sits in the config
+_QUIVER_PATHS = {
+    "ranks": "problem.quiver.ranks.{}",
+    "degrees": "problem.quiver.degrees.{}",
+    "section_exponents": "problem.quiver exponent of arrow {!r}",
+    "rho": "problem.quiver.rho",
+    "sigma": "problem.quiver.sigma.{}",
+    "tau": "problem.quiver.tau.{}",
+    "section_scales": "problem.quiver scale of arrow {!r}",
+}
 
 
 def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
@@ -158,6 +163,8 @@ def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
 
     ``ranks`` defaults to 1 at every vertex, ``rho`` to 1 and an arrow's
     ``scale`` to 1; an arrow without ``exponent`` carries the zero section.
+    QuiverBundleSpec checks every value; its message names the value by
+    its path in the config.
     """
     where = "problem.quiver"
     try:
@@ -170,30 +177,24 @@ def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
             vertices=tuple(vertices),
             arrows=tuple(Arrow(name=a["id"], tail=a["tail"], head=a["head"]) for a in arrows),
         )
-        ranks = q.get("ranks", dict.fromkeys(quiver.vertices, 1))
         spec = QuiverBundleSpec(
             quiver=quiver,
-            ranks={v: require_integer(r, f"{where}.ranks.{v}") for v, r in ranks.items()},
-            degrees={
-                v: require_integer(d, f"{where}.degrees.{v}") for v, d in q["degrees"].items()
-            },
-            section_exponents={
-                a["id"]: None if a.get("exponent") is None
-                else require_integer(a["exponent"], f"{where} exponent of arrow {a['id']!r}")
-                for a in arrows
-            },
-            rho=finite_float(q.get("rho", 1.0), f"{where}.rho"),
-            sigma={v: finite_float(x, f"{where}.sigma.{v}") for v, x in q["sigma"].items()},
-            tau={v: finite_float(x, f"{where}.tau.{v}") for v, x in q["tau"].items()},
-            section_scales={
-                a["id"]: finite_float(a.get("scale", 1.0), f"{where} scale of arrow {a['id']!r}")
-                for a in arrows
-            },
+            ranks=q.get("ranks", dict.fromkeys(quiver.vertices, 1)),
+            degrees=q["degrees"],
+            section_exponents={a["id"]: a.get("exponent") for a in arrows},
+            rho=q.get("rho", 1.0),
+            sigma=q["sigma"],
+            tau=q["tau"],
+            section_scales={a["id"]: a.get("scale", 1.0) for a in arrows},
         )
         spec.require_rank_one("quiver-check")  # quiver_vortex_residual is rank-1 only
         return spec
     except ConfigurationError as exc:
-        errors.append(str(exc))
+        message = str(exc)
+        if exc.field is not None:
+            attr, key = exc.field
+            message = _QUIVER_PATHS[attr].format(key) + message.removeprefix(value_name(attr, key))
+        errors.append(message)
     except KeyError as exc:
         errors.append(f"missing required key in {where}: {exc.args[0]!r}")
     except (TypeError, AttributeError) as exc:
@@ -204,29 +205,61 @@ def _quiver_spec(q, errors: list[str]) -> QuiverBundleSpec | None:
 def _validate_problem(
     problem: dict, errors: list[str], supplied_later: frozenset = frozenset()
 ) -> HiggsConfig | None:
-    """Append problem's config errors to ``errors``; return its HiggsConfig, if built."""
+    """Append problem's config errors to ``errors``; return its HiggsConfig, if built.
+
+    HiggsConfig checks every value.  When it cannot be built, the errors are
+    :func:`~gravortex.bundles.coupling_errors` of tau (1 if absent) and
+    alpha, then, when both are numbers, HiggsConfig's own: a tau that is not
+    positive is replaced by 1, so that it hides no other error.
+    """
     for key in ("degrees", "exponents", "tau"):
         if key not in problem and key not in supplied_later:
             errors.append(f"missing required key: problem.{key}")
-    # tau and alpha are checked once each; the HiggsConfig below then checks
-    # degrees and exponents only when both are numbers.  tau goes in as
-    # given, so that an integer tau is echoed as one
-    tau = _as_number(problem, "tau", 1.0, "tau must be a positive number", errors)
-    alpha = _as_number(problem, "alpha", 0.0, "alpha must be a number", errors)
-    if tau is not None and not tau > 0:
-        errors.append("tau must be positive")
-        tau = 1.0
-    if tau is not None and alpha is not None and "degrees" in problem and "exponents" in problem:
+    # tau goes in as given, so that an integer tau is echoed as one
+    tau, alpha = problem.get("tau", 1.0), problem.get("alpha", 0.0)
+    pair = "degrees" in problem and "exponents" in problem
+    if pair:
         try:
-            return HiggsConfig(
-                degrees=tuple(problem["degrees"]),
-                exponents=tuple(problem["exponents"]),
-                tau=tau,
-                alpha=float(alpha),
-            )
+            return HiggsConfig(problem["degrees"], problem["exponents"], tau, alpha)
+        except (ConfigurationError, TypeError, ValueError):
+            pass
+    couplings = coupling_errors(tau, alpha)
+    errors.extend(couplings)
+    if pair and set(couplings) <= {TAU_NOT_POSITIVE}:
+        tau = 1.0 if couplings else tau
+        try:
+            return HiggsConfig(problem["degrees"], problem["exponents"], tau, alpha)
         except (ConfigurationError, TypeError, ValueError) as exc:
             errors.append(str(exc))
     return None
+
+
+def _sweep_points(problem: dict, over: dict, errors: list[str]) -> list[tuple[tuple, HiggsConfig]]:
+    """(swept values, HiggsConfig) per point of the product of ``over``'s value lists.
+
+    The fixed problem is checked once.  Each point is one HiggsConfig of the
+    fixed values and its swept ones; a point that fails is checked again
+    with the fixed problem, for the messages, so that every bad swept value
+    fails the parse with the other config errors, each message once.
+    """
+    _validate_problem(problem, errors, supplied_later=frozenset(over))
+    fixed = {
+        k: tuple(problem[k]) if type(problem[k]) is list else problem[k]
+        for k in ("degrees", "exponents", "tau", "alpha")
+        if k in problem and k not in over
+    }
+    keys = sorted(over)
+    points = []
+    for combo in itertools.product(*(over[k] for k in keys)):
+        swept = dict(zip(keys, combo))
+        try:
+            point = HiggsConfig(**fixed, **swept)
+        except (ConfigurationError, TypeError, ValueError):
+            point, point_errors = None, []
+            _validate_problem({**problem, **swept}, point_errors)
+            errors.extend(e for e in point_errors if e not in errors)
+        points.append((combo, point))
+    return points
 
 
 def parse_config(text: str) -> RunConfig:
@@ -291,17 +324,15 @@ def parse_config(text: str) -> RunConfig:
             errors.append("sweep requires a 'sweep' object with an 'over' map of value lists")
             over = {}
     errors.extend(f"unknown problem key: {k!r}" for k in sorted({*problem, *over} - _PROBLEM_KEYS))
+    if command in COMMANDS and command != "quiver-check":
+        errors.extend(
+            f"{where}.quiver is read only by quiver-check, not by {command}"
+            for where, keys in (("problem", problem), ("sweep.over", over))
+            if "quiver" in keys
+        )
     if command == "sweep":
-        _validate_problem(problem, errors, supplied_later=frozenset(over))
-        # every swept point is validated here, so a bad value fails the parse
-        # with the other config errors instead of aborting the sweep midway;
-        # the sweep runs on the HiggsConfig each validation builds
-        keys = sorted(over)
-        for combo in itertools.product(*(over[k] for k in keys)):
-            point_errors: list[str] = []
-            point = _validate_problem({**problem, **dict(zip(keys, combo))}, point_errors)
-            errors.extend(e for e in point_errors if e not in errors)
-            sweep_points.append((combo, point))
+        # the sweep runs on the HiggsConfig of each point
+        sweep_points = _sweep_points(problem, over, errors)
     elif command == "quiver-check":
         if "quiver" in problem:
             quiver_spec = _quiver_spec(problem["quiver"], errors)
@@ -468,27 +499,24 @@ def _run_sweep(config: RunConfig, report: dict, outdir: str) -> int:
     for combo, higgs in config.sweep_points:
         # the predicates alone: a row quotes no reason
         verdict = obstruction_predicates(higgs)
-        row = dict(zip(keys, combo))
-        row.update(
-            obstructed=verdict.obstructed,
-            abelian_window=verdict.abelian_window,
-            nonabelian_window=verdict.nonabelian_window,
-            balanced=verdict.balanced,
-            z_stable=verdict.z_stable,
-            futaki_value=verdict.futaki_value,
+        rows.append(
+            dict(
+                zip(keys, combo),
+                obstructed=verdict.obstructed,
+                abelian_window=verdict.abelian_window,
+                nonabelian_window=verdict.nonabelian_window,
+                balanced=verdict.balanced,
+                z_stable=verdict.z_stable,
+                futaki_value=verdict.futaki_value,
+            )
         )
-        rows.append(row)
     report["sweep"] = {"rows": rows, "parameters": keys}
     if _want(config, "csv") and rows:
-        columns = list(rows[0].keys())
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0])  # the header; every row has its keys, in its order
         for row in rows:
-            writer.writerow(
-                f"{row[col]:.17g}" if isinstance(row[col], float) else str(row[col])
-                for col in columns
-            )
+            writer.writerow(["%.17g" % v if isinstance(v, float) else str(v) for v in row.values()])
         path = os.path.join(outdir, "sweep_summary.csv")
         reporting.atomic_write_text(path, buf.getvalue())
         report["outputs"].append(path)

@@ -2,8 +2,13 @@
 
 Solver non-convergence is not an exception: solvers return a report with
 ``converged=False``.  Exceptions are reserved for invalid inputs and for
-no-go verdicts that refuse to start a computation.
+no-go verdicts that refuse to start a computation.  The value checks that
+every module shares (:func:`is_integer`, :func:`require_integer`,
+:func:`finite_float`) live here too, so that any module may import them.
 """
+
+import math
+import numbers
 
 
 class GravortexError(Exception):
@@ -11,7 +16,13 @@ class GravortexError(Exception):
 
 
 class ConfigurationError(GravortexError):
-    """Invalid configuration value; the message names the violated constraint."""
+    """Invalid configuration value; the message names the violated constraint.
+
+    A type that checks its own fields may record the offending value as
+    ``field``: the pair (field name, key), with key None for a scalar field.
+    """
+
+    field: tuple | None = None
 
 
 class NumericInputError(GravortexError):
@@ -40,3 +51,39 @@ class ObstructionError(GravortexError):
     def __init__(self, message: str, reasons: list[str] | None = None):
         super().__init__(message)
         self.reasons = reasons or [message]
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer; a boolean is not, although Python treats it as one."""
+    return type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
+
+
+def require_integer(value, name: str):
+    """value when it is an integer (:func:`is_integer`); ConfigurationError otherwise."""
+    if not is_integer(value):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def finite_float(value, name: str, message: str | None = None) -> float:
+    """value as a finite float; ConfigurationError otherwise.
+
+    A boolean is not a number, although float() takes it, and neither is a
+    string.  ``message`` replaces the "<name> must be a number" of the error
+    a non-number gets.
+    """
+    if type(value) is float and math.isfinite(value):
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{message or name + ' must be a number'}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigurationError(
+            f"{name} must be a finite number, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be a finite number, got {number!r}")
+    return number

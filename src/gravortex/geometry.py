@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericInputError
+from .errors import ConfigurationError, NumericInputError, require_integer
 
 ROUND_VOLUME = 2.0 * math.pi
 GAUSS_BONNET_TOTAL = 8.0 * math.pi
@@ -202,8 +202,7 @@ def check_resolution(n) -> None:
 
     Odd keeps s = 0 on the grid, which parity arguments rely on.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ConfigurationError(f"node count n must be an integer, got {n!r}")
+    require_integer(n, "node count n")
     if n % 2 == 0:
         raise ConfigurationError(f"node count n must be odd, got n={n}")
     if not (MIN_NODES <= n <= MAX_NODES):

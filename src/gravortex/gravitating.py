@@ -51,8 +51,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bundles import HiggsConfig, finite_float, higgs_profile
-from .errors import ConfigurationError, ObstructionError
+from .bundles import HiggsConfig, higgs_profile
+from .errors import ConfigurationError, ObstructionError, finite_float
 from .geometry import (
     NESTED_ABOVE_N,
     AxisymGrid,

@@ -36,7 +36,6 @@ one zero when l = 0 or l = N).
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -70,10 +69,10 @@ def _futaki_numerator(config: HiggsConfig) -> int:
     if None in config.exponents:
         raise ConfigurationError("closed form requires every Higgs component nonzero")
     p, q = config.tau_ratio
-    return sum(
-        (2 * n_deg * q - p) * (2 * ell - n_deg)
-        for n_deg, ell in zip(config.degrees, config.exponents)
-    )
+    total = 0
+    for n_deg, ell in zip(config.degrees, config.exponents):
+        total += (2 * n_deg * q - p) * (2 * ell - n_deg)
+    return total
 
 
 def futaki_exact(config: HiggsConfig) -> Fraction:
@@ -92,7 +91,7 @@ def futaki_closed_form(config: HiggsConfig) -> float:
 
 def _futaki_value(config: HiggsConfig, numerator: int) -> float:
     # int / int is correctly rounded, so this equals float(futaki_exact(config))
-    return 2.0 * math.pi * float(config.alpha) * (numerator / config.tau_ratio[1])
+    return 2.0 * math.pi * config.alpha * (numerator / config.tau_ratio[1])
 
 
 def _abelian_conditions(config: HiggsConfig, alpha: float, numerator: int):
@@ -169,7 +168,7 @@ def futaki_quadrature(
     _require_normalized(grid, metric)
     s = grid.nodes
     tau = float(config.tau)
-    alpha = float(config.alpha)
+    alpha = config.alpha
     ham = hamiltonian_potential(grid, metric)
 
     pairing_sum = np.zeros(grid.n)
@@ -209,20 +208,29 @@ def balancing_condition(config: HiggsConfig) -> tuple[Fraction, bool]:
     config.require_rank2("balancing_condition")
     if None in config.exponents:
         raise ConfigurationError("balancing requires both Higgs components nonzero")
-    numerator, denominator = _balancing_terms(config)
+    terms = _balancing_terms(config, _futaki_numerator(config))
+    if terms is None:
+        p, q = config.tau_ratio
+        raise PoleError(f"balancing denominator 2N - tau vanishes at N={p // (2 * q)}")
+    numerator, denominator = terms
     return Fraction(numerator, denominator), numerator == 0
 
 
-def _balancing_terms(config: HiggsConfig) -> tuple[int, int]:
-    """Integer numerator and denominator of the balancing sum; PoleError at tau = 2 N_j."""
-    (n1, n2), (l1, l2) = config.degrees, config.exponents
+def _balancing_terms(config: HiggsConfig, futaki_numerator: int) -> tuple[int, int] | None:
+    """Integer numerator and denominator of the balancing sum; None at a pole tau = 2 N_j.
+
+    Over the common denominator (2 N1 - tau)(2 N2 - tau) the numerator is
+    (2 l1 - N1)(2 N1 - tau) + (2 l2 - N2)(2 N2 - tau), the Futaki sum.  With
+    tau = p/q, multiplying both by q^2 makes the denominator
+    q (2 N1 - tau) q (2 N2 - tau) and the numerator q times
+    :func:`_futaki_numerator`.
+    """
+    n1, n2 = config.degrees
     p, q = config.tau_ratio
     gap1, gap2 = 2 * n1 * q - p, 2 * n2 * q - p  # q (2 N_j - tau)
-    for nj, gap in ((n1, gap1), (n2, gap2)):
-        if gap == 0:
-            raise PoleError(f"balancing denominator 2N - tau vanishes at N={nj}")
-    # the sum over the common denominator (2 N1 - tau)(2 N2 - tau), times q
-    return q * ((2 * l1 - n1) * gap1 + (2 * l2 - n2) * gap2), gap1 * gap2
+    if gap1 == 0 or gap2 == 0:
+        return None
+    return q * futaki_numerator, gap1 * gap2
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +324,15 @@ def obstruction_predicates(config: HiggsConfig) -> StabilityReport:
         "alpha": config.alpha,
     }
     p, q = config.tau_ratio
-    vanishing = vanishing_higgs_reason(config) is not None
-    numerator = None if None in config.exponents else _futaki_numerator(config)
+    complete = None not in config.exponents  # then the field cannot vanish
+    vanishing = not complete and vanishing_higgs_reason(config) is not None
+    numerator = _futaki_numerator(config) if complete else None
     futaki_value = None if numerator is None else _futaki_value(config, numerator)
     if config.is_abelian:
         window = p > 2 * config.degrees[0] * q
         if vanishing:
             return StabilityReport(echo, abelian_window=window, obstructed=True)
-        matsushima, futaki_obstructs = _abelian_conditions(config, float(config.alpha), numerator)
+        matsushima, futaki_obstructs = _abelian_conditions(config, config.alpha, numerator)
         return StabilityReport(
             echo,
             abelian_window=window,
@@ -337,10 +346,9 @@ def obstruction_predicates(config: HiggsConfig) -> StabilityReport:
     sat_degree = saturation_degree(config)
     window = 2 * n2 * q < p < 2 * (n1 + n2 - sat_degree) * q
     witness = _z_witness(config, sat_degree)
-    balanced = None
-    if numerator is not None:
-        with suppress(PoleError):  # balancing is not defined at a pole tau = 2 N_j
-            balanced = _balancing_terms(config)[0] == 0
+    # balancing is not defined at a pole tau = 2 N_j
+    terms = None if numerator is None else _balancing_terms(config, numerator)
+    balanced = None if terms is None else terms[0] == 0
     return StabilityReport(
         echo,
         nonabelian_window=window,
@@ -367,7 +375,7 @@ def stability_check(config: HiggsConfig) -> StabilityReport:
         if vanishing:
             reasons.append(vanishing)
         else:
-            reasons.extend(abelian_coupled_obstructions(config, float(config.alpha)))
+            reasons.extend(abelian_coupled_obstructions(config, config.alpha))
     elif vanishing:
         reasons.append(vanishing)
     else:

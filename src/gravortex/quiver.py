@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import finite_float, monomial_norm_sq, require_integer
-from .errors import ConfigurationError
+from .bundles import monomial_norm_sq
+from .errors import ConfigurationError, finite_float, require_integer
 from .geometry import (
     AxisymGrid,
     ConformalMetric,
@@ -63,6 +63,39 @@ class Quiver:
         return [a for a in self.arrows if a.tail == vertex]
 
 
+# how an error names the value QuiverBundleSpec.<attr>[key]; rho has no key
+_VALUE_NAMES = {
+    "ranks": "rank at vertex {!r}",
+    "degrees": "degree at vertex {!r}",
+    "section_exponents": "exponent of arrow {!r}",
+    "rho": "rho",
+    "sigma": "sigma at vertex {!r}",
+    "tau": "tau at vertex {!r}",
+    "section_scales": "scale of arrow {!r}",
+}
+
+
+def value_name(attr: str, key=None) -> str:
+    """The name a QuiverBundleSpec error gives the value ``attr[key]`` (``rho``: key None)."""
+    return _VALUE_NAMES[attr].format(key)
+
+
+def _integer_or_none(value, name: str):
+    return None if value is None else require_integer(value, name)
+
+
+# the check of each value, in the order they are checked
+_VALUE_CHECKS = (
+    ("ranks", require_integer),
+    ("degrees", require_integer),
+    ("section_exponents", _integer_or_none),
+    ("rho", finite_float),
+    ("sigma", finite_float),
+    ("tau", finite_float),
+    ("section_scales", finite_float),
+)
+
+
 @dataclass(frozen=True)
 class QuiverBundleSpec:
     """Per-vertex ranks/degrees, per-arrow monomial data, and parameters.
@@ -73,9 +106,10 @@ class QuiverBundleSpec:
     be positive at every vertex; rho is the metric coupling.  Ranks,
     degrees and exponents are integers and rho, sigma, tau and the scales
     finite numbers, none of them booleans
-    (:func:`~gravortex.bundles.require_integer`,
-    :func:`~gravortex.bundles.finite_float`); a ConfigurationError names
-    the first value that breaks a rule.
+    (:func:`~gravortex.errors.require_integer`,
+    :func:`~gravortex.errors.finite_float`); the numbers are stored as
+    floats.  A ConfigurationError names the first value that breaks a rule
+    (:func:`value_name`) and records it as ``field`` = (attr, key).
     """
 
     quiver: Quiver
@@ -88,26 +122,26 @@ class QuiverBundleSpec:
     section_scales: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        finite_float(self.rho, "rho")
+        for attr, check in _VALUE_CHECKS:
+            value = getattr(self, attr)
+            if attr == "rho":
+                value = self._check(check, attr, None, value)
+            else:
+                value = {k: self._check(check, attr, k, x) for k, x in value.items()}
+            object.__setattr__(self, attr, value)
         for v in self.quiver.vertices:
             if v not in self.ranks or v not in self.degrees:
                 raise ConfigurationError(f"vertex {v!r} missing rank or degree")
-            require_integer(self.ranks[v], f"rank at vertex {v!r}")
-            require_integer(self.degrees[v], f"degree at vertex {v!r}")
             if self.ranks[v] < 1:
                 raise ConfigurationError(f"vertex {v!r} must have rank >= 1")
             if v not in self.sigma or v not in self.tau:
                 raise ConfigurationError(f"vertex {v!r} missing sigma or tau")
-            if not finite_float(self.sigma[v], f"sigma at vertex {v!r}") > 0:
+            if not self.sigma[v] > 0:
                 raise ConfigurationError(f"sigma must be positive at vertex {v!r}")
-            finite_float(self.tau[v], f"tau at vertex {v!r}")
-        for name, scale in self.section_scales.items():
-            finite_float(scale, f"scale of arrow {name!r}")
         for a in self.quiver.arrows:
             ell = self.section_exponents.get(a.name)
             if ell is None:
                 continue
-            require_integer(ell, f"exponent of arrow {a.name!r}")
             gap = self.degrees[a.head] - self.degrees[a.tail]
             if gap < 0:
                 raise ConfigurationError(
@@ -117,6 +151,15 @@ class QuiverBundleSpec:
                 raise ConfigurationError(
                     f"arrow {a.name!r} exponent must satisfy 0 <= l <= {gap}"
                 )
+
+    @staticmethod
+    def _check(check, attr: str, key, value):
+        """check(value, its name); a ConfigurationError records (attr, key) as its field."""
+        try:
+            return check(value, value_name(attr, key))
+        except ConfigurationError as exc:
+            exc.field = (attr, key)
+            raise
 
     def arrow_degree(self, arrow: Arrow) -> int:
         return self.degrees[arrow.head] - self.degrees[arrow.tail]

@@ -17,15 +17,19 @@ the monotone structure that makes the damped Newton iteration reliable.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .bundles import HiggsConfig, higgs_profile
-from .errors import ConfigurationError, InfeasibleError, NumericInputError
+from .errors import (
+    ConfigurationError,
+    InfeasibleError,
+    NumericInputError,
+    finite_float,
+    is_integer,
+)
 from .geometry import (
     NESTED_ABOVE_N,
     AxisymGrid,
@@ -60,14 +64,17 @@ class NewtonOptions:
     def __post_init__(self):
         tol, max_iter = self.tolerance, self.max_iter
         errors = []
-        number = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-        if not (number and 0 < tol <= sys.float_info.max):  # no NaN, inf or huge integer
-            errors.append(f"tolerance must be a positive number, got {tol!r}")
-        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        try:
+            tol = finite_float(tol, "tolerance")  # no NaN, inf or huge integer
+        except ConfigurationError:
+            tol = 0.0
+        if not tol > 0:
+            errors.append(f"tolerance must be a positive number, got {self.tolerance!r}")
+        if not (is_integer(max_iter) and max_iter >= 1):
             errors.append(f"max_iter must be a positive integer, got {max_iter!r}")
         if errors:
             raise ConfigurationError("; ".join(errors))
-        self.tolerance, self.max_iter = float(tol), int(max_iter)
+        self.tolerance, self.max_iter = tol, int(max_iter)
 
 
 NESTED_COARSE_N = 129  # solves on grids above NESTED_ABOVE_N are seeded at this resolution

@@ -17,7 +17,8 @@ from gravortex import (
     higgs_profile,
     integrate,
 )
-from gravortex.bundles import saturation_degree
+from gravortex.bundles import coupling_errors, saturation_degree
+from gravortex.errors import is_integer
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +69,42 @@ class TestHiggsConfig:
         couplings = {"tau": 5, "alpha": 0, name: 10**400}
         with pytest.raises(ConfigurationError, match="integer too large for a float"):
             HiggsConfig(degrees=(2,), exponents=(1,), **couplings)
+
+    def test_values_normalized_once(self):
+        cfg = HiggsConfig(degrees=[np.int64(2)], exponents=(np.int64(1),), tau=5, alpha=1)
+        assert cfg.degrees == (2,) and type(cfg.degrees[0]) is int
+        assert cfg.exponents == (1,) and type(cfg.exponents[0]) is int
+        assert cfg.alpha == 1.0 and type(cfg.alpha) is float
+        assert cfg.tau == 5 and type(cfg.tau) is int  # echoed as given
+        degrees, exponents = (2, 3), (1, None)
+        cfg = HiggsConfig(degrees=degrees, exponents=exponents, tau=5.5)
+        assert cfg.degrees is degrees and cfg.exponents is exponents
+
+    @pytest.mark.parametrize(
+        "tau, alpha, expected",
+        [
+            (5, 0.5, []),
+            ("abc", 0, ["tau must be a positive number, got 'abc'"]),
+            (-1, "x", ["alpha must be a number, got 'x'", "tau must be positive"]),
+            (math.inf, math.nan, [
+                "tau must be a finite number, got inf",
+                "alpha must be a finite number, got nan",
+            ]),
+        ],
+    )
+    def test_coupling_errors_in_order(self, tau, alpha, expected):
+        assert coupling_errors(tau, alpha) == expected
+        if expected:  # HiggsConfig raises the first
+            with pytest.raises(ConfigurationError) as err:
+                HiggsConfig(degrees=(2,), exponents=(1,), tau=tau, alpha=alpha)
+            assert str(err.value) == expected[0]
+
+    @pytest.mark.parametrize(
+        "value, integer",
+        [(3, True), (np.int64(3), True), (True, False), (3.0, False), ("3", False), (None, False)],
+    )
+    def test_is_integer(self, value, integer):
+        assert is_integer(value) is integer
 
     def test_tau_fraction_uses_decimal_semantics(self):
         cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=0.1)

@@ -8,6 +8,9 @@ import os
 import jsonschema
 import pytest
 
+import gravortex.bundles
+import gravortex.cli
+import gravortex.errors
 from gravortex import HiggsConfig, stability_check
 from gravortex.cli import (
     COMMANDS,
@@ -98,6 +101,70 @@ class TestParseConfig:
         assert "n must" in text
         assert "missing required key: problem.degrees" in text
         assert "missing required key: problem.exponents" in text
+
+    def test_nonpositive_tau_hides_no_other_error(self):
+        # a tau that is a number is replaced by 1 for the remaining checks
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(
+                '{"command": "solve-vortex", "degrees": [2, 2], "exponents": [1, 2], "tau": -1}'
+            )
+        assert err.value.errors == [
+            "tau must be positive",
+            "solve-vortex requires an abelian (rank-1) configuration",
+        ]
+
+    @pytest.mark.parametrize(
+        "problem, over, expected",
+        [
+            (
+                {"exponents": [1, 1], "alpha": 1},
+                {"degrees": [[2, 3], [3, 2], [1]], "tau": [5, -1, "x"]},
+                [
+                    "tau must be positive",
+                    "tau must be a positive number, got 'x'",
+                    "rank-2 degrees must be ordered N1 <= N2",
+                    "exponents must parallel degrees",
+                ],
+            ),
+            (
+                {"degrees": [2], "exponents": [1]},
+                {"tau": [5, -1, "x", -1], "alpha": [0, True]},
+                [
+                    "tau must be positive",
+                    "tau must be a positive number, got 'x'",
+                    "alpha must be a number, got True",
+                ],
+            ),
+        ],
+    )
+    def test_every_bad_swept_value_reported_once_in_order(self, problem, over, expected):
+        config = {"command": "sweep", "problem": problem, "sweep": {"over": over}}
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(json.dumps(config))
+        assert err.value.errors == expected
+
+    def test_sweep_checks_each_value_once(self, monkeypatch):
+        # the fixed problem is checked once, then each point is one HiggsConfig
+        calls = []
+        check = gravortex.errors.finite_float
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return check(*args, **kwargs)
+
+        for module in (gravortex.errors, gravortex.bundles, gravortex.cli):
+            if hasattr(module, "finite_float"):
+                monkeypatch.setattr(module, "finite_float", counted)
+        taus = [5 + k / 2 for k in range(10)]
+        config = {
+            "command": "sweep",
+            "problem": {"degrees": [2], "exponents": [1], "alpha": 1.0},
+            "sweep": {"over": {"tau": taus}},
+        }
+        points = parse_config(json.dumps(config)).sweep_points
+        assert [higgs.tau for _, higgs in points] == taus
+        # tau and alpha of each point, and of the fixed problem
+        assert len(calls) <= 2 * (len(taus) + 1)
 
     def test_sweep_values_must_be_lists(self):
         with pytest.raises(ConfigValidationError) as err:
@@ -755,6 +822,31 @@ class TestParseTimeErrors:
     )
     def test_malformed_quiver_exit_one(self, tmp_path, capsys, quiver, message):
         config = {"command": "quiver-check", "problem": {"quiver": quiver}, "n": 65}
+        code, err = self.run_text(tmp_path, capsys, json.dumps(config))
+        assert code == EXIT_USAGE
+        assert err == [f"config error: {message}"]
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {
+                    "command": "stability",
+                    "problem": {"degrees": [2], "exponents": [1], "tau": 5, "quiver": {}},
+                },
+                "problem.quiver is read only by quiver-check, not by stability",
+            ),
+            (
+                {
+                    "command": "sweep",
+                    "problem": {"degrees": [2], "exponents": [1], "tau": 5},
+                    "sweep": {"over": {"quiver": [1, 2]}},
+                },
+                "sweep.over.quiver is read only by quiver-check, not by sweep",
+            ),
+        ],
+    )
+    def test_quiver_outside_quiver_check_exit_one(self, tmp_path, capsys, config, message):
         code, err = self.run_text(tmp_path, capsys, json.dumps(config))
         assert code == EXIT_USAGE
         assert err == [f"config error: {message}"]

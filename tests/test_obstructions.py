@@ -193,7 +193,7 @@ class TestBalancing:
 
     def test_pole_rejected(self):
         cfg = HiggsConfig(degrees=(1, 2), exponents=(0, 1), tau=4.0)
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match="vanishes at N=2"):
             balancing_condition(cfg)
 
     @given(

@@ -117,8 +117,24 @@ class TestQuiverModel:
             section_scales={"x": 0.5},
         )
         QuiverBundleSpec(**fields)  # the unchanged fields are valid
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
+        with pytest.raises(ConfigurationError, match=re.escape(message)) as err:
             QuiverBundleSpec(**{**fields, **change})
+        (attr, value), = change.items()
+        key = None if attr == "rho" else next(k for k in value if repr(k) in message)
+        assert err.value.field == (attr, key)  # the CLI maps it to the config path
+
+    def test_numbers_stored_as_floats(self):
+        spec = QuiverBundleSpec(
+            quiver=Quiver(vertices=("a",), arrows=()),
+            ranks={"a": 1},
+            degrees={"a": 0},
+            section_exponents={},
+            rho=1,
+            sigma={"a": 2},
+            tau={"a": 3},
+        )
+        assert (spec.rho, spec.sigma, spec.tau) == (1.0, {"a": 2.0}, {"a": 3.0})
+        assert type(spec.rho) is float and type(spec.sigma["a"]) is float
 
     def test_arrow_needs_nonnegative_degree_gap(self):
         q = Quiver(vertices=("a", "b"), arrows=(Arrow("x", "a", "b"),))

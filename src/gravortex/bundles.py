@@ -72,12 +72,14 @@ class HiggsConfig:
     element of the first equation is z = -i alpha tau / 2 (times the
     identity in rank 2), exposed through ``z_imag``.
 
-    Every value is checked here: degrees and exponents are integers, tau and
-    alpha pass :func:`coupling_errors`.  The stored degrees and exponents are
-    tuples of ints and alpha a float; tau is kept as given, so that an
-    integer or a Fraction keeps its exact ratio.  ``tau_ratio`` is tau as
-    the reduced ratio (p, q), q > 0, of its shortest decimal repr; the
-    obstruction predicates decide in these integers.
+    Every value is checked here: degrees and exponents are lists or tuples
+    of integers, tau and alpha pass :func:`coupling_errors`; a
+    ConfigurationError names the first value that breaks its rule.  The
+    stored degrees and exponents are tuples of ints and alpha a float; tau
+    is kept as given, so that an integer or a Fraction keeps its exact
+    ratio.  ``tau_ratio`` is tau as the reduced ratio (p, q), q > 0, of its
+    shortest decimal repr; the obstruction predicates decide in these
+    integers.
     """
 
     degrees: tuple[int, ...]
@@ -88,6 +90,12 @@ class HiggsConfig:
 
     def __post_init__(self):
         degrees, exponents = self.degrees, self.exponents
+        if not isinstance(degrees, (list, tuple)):
+            raise ConfigurationError(f"degrees must be a list of integers, got {degrees!r}")
+        if not isinstance(exponents, (list, tuple)):
+            raise ConfigurationError(
+                f"exponents must be a list of integers or nulls, got {exponents!r}"
+            )
         if type(degrees) is not tuple:
             degrees = tuple(degrees)
         if type(exponents) is not tuple:

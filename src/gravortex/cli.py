@@ -324,7 +324,12 @@ def parse_config(text: str) -> RunConfig:
             errors.append("sweep requires a 'sweep' object with an 'over' map of value lists")
             over = {}
     errors.extend(f"unknown problem key: {k!r}" for k in sorted({*problem, *over} - _PROBLEM_KEYS))
-    if command in COMMANDS and command != "quiver-check":
+    if command == "quiver-check":
+        errors.extend(
+            f"problem.{k} is not read by quiver-check, which reads only problem.quiver"
+            for k in sorted(_PROBLEM_KEYS & {*problem} - {"quiver"})
+        )
+    elif command in COMMANDS:
         errors.extend(
             f"{where}.quiver is read only by quiver-check, not by {command}"
             for where, keys in (("problem", problem), ("sweep.over", over))

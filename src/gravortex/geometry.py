@@ -11,13 +11,14 @@ vectors are differentiated by :meth:`AxisymGrid.diff`: up to
 ``NESTED_ABOVE_N`` nodes by the dense first-derivative matrix ``d1``,
 built on half its rows and mirrored on first use, and above it through
 FFT-computed Chebyshev coefficients in O(n log n), with no ``d1``.  The
-Laplacian is two such derivatives and the antiderivative works on the
-same coefficients.  Every residual, the solvers' own included, applies the
-Laplacian this way.  The dense :attr:`AxisymGrid.lap_fs` and its
-even-parity fold :attr:`AxisymGrid.lap_fs_even` are read only where the
-Newton Jacobians are assembled; each is filled entrywise in O(n^2) from a
-closed form in the rows of ``d1``, computed block by block, so no matrix
-product builds them and a grid above NESTED_ABOVE_N holds no ``d1``.
+Laplacian is two such derivatives and a rank-one correction, and the
+antiderivative works on the same coefficients.  Every residual, the
+solvers' own included, applies the Laplacian this way.  The dense
+:attr:`AxisymGrid.lap_fs` and its even-parity fold
+:attr:`AxisymGrid.lap_fs_even` are read only where the Newton Jacobians
+are assembled; each is filled entrywise in O(n^2) from a closed form in
+the rows of ``d1``, computed block by block, so no matrix product builds
+them and a grid above NESTED_ABOVE_N holds no ``d1``.
 
 Conventions (see CONVENTIONS.md for the full ledger):
 
@@ -73,8 +74,8 @@ class AxisymGrid:
     ``weights == weights[::-1]`` and ``d1 == -d1[::-1, ::-1]``.
 
     The round Laplacian is applied matrix-free by :meth:`apply_lap_fs`, two
-    :meth:`diff` calls: O(n^2) products with ``d1`` up to NESTED_ABOVE_N
-    nodes, O(n log n) FFTs above.  ``d1`` (8 n^2 bytes), :attr:`lap_fs` and
+    :meth:`diff` calls and a rank-one term: O(n^2) products with ``d1`` up
+    to NESTED_ABOVE_N nodes, O(n log n) FFTs above.  ``d1`` (8 n^2 bytes), :attr:`lap_fs` and
     :attr:`lap_fs_even` are cached properties, each built on first access
     in O(n^2) elementwise numpy work, the same bits for every BLAS thread
     count; only the Newton Jacobians read the last two, and neither reads
@@ -118,10 +119,17 @@ class AxisymGrid:
 
     @cached_property
     def lap_fs(self) -> np.ndarray:
-        """Dense round-metric Laplacian in divergence form, -2 d1 (1-s^2) d1.
+        """Dense round-metric Laplacian, -2 ((1-s^2) D2 - 2 S d1), with S = diag(s).
 
-        Built entrywise in O(n^2) (:func:`_lap_fs_rows`) on rows 0..n//2;
-        the rest is their exact mirror, as the matrix is centro-symmetric:
+        The collocation of -2 ((1-s^2) f'' - 2 s f') with D2 the exact
+        second derivative of the degree n-1 interpolant, so it is exact for
+        polynomials of degree <= n-1: its eigenvalues are 2 l (l+1),
+        l = 0..n-1, on the Legendre polynomials, and its kernel is the
+        constants alone.  The divergence form -2 d1 (1-s^2) d1 also sends the
+        top Chebyshev mode (-1)^j to zero, because d1 (-1)^j vanishes at the
+        interior nodes and 1-s^2 at the poles.  Built entrywise in O(n^2)
+        (:func:`_lap_fs_rows`) on rows 0..n//2; the rest is their exact
+        mirror, as the matrix is centro-symmetric:
         ``lap_fs == lap_fs[::-1, ::-1]``.  The middle row is symmetric as
         computed, since the middle diagonal entry of ``d1`` is exactly zero
         at every accepted n.
@@ -157,12 +165,21 @@ class AxisymGrid:
         return even
 
     def apply_lap_fs(self, f: np.ndarray) -> np.ndarray:
-        """Round-metric Laplacian of a grid vector, -2 (d/ds) ((1-s^2) (d/ds) f).
+        """Round-metric Laplacian of a grid vector, :attr:`lap_fs` applied without the matrix.
 
-        Two :meth:`diff` calls, so up to NESTED_ABOVE_N nodes the same bits
-        as -2 d1 ((1-s^2) (d1 f)).
+        The divergence form -2 (d/ds) ((1-s^2) (d/ds) f), two :meth:`diff`
+        calls, plus the rank-one term 2 (n-1) (b . f) / b_i, with b the
+        barycentric weights.  The interpolant at the n nodes of the degree-n
+        polynomial (1-s^2) p', p the degree n-1 interpolant of f, is
+        (1-s^2) p' + (n-1) c w, with c = sum_j f_j / w'(s_j) the leading
+        coefficient of p, w the node polynomial and 1 / w'(s_i)
+        proportional to b_i; the rank-one term removes the derivative of
+        that aliased part, so the sum is -2 ((1-s^2) p'' - 2 s p') at the
+        nodes.  Writing it as the divergence form plus a correction keeps the
+        round-off of the residuals at that of two first derivatives.
         """
-        return -2.0 * self.diff((1.0 - self.nodes**2) * self.diff(f))
+        div = -2.0 * self.diff((1.0 - self.nodes**2) * self.diff(f))
+        return div + (2.0 * (self.n - 1)) * np.dot(self.bary, f) / self.bary
 
     def prolong(self, values: np.ndarray, n: int) -> np.ndarray:
         """The nodal interpolant of ``values``, evaluated at the nodes of ``build_grid(n)``.
@@ -306,17 +323,11 @@ def _dense_d1(s: np.ndarray, bary: np.ndarray) -> np.ndarray:
 
 
 def _lap_fs_rows(s: np.ndarray, bary: np.ndarray):
-    """Yield (rows, block) over :func:`_row_blocks`: those rows of -2 d1 (1-s^2) d1, in O(n^2).
+    """Yield (rows, block) over :func:`_row_blocks`: those rows of -2 (W D2 - 2 S d1), in O(n^2).
 
     Each block is a view of one buffer that the next block overwrites.
-    With W = diag(1-s^2), S = diag(s) and D2 the second-derivative matrix,
-
-        d1 W d1 = W D2 - 2 S d1 + (n-1) b_j / b_i,
-
-    because the interpolant of the degree-n polynomial (1-s^2) p' at the n
-    nodes is (1-s^2) p' + (n-1) c omega, with c the leading coefficient
-    sum_j f_j / omega'(s_j) of the degree n-1 interpolant p of f, omega
-    the node polynomial and 1/omega'(s_i) proportional to b_i.  Off the
+    W = diag(1-s^2), S = diag(s), and D2 is the second-derivative matrix of
+    the degree n-1 interpolant (see :attr:`AxisymGrid.lap_fs`).  Off the
     diagonal D2_ij = 2 d1_ij (d1_ii - 1/(s_i - s_j)) (Baltensperger and
     Trummer, "Spectral differencing with a twist", SIAM J. Sci. Comput. 24,
     2003), and the diagonal is the negated sum of the row's off-diagonal
@@ -327,23 +338,20 @@ def _lap_fs_rows(s: np.ndarray, bary: np.ndarray):
     """
     n = s.shape[0]
     k = min(_ROW_BLOCK, n // 2 + 1)
-    lap, d1, inv, work = (np.empty((k, n)) for _ in range(4))
+    lap, d1, work = (np.empty((k, n)) for _ in range(3))
     for rows in _row_blocks(n):
         m = rows.stop - rows.start
-        blk, d, w = lap[:m], d1[:m], inv[:m]
-        _d1_rows(s, bary, rows, d, w, work[:m])
+        blk, d = lap[:m], d1[:m]
+        _d1_rows(s, bary, rows, d, blk, work[:m])  # blk receives 1 / (s_i - s_j)
         si = s[rows, None]
         diag = (np.arange(m), np.arange(rows.start, rows.stop))
         # -4 d1_ij ((1-s_i^2) (d1_ii - 1/(s_i - s_j)) - s_i) = -2 (W D2 - 2 S d1)_ij
-        np.subtract(d[diag][:, None], w, out=w)
-        w *= -4.0 * (1.0 - si * si)
-        w += 4.0 * si
-        w *= d
-        # -2 (n-1) b_j / b_i, exact: the weights are 1 or 1/2 in size
-        np.divide((-2.0 * (n - 1)) * bary[None, :], bary[rows, None], out=blk)
-        blk += w
+        np.subtract(d[diag][:, None], blk, out=blk)
+        blk *= -4.0 * (1.0 - si * si)
+        blk += 4.0 * si
+        blk *= d
         blk[diag] = 0.0
-        blk[diag] = -_row_sums(blk, work=w)
+        blk[diag] = -_row_sums(blk, work=work[:m])
         yield rows, blk
 
 

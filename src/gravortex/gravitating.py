@@ -31,12 +31,13 @@ that step with ``solve_vortex``, and the coupled Newton iteration runs
 only at alpha > 0.  A full-space (2l != N) solve therefore never meets
 the dilation direction at alpha = 0.
 
-Near the zero-constant coupling alpha tau N = 2 the smallest singular
-value of the reduced Jacobian is about 0.13 |c|, and its singular vector
-is a grid sawtooth (the top Chebyshev mode), not a family of solutions;
-each Newton step therefore tests for a spectral gap at the bottom of the
-spectrum and borders the solve only when it finds one
-(``_gauge_aware_step``).
+At the zero-constant coupling alpha tau N = 2 the system reduces to
+Delta_FS Psi = 0 with Psi = 2u - 2 alpha tau v + alpha |phi|^2_H, so Psi is
+constant on every Einstein--Bogomol'nyi state.  The collocated Laplacian
+(:attr:`~gravortex.geometry.AxisymGrid.lap_fs`) has the kernel of Delta_FS,
+the constants alone, so the reduced Jacobian stays regular there and
+every Newton step is one LU solve; a singular one ends the iteration with
+the stop ``singular_jacobian`` (:func:`~gravortex.vortex.damped_newton`).
 
 Asymmetric two-zero monomials (2l != N) have no solution at alpha > 0:
 their Futaki character 2 pi alpha (2N - tau)(2l - N) is nonzero, so the
@@ -128,7 +129,6 @@ class ContinuationStep:
     iterations: int
     residual_sup: float
     c_est: float
-    bordered_steps: int  # Newton steps that took the bordered solve
     stop_reason: str  # see vortex.damped_newton
     # the last iterate, kept when it converged or stopped on the round-off floor
     u: np.ndarray | None = None
@@ -240,53 +240,6 @@ def c_predictions(config: HiggsConfig, alpha: float) -> dict:
     }
 
 
-_PROBES = 4  # columns of the fixed probe block of the spectral-gap test
-_GAP = 1e-6  # border when the estimate of sigma_min / sigma_{min-1} falls below this
-
-
-def _gauge_aware_step(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Newton step that stays well-posed when the linearization degenerates.
-
-    Near the zero-constant coupling the smallest singular value of the
-    Jacobian falls like about 0.13 |c|; its singular vector is a grid
-    sawtooth, the top Chebyshev mode, and the plain step's component along
-    it is round-off divided by a vanishing singular value.  One LU solve
-    takes the step together with a fixed random probe block P.  The two
-    largest singular values of J^-1 P are one-sided estimates of
-    1/sigma_min and 1/sigma_{min-1}, the single-pass randomized range
-    finder of Halko, Martinsson and Tropp (SIAM Review 53, 2011) applied to
-    J^-1.  Only a spectral gap, sigma_min < _GAP sigma_{min-1}, sends the
-    step to a bordered solve pinned to the singular pair (u_min, v_min).  The
-    top left singular vectors of J^-1 P and J^-T P estimate v_min and u_min;
-    J^-1 maps u_min to v_min / sigma_min, so one inverse-iteration step
-    refines each from the other side: u = J^-T v_hat, v = J^-1 u_hat.  Only
-    a singular or non-finite solve takes the pair from a full SVD.  Ordinary
-    conditioning (sigma_min / sigma_max tiny but no gap) keeps the plain LU
-    step.  Returns the step and whether it bordered.
-    """
-    m = jac.shape[0]
-    probe = np.random.default_rng(0).standard_normal((m, _PROBES))
-    pair = None
-    try:
-        sol = np.linalg.solve(jac, np.column_stack([rhs, probe]))
-        if np.all(np.isfinite(sol)):
-            basis, inverse, _ = np.linalg.svd(sol[:, 1:], full_matrices=False)
-            if inverse[1] >= _GAP * inverse[0]:
-                return sol[:, 0], False
-            adjoint = np.linalg.solve(jac.T, np.column_stack([basis[:, 0], probe]))
-            u_hat = np.linalg.svd(adjoint[:, 1:], full_matrices=False)[0][:, 0]
-            pair = [w / np.linalg.norm(w) for w in (adjoint[:, 0], np.linalg.solve(jac, u_hat))]
-    except np.linalg.LinAlgError:
-        pass
-    if pair is None or not np.all(np.isfinite(pair)):
-        left, _, right_t = np.linalg.svd(jac)
-        pair = left[:, -1], right_t[-1, :]
-    bordered = np.zeros((m + 1, m + 1))
-    bordered[:m, :m] = jac
-    bordered[:m, m], bordered[m, :m] = pair
-    return np.linalg.solve(bordered, np.concatenate([rhs, [0.0]]))[:m], True
-
-
 class _CoupledSystem:
     """R1, R2 and the volume row as a map of x = (u, v, c), and its Jacobian.
 
@@ -307,7 +260,6 @@ class _CoupledSystem:
         self.profile = higgs_profile(grid, config, 0)
         self.tau = float(config.tau)
         self.n_deg = config.degrees[0]
-        self.bordered_steps = 0
 
     def fold(self, g: np.ndarray) -> np.ndarray:
         """Mirror average of a grid vector (the identity in full space)."""
@@ -366,8 +318,7 @@ class _CoupledSystem:
         return jac, -np.concatenate([fold(r1), fold(r2), [r3]])
 
     def newton_step(self, x: np.ndarray) -> np.ndarray:
-        step, bordered = _gauge_aware_step(*self.linearization(x))
-        self.bordered_steps += bordered
+        step = np.linalg.solve(*self.linearization(x))
         if not self.symmetric:
             return step
         m = self.n // 2 + 1
@@ -501,7 +452,6 @@ def _step(alpha, system, x, stop_reason, iterations, residual_sup) -> Continuati
         iterations=iterations,
         residual_sup=residual_sup,
         c_est=float(c),
-        bordered_steps=system.bordered_steps,
         stop_reason=stop_reason,
         u=u.copy() if keep else None,
         v=v.copy() if keep else None,

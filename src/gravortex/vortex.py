@@ -128,7 +128,7 @@ def damped_newton(x: np.ndarray, residual, newton_step, opts: NewtonOptions):
     Each step is halved until the sup-norm decreases; a trial whose
     residual overflows is evaluated without a floating-point warning, and
     its non-finite sup-norm is rejected like any other.  The iteration stops
-    for one of four reasons:
+    for one of five reasons:
 
     * ``converged``: the sup-norm is below the tolerance;
     * ``roundoff_floor``: the full Newton step is at round-off,
@@ -141,7 +141,9 @@ def damped_newton(x: np.ndarray, residual, newton_step, opts: NewtonOptions):
       runs only when the step is at round-off;
     * ``line_search_stall``: 30 halvings (``_MAX_HALVINGS``) find no
       decrease and the iterate is not on the floor;
-    * ``max_iter``: ``max_iter`` steps were accepted without converging.
+    * ``max_iter``: ``max_iter`` steps were accepted without converging;
+    * ``singular_jacobian``: ``newton_step`` raised ``np.linalg.LinAlgError``,
+      the LU factorization of its Jacobian found an exactly zero pivot.
 
     Returns (x, history, stop_reason, iterations), where history holds the
     sup-norm of every accepted iterate.
@@ -158,7 +160,10 @@ def damped_newton(x: np.ndarray, residual, newton_step, opts: NewtonOptions):
     while not history[-1] < opts.tolerance:  # a NaN residual never converges
         if iterations >= opts.max_iter:
             return x, history, "max_iter", iterations
-        step = newton_step(x)
+        try:
+            step = newton_step(x)
+        except np.linalg.LinAlgError:
+            return x, history, "singular_jacobian", iterations
         lam = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = x + lam * step

@@ -58,6 +58,9 @@ class TestHiggsConfig:
             ((1,), (0,), True),
             ((1,), (0,), math.inf),
             ((1,), (0,), math.nan),
+            # a degrees or exponents value that is not a list
+            (5, (1,), 5.0),
+            ((2,), None, 5.0),
         ],
     )
     def test_invalid_configs_rejected(self, degrees, exponents, tau):

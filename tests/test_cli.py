@@ -6,6 +6,7 @@ import math
 import os
 
 import jsonschema
+import numpy as np
 import pytest
 
 import gravortex.bundles
@@ -569,6 +570,10 @@ class TestExecuteAndExitCodes:
             # numeric strings are not JSON numbers either
             ("tau", "5", "tau must be a positive number, got '5'"),
             ("alpha", "0.1", "alpha must be a number, got '0.1'"),
+            # a degrees or exponents value that is not a list is named with its rule
+            ("degrees", 5, "degrees must be a list of integers, got 5"),
+            ("degrees", None, "degrees must be a list of integers, got None"),
+            ("exponents", 1, "exponents must be a list of integers or nulls, got 1"),
         ],
     )
     def test_non_numeric_coupling_reported_once(self, tmp_path, capsys, key, value, message):
@@ -671,7 +676,18 @@ class TestReportContract:
         assert os.listdir(tmp_path / "out") == ["report.json"]
         jsonschema.validate(report, report_schema())
 
-    def test_continuation_reports_bordered_steps(self, tmp_path):
+    def test_singular_jacobian_exits_three(self, tmp_path, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        payload = {"command": "solve-vortex", "degrees": [2], "exponents": [1], "tau": 5}
+        code, report = run_config(tmp_path, payload)
+        assert code == EXIT_NOT_CONVERGED and report["status"] == "not_converged"
+        assert report["solver"]["stop_reason"] == "singular_jacobian"
+        jsonschema.validate(report, report_schema())
+
+    def test_continuation_converges_at_zero_constant(self, tmp_path):
         code, report = run_config(
             tmp_path,
             {
@@ -683,12 +699,15 @@ class TestReportContract:
                 "schedule": [0, 0.1, 0.2],
             },
         )
+        # alpha tau N = 2 at the last step: c = 0, where the coupled Jacobian
+        # stays regular, as the collocated Laplacian's kernel is the constants
         assert code == EXIT_OK
         jsonschema.validate(report, report_schema())
-        # at alpha tau N = 2 the smallest singular value, about 0.13 |c|, is
-        # that of a grid sawtooth (the top Chebyshev mode); the step borders
-        counts = [step["bordered_steps"] for step in report["continuation"]["steps"]]
-        assert counts[:2] == [0, 0] and counts[2] >= 1
+        steps = report["continuation"]["steps"]
+        assert [step["stop_reason"] for step in steps] == ["converged"] * 3
+        assert abs(steps[-1]["c_est"]) <= 1e-8
+        fields = {"alpha", "converged", "iterations", "residual_sup", "c_est", "stop_reason"}
+        assert all(set(step) == fields for step in steps)
 
     @pytest.mark.parametrize(
         "payload",
@@ -843,6 +862,14 @@ class TestParseTimeErrors:
                     "sweep": {"over": {"quiver": [1, 2]}},
                 },
                 "sweep.over.quiver is read only by quiver-check, not by sweep",
+            ),
+            (
+                {"command": "quiver-check", "problem": {"quiver": QUIVER}, "tau": "x"},
+                "problem.tau is not read by quiver-check, which reads only problem.quiver",
+            ),
+            (
+                {"command": "quiver-check", "problem": {"quiver": QUIVER, "degrees": 5}},
+                "problem.degrees is not read by quiver-check, which reads only problem.quiver",
             ),
         ],
     )

@@ -217,23 +217,23 @@ class TestDiff:
             dense = d1 @ f
             assert np.max(np.abs(grid.diff(f) - dense)) <= 1e-15 * n * n * np.max(np.abs(dense))
             dense = -2.0 * (d1 @ ((1.0 - s**2) * dense))
+            dense += (2.0 * (n - 1)) * np.dot(grid.bary, f) / grid.bary
             tol = 1e-14 * n * n * np.max(np.abs(dense))
             assert np.max(np.abs(grid.apply_lap_fs(f) - dense)) <= tol
 
     @pytest.mark.parametrize("n", (129, 513, 1025, 2049, 4097))
     def test_exact_on_polynomials(self, n):
-        # diff is exact to degree n - 1; the Laplacian to degree n - 2, as
-        # (1 - s^2) f' must be resolved too.  f(s) = T_k(-s), so f' = -T_k'(x)
-        # and, the Laplacian being even, Delta f = 2 x T_k' + 2 k^2 T_k
+        # diff and the Laplacian are exact to degree n - 1.  f(s) = T_k(-s),
+        # so f' = -T_k'(x) and, the Laplacian being even,
+        # Delta f = 2 x T_k' + 2 k^2 T_k
         grid = build_grid(n)
         m = n - 1
         for k in sorted({0, 1, 2, 3, 7, m // 2, m - 2, m - 1, m}):
             x, t, slope = chebyshev_t(n, k)
             scale = max(1.0, k * k)
             assert np.max(np.abs(grid.diff(t) + slope)) <= 1e-12 * n * scale, k
-            if k <= m - 1:
-                lap = 2.0 * x * slope + 2.0 * k * k * t
-                assert np.max(np.abs(grid.apply_lap_fs(t) - lap)) <= 1e-11 * n * scale, k
+            lap = 2.0 * x * slope + 2.0 * k * k * t
+            assert np.max(np.abs(grid.apply_lap_fs(t) - lap)) <= 1e-11 * n * scale, k
         assert ("d1" in vars(grid)) == (n <= NESTED_ABOVE_N)
 
     @pytest.mark.parametrize("n", (33, 129, 257))
@@ -242,7 +242,8 @@ class TestDiff:
         s = grid.nodes
         for f in (np.sin(2.0 * s) + s**5, 1.0 / (1.3 - s)):
             assert np.array_equal(grid.diff(f), grid.d1 @ f)
-            dense = -2.0 * (grid.d1 @ ((1.0 - s**2) * (grid.d1 @ f)))
+            div = -2.0 * (grid.d1 @ ((1.0 - s**2) * (grid.d1 @ f)))
+            dense = div + (2.0 * (n - 1)) * np.dot(grid.bary, f) / grid.bary
             assert np.array_equal(grid.apply_lap_fs(f), dense)
 
 
@@ -378,15 +379,17 @@ class TestLaplacian:
         folded = fresh.lap_fs_even @ f[mid:]
         assert np.max(np.abs(folded - (full @ f)[mid:])) <= 1e-9
 
-    @pytest.mark.parametrize("n", (129, 257, 1025))
+    @pytest.mark.parametrize("n", (33, 129, 257, 1025))
     def test_lap_fs_legendre_eigenvalues(self, n):
-        # Delta_FS P_l = 2 l (l + 1) P_l for every degree l <= n - 2 the
-        # dense Laplacian is exact on; built entrywise, its error relative
-        # to the eigenvalue stays below 1.5e-16 n^2, which the O(n^3)
-        # product -2 d1 (1 - s^2) d1 misses by 3.4x at n = 257 and 1025
+        # Delta_FS P_l = 2 l (l + 1) P_l for every degree l <= n - 1 the
+        # grid resolves, so the kernel is the constants alone; built
+        # entrywise, the error relative to the eigenvalue stays below
+        # 1.5e-16 n^2 (measured: 1e-14 to 7e-11).  The divergence form
+        # -2 d1 (1 - s^2) d1 misses P_{n-1} by 0.07 to 0.39 and maps the
+        # top Chebyshev mode to zero
         grid = build_grid(n)
-        legendre = np.polynomial.legendre.legvander(grid.nodes, n - 2)[:, 1:]
-        ell = np.arange(1, n - 1)
+        legendre = np.polynomial.legendre.legvander(grid.nodes, n - 1)[:, 1:]
+        ell = np.arange(1, n)
         eig = 2.0 * ell * (ell + 1)
         err = np.max(np.abs(grid.lap_fs @ legendre - eig * legendre), axis=0) / eig
         assert np.max(err) <= 1.5e-16 * n * n

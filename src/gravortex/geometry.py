@@ -8,7 +8,7 @@ and the poles s = +-1 need no special treatment.
 A grid is built from its nodes, its quadrature weights (one FFT) and its
 barycentric weights; it holds no n x n matrix until one is read.  Grid
 vectors are differentiated by :meth:`AxisymGrid.diff`: up to
-``NESTED_ABOVE_N`` nodes by the dense first-derivative matrix ``d1``,
+``DENSE_D1_MAX_N`` nodes by the dense first-derivative matrix ``d1``,
 built on half its rows and mirrored on first use, and above it through
 FFT-computed Chebyshev coefficients in O(n log n), with no ``d1``.  The
 Laplacian is two such derivatives and a rank-one correction, and the
@@ -18,7 +18,7 @@ solvers' own included, applies the Laplacian this way.  The dense
 :attr:`AxisymGrid.lap_fs_even` are read only where the Newton Jacobians
 are assembled; each is filled entrywise in O(n^2) from a closed form in
 the rows of ``d1``, computed block by block, so no matrix product builds
-them and a grid above NESTED_ABOVE_N holds no ``d1``.
+them and a grid above DENSE_D1_MAX_N holds no ``d1``.
 
 Conventions (see CONVENTIONS.md for the full ledger):
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,9 +50,8 @@ MIN_NODES = 33
 MAX_NODES = 4097
 # Grids up to this size differentiate with the dense d1, which is several
 # times faster than the FFT route there; finer grids differentiate through
-# Chebyshev coefficients, and solves on them are nested (seeded from a
-# coarse solve, see vortex.NESTED_COARSE_N).
-NESTED_ABOVE_N = 257
+# Chebyshev coefficients.
+DENSE_D1_MAX_N = 257
 # rows per block when d1, lap_fs or lap_fs_even is filled; at n = 4097 a
 # block's temporaries are 4 MiB each, below the size of the n = 1025 matrices
 _ROW_BLOCK = 128
@@ -75,11 +74,11 @@ class AxisymGrid:
 
     The round Laplacian is applied matrix-free by :meth:`apply_lap_fs`, two
     :meth:`diff` calls and a rank-one term: O(n^2) products with ``d1`` up
-    to NESTED_ABOVE_N nodes, O(n log n) FFTs above.  ``d1`` (8 n^2 bytes), :attr:`lap_fs` and
-    :attr:`lap_fs_even` are cached properties, each built on first access
-    in O(n^2) elementwise numpy work, the same bits for every BLAS thread
-    count; only the Newton Jacobians read the last two, and neither reads
-    ``d1``.
+    to DENSE_D1_MAX_N nodes, O(n log n) FFTs above.  ``d1`` (8 n^2 bytes),
+    :attr:`lap_fs` and :attr:`lap_fs_even` are cached properties, each
+    built on first access in O(n^2) elementwise numpy work, the same bits
+    for every BLAS thread count; only the Newton Jacobians read the last
+    two, and neither reads ``d1``.
     """
 
     n: int
@@ -95,7 +94,7 @@ class AxisymGrid:
     def diff(self, f: np.ndarray) -> np.ndarray:
         """Derivative of the nodal interpolant of a grid vector, at the nodes.
 
-        Up to NESTED_ABOVE_N nodes this is ``d1 @ f``.  Above, it works on
+        Up to DENSE_D1_MAX_N nodes this is ``d1 @ f``.  Above, it works on
         the Chebyshev coefficients a_k of f, O(n log n) and without ``d1``:
         one DCT-I (:func:`_chebyshev_coefficients`), the recurrence
         b_{k-1} = b_{k+1} + 2k a_k as two reversed cumulative sums (over odd
@@ -103,7 +102,7 @@ class AxisymGrid:
         Theory and Approximation Practice*, SIAM 2013, ch. 3 and 21).  Both
         forms are exact for polynomials of degree <= n-1.
         """
-        if self.n <= NESTED_ABOVE_N:
+        if self.n <= DENSE_D1_MAX_N:
             return self.d1 @ f
         m = self.n - 1  # even, as n is odd
         t = _chebyshev_coefficients(f)
@@ -494,10 +493,21 @@ def hamiltonian_potential(grid: AxisymGrid, metric: ConformalMetric | None) -> n
     return h - h_mean
 
 
+@lru_cache(maxsize=8)
+def _profile_rows(nodes: bytes) -> str:
+    """The rows of a profile CSV on these float64 nodes, each value a ``%.17g`` slot.
+
+    A node column is formatted once per grid, and the value column of each
+    file is one ``%`` over this template; ``%.17g`` and ``{:.17g}`` print a
+    float alike.
+    """
+    return "".join([f"{x:.17g},%.17g\n" for x in np.frombuffer(nodes).tolist()])
+
+
 def write_profile_csv(path, s: np.ndarray, values: np.ndarray, header: str = "s,value") -> None:
     """Write a (s, value) profile with 17 significant digits per entry."""
-    rows = map("{:.17g},{:.17g}".format, s.tolist(), values.tolist())
-    text = "\n".join([header, *rows]) + "\n"
+    rows = _profile_rows(np.asarray(s, dtype=float).tobytes())
+    text = header + "\n" + rows % tuple(values.tolist())
     from .reporting import atomic_write_text
 
     atomic_write_text(path, text)

@@ -55,7 +55,6 @@ import numpy as np
 from .bundles import HiggsConfig, higgs_profile
 from .errors import ConfigurationError, ObstructionError, finite_float
 from .geometry import (
-    NESTED_ABOVE_N,
     AxisymGrid,
     ConformalMetric,
     ROUND_SCALAR_CURVATURE,
@@ -286,15 +285,22 @@ class _CoupledSystem:
         r2 = metric_equation(s_field, self.alpha, lap_phih, phih, self.tau, c)
         return (r1, r2, volume_row(grid, u)), (u, emu, phih, s_field, curv, lap_phih)
 
+    def evaluate(self, x: np.ndarray):
+        """(R1, R2, volume row) as one vector on the full grid, and the Jacobian's terms."""
+        (r1, r2, r3), terms = self.equations(x)
+        return np.concatenate([r1, r2, [r3]]), terms
+
     def residual(self, x: np.ndarray) -> np.ndarray:
         """(R1, R2, volume row) as one vector on the full grid."""
-        r1, r2, r3 = self.equations(x)[0]
-        return np.concatenate([r1, r2, [r3]])
+        return self.evaluate(x)[0]
 
-    def linearization(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Jacobian and negated residual, both folded with ``symmetric``, at x."""
-        (r1, r2, r3), (u, emu, phih, s_field, curv, lap_phih) = self.equations(x)
-        fold, alpha = self.fold, self.alpha
+    def linearization(self, x: np.ndarray, evaluation) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobian and negated residual, both folded with ``symmetric``, at x.
+
+        ``evaluation`` is :meth:`evaluate` at x, whose terms the Jacobian reuses.
+        """
+        r, (u, emu, phih, s_field, curv, lap_phih) = evaluation
+        fold, alpha, n = self.fold, self.alpha, self.n
         lap = self.grid.lap_fs_even if self.symmetric else self.grid.lap_fs
         m = lap.shape[0]
         diag = np.arange(m)
@@ -315,10 +321,10 @@ class _CoupledSystem:
             vol = 2.0 * fold(vol)
             vol[0] *= 0.5
         jac[2 * m, :m] = vol
-        return jac, -np.concatenate([fold(r1), fold(r2), [r3]])
+        return jac, -np.concatenate([fold(r[:n]), fold(r[n : 2 * n]), r[2 * n :]])
 
-    def newton_step(self, x: np.ndarray) -> np.ndarray:
-        step = np.linalg.solve(*self.linearization(x))
+    def newton_step(self, x: np.ndarray, evaluation) -> np.ndarray:
+        step = np.linalg.solve(*self.linearization(x, evaluation))
         if not self.symmetric:
             return step
         m = self.n // 2 + 1
@@ -345,12 +351,13 @@ def solve_gravitating(
     ``v0``, a finite vector on ``grid``
     (:func:`~gravortex.vortex.grid_vector`), or from zero.  Every later step
     is a coupled Newton solve started from the previous state, except at
-    n > NESTED_ABOVE_N without ``v0``: there the whole schedule is first
-    solved at NESTED_COARSE_N nodes, and each fine step starts from the
-    coarse step at the same alpha, prolonged by Chebyshev coefficients
+    n > NESTED_COARSE_N (129) without ``v0``: there the whole schedule is
+    first solved at NESTED_COARSE_N nodes, and each fine step starts from
+    the coarse step at the same alpha, prolonged by Chebyshev coefficients
     (:meth:`AxisymGrid.prolong`), when that step converged or stopped on
-    its round-off floor.  The report covers the fine steps only; the coarse
-    solve's Newton steps are not in their ``iterations``.
+    its round-off floor; such a fine step mostly converges with no Newton
+    step.  The report covers the fine steps only; the coarse solve's
+    Newton steps are not in their ``iterations``.
     The continuation stops at the first step that does not converge (its
     ``stop_reason`` says why) and returns the last converged state with
     converged=False, or, when no step converged, the start at alpha = 0:
@@ -377,11 +384,13 @@ def _continue(config, grid, alphas, newton, v0, solved) -> list[ContinuationStep
     step: the state a continuation along the same prefix reaches, so the
     steps do not depend on what ``solved`` held.  Without a reused prefix
     the first step is alpha = 0 (:func:`_round_step`), started from ``v0``
-    or from zero.  With ``v0`` None and n > NESTED_ABOVE_N, each step
+    or from zero.  With ``v0`` None and n > NESTED_COARSE_N, each step
     instead starts from the step at its alpha of the same continuation at
     NESTED_COARSE_N nodes, prolonged, when that step converged or stopped
     on its floor; so no alpha = 0 step solves the coarse grid twice.  The
-    continuation stops at the first step that does not converge.
+    coarse continuation shares ``solved``, so an EB search solves each
+    coarse coupling once too.  The continuation stops at the first step
+    that does not converge.
     """
     n = grid.n
     steps = []
@@ -390,7 +399,7 @@ def _continue(config, grid, alphas, newton, v0, solved) -> list[ContinuationStep
             break
         steps.append(solved[n, alpha])
     starts = {}  # by alpha: a step's start, when it is not the last state
-    if v0 is None and n > NESTED_ABOVE_N:
+    if v0 is None and n > NESTED_COARSE_N:
         coarse = build_grid(NESTED_COARSE_N)
         starts = {
             step.alpha: (coarse.prolong(step.u, n), coarse.prolong(step.v, n), step.c_est)
@@ -437,7 +446,7 @@ def _coupled_step(config, grid, alpha, symmetric, newton, start) -> Continuation
     if symmetric:  # the even part, as solve_vortex starts
         u0, v0 = 0.5 * (u0 + u0[::-1]), 0.5 * (v0 + v0[::-1])
     x, history, stop_reason, iterations = damped_newton(
-        np.concatenate([u0, v0, [c0]]), system.residual, system.newton_step, newton
+        np.concatenate([u0, v0, [c0]]), system.evaluate, system.newton_step, newton
     )
     return _step(alpha, system, x, stop_reason, iterations, history[-1])
 

@@ -31,7 +31,6 @@ from .errors import (
     is_integer,
 )
 from .geometry import (
-    NESTED_ABOVE_N,
     AxisymGrid,
     ConformalMetric,
     build_grid,
@@ -77,7 +76,7 @@ class NewtonOptions:
         self.tolerance, self.max_iter = tol, int(max_iter)
 
 
-NESTED_COARSE_N = 129  # solves on grids above NESTED_ABOVE_N are seeded at this resolution
+NESTED_COARSE_N = 129  # solves on finer grids are seeded by a solve at this resolution
 
 _ROUNDOFF_STEP = 1e-12  # a Newton increment below this, relative to 1 + |x|, is round-off
 _FLOOR_FACTOR = 4.0  # a residual within this factor of its floor estimate is on the floor
@@ -120,11 +119,15 @@ def roundoff_floor(residual, x: np.ndarray, r: np.ndarray) -> float:
     )
 
 
-def damped_newton(x: np.ndarray, residual, newton_step, opts: NewtonOptions):
+def damped_newton(x: np.ndarray, evaluate, newton_step, opts: NewtonOptions):
     """The damped Newton iteration shared by the vortex and coupled solvers.
 
-    ``residual(x)`` is the residual vector, whose sup-norm is driven below
-    ``opts.tolerance``, and ``newton_step(x)`` the full Newton step at x.
+    ``evaluate(x)`` is the evaluation (r, terms) at x: the residual vector
+    r, whose sup-norm is driven below ``opts.tolerance``, and the terms of
+    r that the step reuses.  ``newton_step(x, evaluation)`` is the full
+    Newton step at x, handed the evaluation the iteration already made
+    there, so no iterate is evaluated twice.
+
     Each step is halved until the sup-norm decreases; a trial whose
     residual overflows is evaluated without a floating-point warning, and
     its non-finite sup-norm is rejected like any other.  The iteration stops
@@ -149,37 +152,40 @@ def damped_newton(x: np.ndarray, residual, newton_step, opts: NewtonOptions):
     sup-norm of every accepted iterate.
     """
 
+    def residual(z):
+        return evaluate(z)[0]
+
     def on_floor(z, step, r_z) -> bool:
         if not sup_norm(step) <= _ROUNDOFF_STEP * (1.0 + sup_norm(z)):
             return False
         return sup_norm(r_z) <= _FLOOR_FACTOR * roundoff_floor(residual, z, r_z)
 
-    r = residual(x)
-    history = [sup_norm(r)]
+    evaluation = evaluate(x)
+    history = [sup_norm(evaluation[0])]
     iterations = 0
     while not history[-1] < opts.tolerance:  # a NaN residual never converges
         if iterations >= opts.max_iter:
             return x, history, "max_iter", iterations
         try:
-            step = newton_step(x)
+            step = newton_step(x, evaluation)
         except np.linalg.LinAlgError:
             return x, history, "singular_jacobian", iterations
         lam = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = x + lam * step
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trial is halved
-                trial_r = residual(trial)
-            trial_sup = sup_norm(trial_r)
+                trial_evaluation = evaluate(trial)
+            trial_sup = sup_norm(trial_evaluation[0])
             if trial_sup < history[-1]:
                 break
             lam *= 0.5
         else:
-            reason = "roundoff_floor" if on_floor(x, step, r) else "line_search_stall"
+            reason = "roundoff_floor" if on_floor(x, step, evaluation[0]) else "line_search_stall"
             return x, history, reason, iterations
-        x, r = trial, trial_r
+        x, evaluation = trial, trial_evaluation
         iterations += 1
         history.append(trial_sup)
-        if trial_sup >= opts.tolerance and on_floor(x, step, r):
+        if trial_sup >= opts.tolerance and on_floor(x, step, evaluation[0]):
             return x, history, "roundoff_floor", iterations
     return x, history, "converged", iterations
 
@@ -303,10 +309,11 @@ def solve_vortex(
     The solution is unique, so the converged result does not depend on the
     initial guess ``v0``, a finite vector on ``grid`` (:func:`grid_vector`).
     Without ``v0`` the iteration starts from zero, except on the round
-    metric at n > NESTED_ABOVE_N: there it starts from a solve at
+    metric at n > NESTED_COARSE_N (129): there it starts from a solve at
     NESTED_COARSE_N nodes that converged or stopped on its round-off floor,
     prolonged by its Chebyshev coefficients (:meth:`AxisymGrid.prolong`),
-    which is already accurate to the fine grid's round-off floor.  When
+    which is already accurate to the fine grid's round-off floor, so the
+    fine iteration mostly verifies it with no Newton step.  When
     2l = N and the metric potential is exactly even (the round metric
     among them), the solution is even: the start is replaced by its even
     part, and every Newton step is a linear solve of half the size on the
@@ -322,7 +329,7 @@ def solve_vortex(
     opts = options or NewtonOptions()
     if v0 is not None:
         v = grid_vector(grid, v0, "initial guess").copy()
-    elif grid.n > NESTED_ABOVE_N and (metric is None or not np.any(metric.u)):
+    elif grid.n > NESTED_COARSE_N and (metric is None or not np.any(metric.u)):
         coarse = build_grid(NESTED_COARSE_N)
         pot, report = solve_vortex(coarse, None, config, opts)
         usable = report.stop_reason in USABLE_STOPS
@@ -338,12 +345,16 @@ def solve_vortex(
     if symmetric:
         v = 0.5 * (v + v[::-1])
 
-    def newton_step(vv: np.ndarray) -> np.ndarray:
-        if not symmetric:
-            return np.linalg.solve(jacobian(vv), -residual(vv))
-        return unfold_even(np.linalg.solve(jacobian(vv), -fold_even(residual(vv))))
+    def evaluate(vv: np.ndarray):
+        return residual(vv), None  # the Jacobian reuses no other term
 
-    v, history, stop_reason, iterations = damped_newton(v, residual, newton_step, opts)
+    def newton_step(vv: np.ndarray, evaluation) -> np.ndarray:
+        r = evaluation[0]
+        if not symmetric:
+            return np.linalg.solve(jacobian(vv), -r)
+        return unfold_even(np.linalg.solve(jacobian(vv), -fold_even(r)))
+
+    v, history, stop_reason, iterations = damped_newton(v, evaluate, newton_step, opts)
     report = SolveReport(
         converged=stop_reason == "converged",
         iterations=iterations,

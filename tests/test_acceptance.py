@@ -113,7 +113,9 @@ def test_criterion_04_abelian_vortex_solve():
     assert rep.converged and rep.iterations <= 15
     assert rep.residual_sup < 1e-10
     fine = build_grid(257)
-    pot_f, rep_f = solve_vortex(fine, None, cfg, NewtonOptions(tolerance=1e-9))
+    # from zero: a fine solve without v0 would start from the coarse one
+    opts = NewtonOptions(tolerance=1e-9)
+    pot_f, rep_f = solve_vortex(fine, None, cfg, opts, v0=np.zeros(fine.n))
     assert rep_f.converged
     agreement = np.max(np.abs(coarse.prolong(pot.v, fine.n) - pot_f.v))
     assert agreement <= 1e-8, f"two-resolution disagreement {agreement}"

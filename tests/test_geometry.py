@@ -21,8 +21,8 @@ from gravortex import (
     volume,
 )
 from gravortex.geometry import (
+    DENSE_D1_MAX_N,
     GAUSS_BONNET_TOTAL,
-    NESTED_ABOVE_N,
     _row_sums,
     cumulative_antiderivative,
     hamiltonian_potential,
@@ -107,7 +107,7 @@ class TestBuildGrid:
         assert len(digests[0]) == 40 and digests[0] == digests[1]
 
     def test_lap_fs_independent_of_blas_threads(self):
-        # above NESTED_ABOVE_N the applied Laplacian is FFTs and cumulative
+        # above DENSE_D1_MAX_N the applied Laplacian is FFTs and cumulative
         # sums, and lap_fs and lap_fs_even are filled entrywise by numpy at
         # every n: no BLAS product touches any of them
         import gravortex
@@ -204,7 +204,7 @@ def chebyshev_t(n, k):
 
 
 class TestDiff:
-    """:meth:`AxisymGrid.diff`: d1 @ f up to NESTED_ABOVE_N nodes, FFTs above."""
+    """:meth:`AxisymGrid.diff`: d1 @ f up to DENSE_D1_MAX_N nodes, FFTs above."""
 
     @pytest.mark.parametrize("n", (513, 1025, 2049, 4097))
     def test_fft_path_matches_dense(self, n):
@@ -234,7 +234,7 @@ class TestDiff:
             assert np.max(np.abs(grid.diff(t) + slope)) <= 1e-12 * n * scale, k
             lap = 2.0 * x * slope + 2.0 * k * k * t
             assert np.max(np.abs(grid.apply_lap_fs(t) - lap)) <= 1e-11 * n * scale, k
-        assert ("d1" in vars(grid)) == (n <= NESTED_ABOVE_N)
+        assert ("d1" in vars(grid)) == (n <= DENSE_D1_MAX_N)
 
     @pytest.mark.parametrize("n", (33, 129, 257))
     def test_dense_path_bit_identical(self, n):

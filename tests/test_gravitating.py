@@ -230,21 +230,30 @@ class TestSolveGravitating:
         schedule = ContinuationSchedule(alphas=(0.0, 0.05, 0.1))
         coarse, fine = build_grid(129), build_grid(257)
         s_c, r_c = solve_gravitating(symmetric_config, schedule, coarse)
+        # from zero: a fine solve without v0 would start from the coarse one
         s_f, r_f = solve_gravitating(
-            symmetric_config, schedule, fine, newton=NewtonOptions(tolerance=1e-9)
+            symmetric_config, schedule, fine, v0=np.zeros(fine.n),
+            newton=NewtonOptions(tolerance=1e-9),
         )
         assert r_c.converged and r_f.converged
         interp_u = coarse.prolong(s_c.metric.u, fine.n)
         assert np.max(np.abs(interp_u - s_f.metric.u)) <= 1e-7
 
     def test_degree_four_continuation_converges_at_n257(self):
-        # the alpha = 0 solve ends close to the 1e-10 tolerance at n = 257;
-        # a residual evaluated through the dense Laplacian stalls above it
+        # from zero, the alpha = 0 solve ends close to the 1e-10 tolerance at
+        # n = 257; a residual evaluated through the dense Laplacian stalls
+        # above it.  Without v0 every step starts from the prolonged n = 129
+        # step and lands on the same states.
         cfg = HiggsConfig(degrees=(4,), exponents=(2,), tau=9.0)
         schedule = ContinuationSchedule(alphas=tuple(k / 90 for k in range(6)))
         _, report = solve_gravitating(cfg, schedule, build_grid(257))
-        assert report.converged
-        assert [step.converged for step in report.steps] == [True] * 6
+        _, zero_report = solve_gravitating(cfg, schedule, build_grid(257), v0=np.zeros(257))
+        for rep in (report, zero_report):
+            assert rep.converged
+            assert [step.converged for step in rep.steps] == [True] * 6
+        for step, zero_step in zip(report.steps, zero_report.steps):
+            assert np.max(np.abs(step.u - zero_step.u)) <= 1e-12
+            assert np.max(np.abs(step.v - zero_step.v)) <= 1e-12
 
     def test_nested_continuation_reports_every_alpha(self, symmetric_config):
         # the n = 513 floor lies below the default tolerance, so the solve
@@ -302,9 +311,9 @@ class TestAlphaZeroStep:
     def test_no_coupled_jacobian_at_alpha_zero(self, monkeypatch, degrees, exponents, tau, alphas):
         calls, linearization = [], _CoupledSystem.linearization
 
-        def counting(system, x):
+        def counting(system, x, evaluation):
             calls.append(x.shape)
-            return linearization(system, x)
+            return linearization(system, x, evaluation)
 
         monkeypatch.setattr(_CoupledSystem, "linearization", counting)
         cfg = HiggsConfig(degrees=degrees, exponents=exponents, tau=tau)
@@ -313,7 +322,7 @@ class TestAlphaZeroStep:
         assert len(calls) == sum(step.iterations for step in report.steps[1:])
 
     def test_v0_starts_the_alpha_zero_step(self, monkeypatch, symmetric_config):
-        # v0 is the start of the vortex solve, and above n = 257 no coarse solve runs with it
+        # v0 is the start of the vortex solve, and above n = 129 no coarse solve runs with it
         grid = build_grid(513)
         solved, _ = solve_vortex(grid, None, symmetric_config)
         built = []
@@ -340,7 +349,7 @@ class TestGaugeAwareStep:
         cfg = HiggsConfig(degrees=(degree,), exponents=(exponent,), tau=tau)
         system = _CoupledSystem(grid, cfg, 0.0, symmetric)
         x = np.concatenate([np.zeros(129), np.zeros(129), [4.0]])
-        jac, _ = system.linearization(x)
+        jac, _ = system.linearization(x, system.evaluate(x))
         sing = np.linalg.svd(jac, compute_uv=False)
         if symmetric:
             assert sing[-1] > 1e-8 * sing[0]
@@ -364,8 +373,8 @@ class TestGaugeAwareStep:
     def test_singular_jacobian_is_a_named_stop(self, monkeypatch, symmetric_config):
         # an exactly singular Jacobian makes the LU solve raise; the Newton
         # loop turns that into a stop, not a traceback
-        def singular(system, x):
-            jac, rhs = linearization(system, x)
+        def singular(system, x, evaluation):
+            jac, rhs = linearization(system, x, evaluation)
             return np.zeros_like(jac), rhs
 
         linearization = _CoupledSystem.linearization
@@ -534,9 +543,17 @@ class TestZeroConstantReduction:
             u, v = result.state.metric.u, result.state.bundle.v
             assert np.ptp(psi(grid, cfg, result.alpha_star, u, v)) <= 1e-12
             states.append((grid, u, v))
-        (coarse, u129, v129), (_, u257, v257) = states
+        (coarse, u129, v129), (fine, u257, v257) = states
         assert np.max(np.abs(coarse.prolong(u129, 257) - u257)) <= 1e-12
         assert np.max(np.abs(coarse.prolong(v129, 257) - v257)) <= 1e-12
+        # the n = 257 search starts from the prolonged n = 129 steps, so the
+        # check above holds by construction; a continuation from zero on the
+        # fine grid to the same alpha* is independent of them
+        schedule = ContinuationSchedule(alphas=_schedule_to(result.alpha_star))
+        zero_state, zero_report = solve_gravitating(cfg, schedule, fine, v0=np.zeros(257))
+        assert zero_report.converged
+        assert np.max(np.abs(zero_state.metric.u - u257)) <= 1e-12
+        assert np.max(np.abs(zero_state.bundle.v - v257)) <= 1e-12
 
 
 def general_form(grid, state, config):

@@ -104,7 +104,7 @@ def test_coupled_jacobian(n, degree, exponent, tau, symmetric):
     def reduced_residual(z):
         return reduce(system.residual(expand(z)))
 
-    jac, rhs = system.linearization(expand(y))
+    jac, rhs = system.linearization(expand(y), system.evaluate(expand(y)))
     assert np.array_equal(rhs, -reduced_residual(y))
     assert jac.shape == ((n + 2, n + 2) if symmetric else (2 * n + 1, 2 * n + 1))
     assert_matches(jac, central_jacobian(reduced_residual, y))
@@ -124,8 +124,8 @@ def test_half_size_assembly_is_fold_of_full_space(n):
     x = np.concatenate([u, v, [1.7]])
     assert np.array_equal(unfold(fold(x)), x)
 
-    jac, rhs = reduced.linearization(x)
-    jac_full, rhs_full = full.linearization(x)
+    jac, rhs = reduced.linearization(x, reduced.evaluate(x))
+    jac_full, rhs_full = full.linearization(x, full.evaluate(x))
     rows = np.array([fold(col) for col in jac_full.T]).T
     expand = np.array([unfold(e) for e in np.eye(n + 2)]).T
     folded = rows @ expand

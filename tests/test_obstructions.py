@@ -391,7 +391,7 @@ class TestMatrixFreeEvaluation:
         assert "lap_fs" not in vars(grid)
 
     def test_fine_grid_builds_no_d1(self):
-        # above NESTED_ABOVE_N nodes every evaluation differentiates by FFT,
+        # above DENSE_D1_MAX_N nodes every evaluation differentiates by FFT,
         # so a 4097-node grid never holds its 128 MiB d1
         grid = build_grid(4097)
         for evaluate in self._evaluations(grid).values():

@@ -200,7 +200,9 @@ class TestSolveVortex:
         coarse = build_grid(129)
         fine = build_grid(257)
         pot_c, rep_c = solve_vortex(coarse, None, cfg)
-        pot_f, rep_f = solve_vortex(fine, None, cfg, NewtonOptions(tolerance=1e-9))
+        # from zero: a fine solve without v0 would start from the coarse one
+        opts = NewtonOptions(tolerance=1e-9)
+        pot_f, rep_f = solve_vortex(fine, None, cfg, opts, v0=np.zeros(fine.n))
         assert rep_c.converged and rep_f.converged
         interp = coarse.prolong(pot_c.v, fine.n)
         assert np.max(np.abs(interp - pot_f.v)) <= 1e-8

@@ -6,14 +6,17 @@ Chebyshev collocation on Gauss--Lobatto nodes in s gives spectral accuracy
 and the poles s = +-1 need no special treatment.
 
 A grid is built from its nodes, its quadrature weights (one FFT) and its
-barycentric weights; it holds no n x n matrix until one is read.  Grid
-vectors are differentiated by :meth:`AxisymGrid.diff`: up to
-``DENSE_D1_MAX_N`` nodes by the dense first-derivative matrix ``d1``,
-built on half its rows and mirrored on first use, and above it through
-FFT-computed Chebyshev coefficients in O(n log n), with no ``d1``.  The
-Laplacian is two such derivatives and a rank-one correction, and the
-antiderivative works on the same coefficients.  Every residual, the
-solvers' own included, applies the Laplacian this way.  The dense
+barycentric weights; it holds no n x n matrix until one is read.  The
+grid of each resolution is built once per process and shared by every
+caller (:func:`build_grid`), its arrays read-only, so a dense operator
+that one solve reads is filled once for all of them.  Grid vectors are
+differentiated by :meth:`AxisymGrid.diff`: up to ``DENSE_D1_MAX_N``
+nodes by the dense first-derivative matrix ``d1``, built on half its
+rows and mirrored on first use, and above it through FFT-computed
+Chebyshev coefficients in O(n log n), with no ``d1``.  The Laplacian is
+two such derivatives and a rank-one correction, and the antiderivative
+works on the same coefficients.  Every residual, the solvers' own
+included, applies the Laplacian this way.  The dense
 :attr:`AxisymGrid.lap_fs` and its even-parity fold
 :attr:`AxisymGrid.lap_fs_even` are read only where the Newton Jacobians
 are assembled; each is filled entrywise in O(n^2) from a closed form in
@@ -79,6 +82,12 @@ class AxisymGrid:
     built on first access in O(n^2) elementwise numpy work, the same bits
     for every BLAS thread count; only the Newton Jacobians read the last
     two, and neither reads ``d1``.
+
+    :func:`build_grid` returns one shared grid per resolution, so these
+    members stay for the life of the process once read: only those that
+    something read, ``lap_fs_even`` being (n//2 + 1)^2 doubles, 2.1 MB at
+    n = 1025 and 34 MB at n = 4097.  Every array of a grid is read-only;
+    writing into one raises ValueError instead of changing a later solve.
     """
 
     n: int
@@ -89,7 +98,7 @@ class AxisymGrid:
     @cached_property
     def d1(self) -> np.ndarray:
         """Dense first-derivative matrix, built on first access."""
-        return _dense_d1(self.nodes, self.bary)
+        return _read_only(_dense_d1(self.nodes, self.bary))
 
     def diff(self, f: np.ndarray) -> np.ndarray:
         """Derivative of the nodal interpolant of a grid vector, at the nodes.
@@ -138,7 +147,7 @@ class AxisymGrid:
         for rows, blk in _lap_fs_rows(self.nodes, self.bary):
             lap[rows] = blk
         np.copyto(lap[mid + 1 :], lap[mid - 1 :: -1, ::-1])
-        return lap
+        return _read_only(lap)
 
     @cached_property
     def lap_fs_even(self) -> np.ndarray:
@@ -161,7 +170,7 @@ class AxisymGrid:
             out = even[mid + 1 - rows.stop : mid + 1 - rows.start][::-1]
             np.add(blk[:, mid::-1], blk[:, mid:], out=out)
             out[:, 0] = blk[:, mid]
-        return even
+        return _read_only(even)
 
     def apply_lap_fs(self, f: np.ndarray) -> np.ndarray:
         """Round-metric Laplacian of a grid vector, :attr:`lap_fs` applied without the matrix.
@@ -247,15 +256,30 @@ def _row_sums(a: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 
 def build_grid(n: int) -> AxisymGrid:
-    """Build the collocation grid: nodes, quadrature and barycentric weights.
+    """The collocation grid of n nodes: nodes, quadrature and barycentric weights.
+
+    The resolution is validated by :func:`check_resolution` on every call,
+    before the cache is read, so ``build_grid(129.0)`` is refused however
+    often ``build_grid(129)`` has run.  The grid of each resolution is then
+    built once per process and shared (:func:`_grid`, keyed by ``int(n)``):
+    every solve, nested seed and CLI job at that n reads the same read-only
+    arrays, and the dense operators that one of them reads are there for
+    the next (see :class:`AxisymGrid` for what that holds).
+    ``build_grid.cache_clear()`` forgets every grid.
+    """
+    check_resolution(n)
+    return _grid(int(n))
+
+
+@lru_cache(maxsize=8)  # every ladder resolution 2^k + 1 in [33, 4097]
+def _grid(n: int) -> AxisymGrid:
+    """Build the grid of n nodes, its arrays read-only.
 
     The weights are one DCT-I of the Chebyshev moments (Waldvogel, "Fast
     construction of the Fejer and Clenshaw-Curtis quadrature rules", BIT 46,
     2006), O(n log n) and exactly symmetric.  ``d1`` is left to its first
-    access (:func:`_dense_d1`).  Deterministic for fixed n; the resolution
-    is validated by :func:`check_resolution`.
+    access (:func:`_dense_d1`).  Deterministic for fixed n.
     """
-    check_resolution(n)
     m = n - 1
     j = np.arange(n)
     # sin form keeps the node set exactly symmetric in floating point
@@ -270,7 +294,16 @@ def build_grid(n: int) -> AxisymGrid:
     weights = np.fft.rfft(np.concatenate([moments, moments[-2:0:-1]])).real * (2.0 / m)
     weights[[0, m]] *= 0.5
     weights = 0.5 * (weights + weights[::-1])
-    return AxisymGrid(n=n, nodes=s, weights=weights, bary=bary)
+    return AxisymGrid(n=n, nodes=_read_only(s), weights=_read_only(weights), bary=_read_only(bary))
+
+
+build_grid.cache_clear = _grid.cache_clear
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a shared grid array that a caller writes into raises ValueError."""
+    a.flags.writeable = False
+    return a
 
 
 def _row_blocks(n: int):

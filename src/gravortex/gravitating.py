@@ -77,6 +77,7 @@ from .vortex import (
     check_vortex_window,
     damped_newton,
     grid_vector,
+    nested_start,
     solve_vortex,
     sup_norm,
     vortex_equation,
@@ -351,13 +352,15 @@ def solve_gravitating(
     ``v0``, a finite vector on ``grid``
     (:func:`~gravortex.vortex.grid_vector`), or from zero.  Every later step
     is a coupled Newton solve started from the previous state, except at
-    n > NESTED_COARSE_N (129) without ``v0``: there the whole schedule is
-    first solved at NESTED_COARSE_N nodes, and each fine step starts from
-    the coarse step at the same alpha, prolonged by Chebyshev coefficients
+    n > NESTED_COARSE_N (129) without ``v0``: there each fine step starts
+    from the step at the same alpha of the same continuation at
+    NESTED_COARSE_N nodes, prolonged by Chebyshev coefficients
     (:meth:`AxisymGrid.prolong`), when that step converged or stopped on
     its round-off floor; such a fine step mostly converges with no Newton
-    step.  The report covers the fine steps only; the coarse solve's
-    Newton steps are not in their ``iterations``.
+    step.  A coarse step is solved only when its fine step is, so a fine
+    continuation that stops early solves no coarse step past its stop.
+    The report covers the fine steps only; the coarse solve's Newton steps
+    are not in their ``iterations``.
     The continuation stops at the first step that does not converge (its
     ``stop_reason`` says why) and returns the last converged state with
     converged=False, or, when no step converged, the start at alpha = 0:
@@ -377,20 +380,21 @@ def solve_gravitating(
 def _continue(config, grid, alphas, newton, v0, solved) -> list[ContinuationStep]:
     """The steps of the natural continuation along ``alphas``, as solve_gravitating reports them.
 
-    ``solved`` holds converged steps by (n, alpha) from earlier
-    continuations of one search, and receives every step that converges
-    here.  The longest prefix of ``alphas`` found there is reused, not
-    solved again, and the first step after it starts from the last reused
-    step: the state a continuation along the same prefix reaches, so the
-    steps do not depend on what ``solved`` held.  Without a reused prefix
-    the first step is alpha = 0 (:func:`_round_step`), started from ``v0``
-    or from zero.  With ``v0`` None and n > NESTED_COARSE_N, each step
-    instead starts from the step at its alpha of the same continuation at
-    NESTED_COARSE_N nodes, prolonged, when that step converged or stopped
-    on its floor; so no alpha = 0 step solves the coarse grid twice.  The
-    coarse continuation shares ``solved``, so an EB search solves each
-    coarse coupling once too.  The continuation stops at the first step
-    that does not converge.
+    ``solved`` holds the steps by (n, alpha) of earlier continuations of
+    one search, and receives every step solved here, converged or not.
+    The longest prefix of ``alphas`` found there is reused, not solved
+    again, up to and including its first step that did not converge, where
+    the continuation stops as it would again; otherwise the first step
+    after the prefix starts from the last reused step: the state a
+    continuation along the same prefix reaches, so the steps do not depend
+    on what ``solved`` held.  Without a reused prefix the first step is
+    alpha = 0 (:func:`_round_step`), started from ``v0`` or from zero.
+    With ``v0`` None and n > NESTED_COARSE_N, each step instead starts from
+    the step at its alpha of the same continuation at NESTED_COARSE_N
+    nodes (:func:`_coarse_start`), solved only when this step is.  The
+    coarse continuation shares ``solved``, so no coarse step is solved
+    twice, in one continuation or in one EB search.  The continuation stops
+    at the first step that does not converge.
     """
     n = grid.n
     steps = []
@@ -398,17 +402,15 @@ def _continue(config, grid, alphas, newton, v0, solved) -> list[ContinuationStep
         if (n, alpha) not in solved:
             break
         steps.append(solved[n, alpha])
-    starts = {}  # by alpha: a step's start, when it is not the last state
-    if v0 is None and n > NESTED_COARSE_N:
-        coarse = build_grid(NESTED_COARSE_N)
-        starts = {
-            step.alpha: (coarse.prolong(step.u, n), coarse.prolong(step.v, n), step.c_est)
-            for step in _continue(config, coarse, alphas, newton, None, solved)
-            if step.u is not None
-        }
+        if not steps[-1].converged:
+            return steps
+    coarse = build_grid(NESTED_COARSE_N) if v0 is None and n > NESTED_COARSE_N else None
     symmetric = 2 * config.exponents[0] == config.degrees[0]
-    for alpha in alphas[len(steps) :]:
-        start = starts.get(alpha)
+    for i in range(len(steps), len(alphas)):
+        alpha = alphas[i]
+        start = None
+        if coarse is not None:
+            start = _coarse_start(config, coarse, alphas[: i + 1], newton, solved, n)
         if alpha == 0.0:  # the first step, since every schedule starts at 0
             step = _round_step(config, grid, newton, start[1] if start else v0)
         else:
@@ -416,10 +418,27 @@ def _continue(config, grid, alphas, newton, v0, solved) -> list[ContinuationStep
             start = start or (last.u, last.v, last.c_est)
             step = _coupled_step(config, grid, alpha, symmetric, newton, start)
         steps.append(step)
+        solved[n, alpha] = step
         if not step.converged:
             break
-        solved[n, alpha] = step
     return steps
+
+
+def _coarse_start(config, coarse, alphas, newton, solved, n):
+    """The start (u, v, c) of the step at ``alphas[-1]`` on n nodes, from the grid ``coarse``.
+
+    The continuation along ``alphas`` on the coarse grid, sharing
+    ``solved``, so only its steps not solved before are solved.  Its last
+    step is prolonged (:func:`~gravortex.vortex.nested_start`); None when
+    the coarse continuation stopped before ``alphas[-1]`` or that step
+    stopped with no usable state.
+    """
+    steps = _continue(config, coarse, alphas, newton, None, solved)
+    if len(steps) < len(alphas):
+        return None
+    step = steps[-1]
+    start = nested_start(coarse, n, step.stop_reason, step.u, step.v)
+    return None if start is None else (*start, step.c_est)
 
 
 def _round_step(config, grid, newton, v0) -> ContinuationStep:

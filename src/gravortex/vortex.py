@@ -297,6 +297,21 @@ def _vortex_system(
     return residual, jacobian
 
 
+def nested_start(
+    coarse: AxisymGrid, n: int, stop_reason: str, *fields: np.ndarray
+) -> tuple[np.ndarray, ...] | None:
+    """The fields of a solve on the grid ``coarse``, prolonged to start a solve on n nodes.
+
+    Each field is prolonged by its Chebyshev coefficients
+    (:meth:`AxisymGrid.prolong`).  None when the coarse solve stopped with
+    neither ``converged`` nor ``roundoff_floor`` (USABLE_STOPS), since its
+    last iterate is then no start.
+    """
+    if stop_reason not in USABLE_STOPS:
+        return None
+    return tuple(coarse.prolong(f, n) for f in fields)
+
+
 def solve_vortex(
     grid: AxisymGrid,
     metric: ConformalMetric | None,
@@ -332,8 +347,8 @@ def solve_vortex(
     elif grid.n > NESTED_COARSE_N and (metric is None or not np.any(metric.u)):
         coarse = build_grid(NESTED_COARSE_N)
         pot, report = solve_vortex(coarse, None, config, opts)
-        usable = report.stop_reason in USABLE_STOPS
-        v = coarse.prolong(pot.v, grid.n) if usable else np.zeros(grid.n)
+        start = nested_start(coarse, grid.n, report.stop_reason, pot.v)
+        v = start[0] if start else np.zeros(grid.n)
     else:
         v = np.zeros(grid.n)
     if metric is None:

@@ -131,6 +131,25 @@ class TestBuildGrid:
         assert len(outputs[0]) == 6 and outputs[0] == outputs[1]
         assert outputs[0][1] == "False"
 
+    @pytest.mark.usefixtures("fresh_grids")
+    def test_one_grid_per_resolution(self):
+        # keyed on int(n), and the resolution is checked before the cache is
+        # read, so a float n is refused although 129.0 == 129 and both hash alike
+        grid = build_grid(np.int64(129))
+        assert type(grid.n) is int and build_grid(129) is grid
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            build_grid(129.0)
+        assert build_grid(np.int64(129)) is grid
+
+    def test_shared_arrays_are_read_only(self):
+        grid = build_grid(65)
+        for name in ("nodes", "weights", "bary", "d1", "lap_fs", "lap_fs_even"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            grid.nodes *= 2.0
+
+    @pytest.mark.usefixtures("fresh_grids")
     def test_d1_built_on_first_access(self):
         grid = build_grid(129)
         assert "d1" not in vars(grid)
@@ -221,6 +240,7 @@ class TestDiff:
             tol = 1e-14 * n * n * np.max(np.abs(dense))
             assert np.max(np.abs(grid.apply_lap_fs(f) - dense)) <= tol
 
+    @pytest.mark.usefixtures("fresh_grids")
     @pytest.mark.parametrize("n", (129, 513, 1025, 2049, 4097))
     def test_exact_on_polynomials(self, n):
         # diff and the Laplacian are exact to degree n - 1.  f(s) = T_k(-s),
@@ -367,10 +387,13 @@ class TestLaplacian:
             tol = 2e-14 * n * n * max(1.0, float(np.max(np.abs(f))))
             assert np.max(np.abs(grid.apply_lap_fs(f) - grid.lap_fs @ f)) <= tol
 
+    @pytest.mark.usefixtures("fresh_grids")
     def test_even_fold_keeps_no_full_matrix(self):
         # the fold is the same bits whether or not lap_fs was built first, and
         # a parity-reduced solve, which reads only the fold, holds no n x n
-        fresh, warm = build_grid(129), build_grid(129)
+        fresh = build_grid(129)
+        build_grid.cache_clear()  # a second grid of the same n, not the shared one
+        warm = build_grid(129)
         full = warm.lap_fs
         assert np.array_equal(fresh.lap_fs_even, warm.lap_fs_even)
         assert "lap_fs" not in vars(fresh)

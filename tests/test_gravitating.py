@@ -191,6 +191,7 @@ class TestSolveGravitating:
         with pytest.raises(error, match=message):
             solve_gravitating(symmetric_config, schedule, build_grid(65), v0=v0)
 
+    @pytest.mark.usefixtures("fresh_grids")
     def test_parity_reduced_solve_builds_only_the_fold(self, symmetric_config):
         # the even-parity Jacobian folds the d1 factors, never the full Laplacian
         grid = build_grid(129)

@@ -2,8 +2,12 @@
 
 Without an initial guess, a solve on a grid finer than n = 129 starts from
 the n = 129 solve, prolonged; each ladder test compares it with the same
-solve started from zero on the fine grid.
+solve started from zero on the fine grid.  The grids, the n = 129 one
+among them, are shared per process, so their dense operators are filled
+once however many solves read them.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,10 +18,12 @@ from gravortex import (
     HiggsConfig,
     NewtonOptions,
     build_grid,
+    einstein_bogomolnyi_solve,
     solve_gravitating,
     solve_vortex,
     vortex_residual,
 )
+from gravortex import geometry, gravitating
 from gravortex.gravitating import _CoupledSystem
 from gravortex.geometry import round_metric
 from gravortex.vortex import _vortex_system, damped_newton, roundoff_floor
@@ -70,6 +76,96 @@ def test_coupled_ladder(n):
     final = report.final_solve_report()
     assert final.stop_reason == report.steps[-1].stop_reason
     assert final.converged == (final.stop_reason == "converged")
+
+
+@pytest.mark.usefixtures("fresh_grids")
+def test_eb_search_fills_the_coarse_laplacian_once(monkeypatch):
+    # every secant evaluation of an n = 257 search is seeded on the one
+    # shared n = 129 grid, so its folded Laplacian is filled once
+    fills = []
+    rows = geometry._lap_fs_rows
+
+    def counted(s, bary):
+        fills.append(s.shape[0])
+        return rows(s, bary)
+
+    monkeypatch.setattr(geometry, "_lap_fs_rows", counted)
+    result = einstein_bogomolnyi_solve(CFG, build_grid(257))
+    assert result.converged and len(result.secant_history) >= 3
+    assert fills.count(129) == 1
+    assert "lap_fs_even" in vars(build_grid(129)) and "lap_fs" not in vars(build_grid(129))
+
+
+@pytest.mark.usefixtures("fresh_grids")
+def test_states_do_not_depend_on_the_grid_cache():
+    # a solve on grids that earlier solves filled gives the bits of a solve
+    # from an empty cache
+    def states():
+        out = []
+        for n in (129, 257):
+            state, report = solve_gravitating(CFG, SCHEDULE, build_grid(n))
+            result = einstein_bogomolnyi_solve(CFG, build_grid(n))
+            out.append([state.metric.u, state.bundle.v, [state.c_value]])
+            out.append([step.v for step in report.steps] + [step.u for step in report.steps])
+            eb = result.state
+            out.append([eb.metric.u, eb.bundle.v, [eb.c_value, result.alpha_star]])
+        return out
+
+    cold = states()
+    warm = states()
+    # the warm solves read operators that the cold ones filled
+    assert "lap_fs_even" in vars(build_grid(129)) and "d1" in vars(build_grid(257))
+    for cold_arrays, warm_arrays in zip(cold, warm):
+        assert all(np.array_equal(a, b) for a, b in zip(cold_arrays, warm_arrays, strict=True))
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """The (n, alpha) of every continuation step solved; ``stops`` relabels a step's stop."""
+    calls, stops = [], {}
+
+    def recorded(solve, alpha_of):
+        def step(config, grid, *args):
+            alpha = alpha_of(args)
+            calls.append((grid.n, alpha))
+            result = solve(config, grid, *args)
+            stop = stops.get((grid.n, alpha))
+            if stop is not None:
+                result = dataclasses.replace(result, converged=False, stop_reason=stop)
+            return result
+
+        return step
+
+    round_step = recorded(gravitating._round_step, lambda args: 0.0)
+    coupled_step = recorded(gravitating._coupled_step, lambda args: args[0])
+    monkeypatch.setattr(gravitating, "_round_step", round_step)
+    monkeypatch.setattr(gravitating, "_coupled_step", coupled_step)
+    return calls, stops
+
+
+def test_coarse_steps_only_up_to_the_fine_stop(step_calls):
+    # a fine continuation that stops at alpha = 0 solves no coarse step past it
+    calls, stops = step_calls
+    stops[257, 0.0] = "max_iter"
+    steps = gravitating._continue(CFG, build_grid(257), SCHEDULE.alphas, NewtonOptions(), None, {})
+    assert [step.stop_reason for step in steps] == ["max_iter"]
+    assert calls == [(129, 0.0), (257, 0.0)]
+
+
+def test_no_coarse_step_solved_twice(step_calls):
+    # the coarse alpha = 0.05 step stops on its floor: it seeds its fine step,
+    # ends the coarse continuation, and a later continuation of the same
+    # search reuses it instead of solving it again
+    calls, stops = step_calls
+    stops[129, 0.05] = "roundoff_floor"
+    solved, grid = {}, build_grid(257)
+    steps = gravitating._continue(CFG, grid, SCHEDULE.alphas, NewtonOptions(), None, solved)
+    assert [step.stop_reason for step in steps] == ["converged"] * 3
+    assert calls == [(129, 0.0), (257, 0.0), (129, 0.05), (257, 0.05), (257, 0.1)]
+    alphas = (*SCHEDULE.alphas, 0.15)
+    steps = gravitating._continue(CFG, grid, alphas, NewtonOptions(), None, solved)
+    assert [step.stop_reason for step in steps] == ["converged"] * 4
+    assert calls[5:] == [(257, 0.15)]
 
 
 @pytest.mark.parametrize(

@@ -335,11 +335,13 @@ class TestAbelianFutakiGate:
         assert len(reasons) == 2 and "only one zero" in reasons[0]
 
 
+@pytest.mark.usefixtures("fresh_grids")
 class TestMatrixFreeEvaluation:
     """Residuals and the Futaki quadrature never build the dense Laplacian.
 
     ``AxisymGrid.lap_fs`` caches its O(n^3) matrix in the instance dict on
-    first access; only the Newton Jacobians should pay for it.
+    first access; only the Newton Jacobians should pay for it.  Grids are
+    shared per process, so each test starts from an empty grid cache.
     ``vortex_residual`` and ``gravitating_residual`` evaluate the solvers'
     own residual maps.
     """

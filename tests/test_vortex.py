@@ -139,6 +139,7 @@ class TestSolveVortex:
         assert report.converged
         assert np.max(np.abs(pot.v - pot.v[::-1])) <= 1e-11
 
+    @pytest.mark.usefixtures("fresh_grids")
     def test_symmetric_solve_takes_the_half_size_step(self):
         grid = build_grid(129)
         cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
@@ -146,6 +147,7 @@ class TestSolveVortex:
         assert report.converged
         assert "lap_fs_even" in vars(grid) and "lap_fs" not in vars(grid)
 
+    @pytest.mark.usefixtures("fresh_grids")
     @pytest.mark.parametrize("even_metric", [True, False], ids=["2l != N", "non-even metric"])
     def test_full_size_step_otherwise(self, even_metric):
         grid = build_grid(129)

@@ -21,13 +21,12 @@ Reports carry both predictions and never silently reconcile them.
 Symmetric configurations (2l = N) are solved on the even-parity subspace:
 the sphere's dilations generate an odd null direction of the coupled
 linearization (a one-parameter family of pulled-back solutions), and
-parity reduction removes it.  The iterate stays on the full grid, as the
-vortex solver's does: the start is replaced by its even part, and each
-Newton step is solved at half size and unfolded
-(:func:`~gravortex.geometry.unfold_even`).  At alpha = 0 the equations
-decouple: the round metric (u = 0, c = 4) solves the metric equation
-exactly and R1 is the vortex equation on it, so the continuation takes
-that step with ``solve_vortex``, and the coupled Newton iteration runs
+parity reduction removes it.  The coupled system is a
+:class:`~gravortex.vortex.NewtonSystem`, as the vortex equation is, and
+takes that type's even start and half-size Newton step.  At alpha = 0 the
+equations decouple: the round metric (u = 0, c = 4) solves the metric
+equation exactly and R1 is the vortex equation on it, so the continuation
+takes that step with ``solve_vortex``, and the coupled Newton iteration runs
 only at alpha > 0.  A full-space (2l != N) solve therefore never meets
 the dilation direction at alpha = 0.
 
@@ -60,10 +59,8 @@ from .geometry import (
     ROUND_SCALAR_CURVATURE,
     ROUND_VOLUME,
     build_grid,
-    fold_even,
     integrate,
     scalar_curvature,
-    unfold_even,
     volume,
 )
 from .obstructions import abelian_coupled_obstructions
@@ -72,10 +69,10 @@ from .vortex import (
     USABLE_STOPS,
     BundleMetricPotential,
     NewtonOptions,
+    NewtonSystem,
     SolveReport,
     bundle_curvature,
     check_vortex_window,
-    damped_newton,
     grid_vector,
     nested_start,
     solve_vortex,
@@ -240,33 +237,22 @@ def c_predictions(config: HiggsConfig, alpha: float) -> dict:
     }
 
 
-class _CoupledSystem:
+class _CoupledSystem(NewtonSystem):
     """R1, R2 and the volume row as a map of x = (u, v, c), and its Jacobian.
 
-    x holds u and v on the full grid, then c.  With ``symmetric`` the
-    Newton step is taken on the even-parity subspace, as
-    :func:`~gravortex.vortex.solve_vortex` takes it: the Jacobian, the full
-    one with the rows of each mirror pair of nodes averaged and their
-    columns summed, is assembled at half size from the mirror averages
-    (:func:`~gravortex.geometry.fold_even`) of its diagonal scalings and
-    :attr:`AxisymGrid.lap_fs_even`, which is exact at an even x; it is
-    solved against the folded residual, and the step is unfolded
-    (:func:`~gravortex.geometry.unfold_even`), so an even x stays even.
+    x holds u and v on the full grid, then c (two grid blocks, then a
+    scalar); with ``symmetric`` the Newton step is the even-parity one of
+    :class:`~gravortex.vortex.NewtonSystem`.
     """
 
-    def __init__(self, grid: AxisymGrid, config: HiggsConfig, alpha: float, symmetric: bool):
-        self.n = grid.n
-        self.grid, self.alpha, self.symmetric = grid, alpha, symmetric
-        self.profile = higgs_profile(grid, config, 0)
-        self.tau = float(config.tau)
-        self.n_deg = config.degrees[0]
+    blocks = 2
 
-    def fold(self, g: np.ndarray) -> np.ndarray:
-        """Mirror average of a grid vector (the identity in full space)."""
-        return fold_even(g) if self.symmetric else g
+    def __init__(self, grid: AxisymGrid, config: HiggsConfig, alpha: float, symmetric: bool):
+        super().__init__(grid, config, symmetric)
+        self.alpha = alpha
 
     def unpack(self, x: np.ndarray):
-        n = self.n
+        n = self.grid.n
         return x[:n], x[n : 2 * n], x[2 * n]
 
     def equations(self, x: np.ndarray):
@@ -291,18 +277,9 @@ class _CoupledSystem:
         (r1, r2, r3), terms = self.equations(x)
         return np.concatenate([r1, r2, [r3]]), terms
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        """(R1, R2, volume row) as one vector on the full grid."""
-        return self.evaluate(x)[0]
-
-    def linearization(self, x: np.ndarray, evaluation) -> tuple[np.ndarray, np.ndarray]:
-        """Jacobian and negated residual, both folded with ``symmetric``, at x.
-
-        ``evaluation`` is :meth:`evaluate` at x, whose terms the Jacobian reuses.
-        """
-        r, (u, emu, phih, s_field, curv, lap_phih) = evaluation
-        fold, alpha, n = self.fold, self.alpha, self.n
-        lap = self.grid.lap_fs_even if self.symmetric else self.grid.lap_fs
+    def jacobian(self, x: np.ndarray, terms) -> np.ndarray:
+        u, emu, phih, s_field, curv, lap_phih = terms
+        fold, alpha, lap = self.fold, self.alpha, self.lap
         m = lap.shape[0]
         diag = np.arange(m)
         scaled = fold(emu)[:, None] * lap
@@ -322,14 +299,7 @@ class _CoupledSystem:
             vol = 2.0 * fold(vol)
             vol[0] *= 0.5
         jac[2 * m, :m] = vol
-        return jac, -np.concatenate([fold(r[:n]), fold(r[n : 2 * n]), r[2 * n :]])
-
-    def newton_step(self, x: np.ndarray, evaluation) -> np.ndarray:
-        step = np.linalg.solve(*self.linearization(x, evaluation))
-        if not self.symmetric:
-            return step
-        m = self.n // 2 + 1
-        return np.concatenate([unfold_even(step[:m]), unfold_even(step[m : 2 * m]), step[2 * m :]])
+        return jac
 
 
 def solve_gravitating(
@@ -462,11 +432,7 @@ def _coupled_step(config, grid, alpha, symmetric, newton, start) -> Continuation
     """A step at alpha > 0: damped Newton on (R1, R2, volume row) from start = (u, v, c)."""
     system = _CoupledSystem(grid, config, alpha, symmetric)
     u0, v0, c0 = start
-    if symmetric:  # the even part, as solve_vortex starts
-        u0, v0 = 0.5 * (u0 + u0[::-1]), 0.5 * (v0 + v0[::-1])
-    x, history, stop_reason, iterations = damped_newton(
-        np.concatenate([u0, v0, [c0]]), system.evaluate, system.newton_step, newton
-    )
+    x, history, stop_reason, iterations = system.solve(np.concatenate([u0, v0, [c0]]), newton)
     return _step(alpha, system, x, stop_reason, iterations, history[-1])
 
 

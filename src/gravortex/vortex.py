@@ -120,7 +120,7 @@ def roundoff_floor(residual, x: np.ndarray, r: np.ndarray) -> float:
 
 
 def damped_newton(x: np.ndarray, evaluate, newton_step, opts: NewtonOptions):
-    """The damped Newton iteration shared by the vortex and coupled solvers.
+    """The damped Newton iteration of :meth:`NewtonSystem.solve`, for every solver.
 
     ``evaluate(x)`` is the evaluation (r, terms) at x: the residual vector
     r, whose sup-norm is driven below ``opts.tolerance``, and the terms of
@@ -217,6 +217,13 @@ def grid_vector(grid: AxisymGrid, values, name: str) -> np.ndarray:
     return arr
 
 
+def grid_metric(grid: AxisymGrid, metric: ConformalMetric | None) -> ConformalMetric:
+    """metric with its potential checked by :func:`grid_vector`; the round metric for None."""
+    if metric is None:
+        return round_metric(grid)
+    return ConformalMetric(u=grid_vector(grid, metric.u, "metric potential"))
+
+
 def vortex_residual(
     grid: AxisymGrid,
     metric: ConformalMetric | None,
@@ -225,11 +232,9 @@ def vortex_residual(
 ) -> np.ndarray:
     """Residual of the abelian vortex equation at fixed Kaehler metric."""
     config.require_abelian("vortex_residual")
+    metric = grid_metric(grid, metric)
     v = grid_vector(grid, pot.v, "bundle potential")
-    if metric is None:
-        metric = round_metric(grid)
-    residual, _ = _vortex_system(grid, metric, config)
-    return residual(v)
+    return _VortexSystem(grid, metric, config, symmetric=False).residual(v)
 
 
 def vanishing_higgs_reason(config: HiggsConfig) -> str | None:
@@ -261,40 +266,88 @@ def check_vortex_window(config: HiggsConfig) -> None:
         )
 
 
-def _vortex_system(
-    grid: AxisymGrid, metric: ConformalMetric, config: HiggsConfig, symmetric: bool = False
-):
-    """R1 as a map of v at a fixed metric, and its Jacobian Delta_omega + |phi|^2_H.
+class NewtonSystem:
+    """The abelian vortex equations as a residual map of x, its Newton linearization and solve.
 
-    The residual applies the Laplacian matrix-free; only the Jacobian reads
-    a dense Laplacian, :attr:`AxisymGrid.lap_fs`.  With ``symmetric`` the
-    Jacobian is the even-parity reduction, as the coupled solver's is: the
-    full Jacobian with the rows of each mirror pair of nodes averaged and
-    their columns summed, assembled at half size from
-    :attr:`AxisymGrid.lap_fs_even` and the mirror averages
-    (:func:`~gravortex.geometry.fold_even`) of its diagonal scalings.  It
-    acts on the values at s >= 0 of an even v, and is exact at even v and
-    an even metric potential.
+    x holds ``blocks`` grid vectors, then scalars, and so does the residual.
+    A subclass gives ``evaluate(x) -> (r, terms)``, the residual and the
+    terms that the Jacobian reuses, and ``jacobian(x, terms)``, assembled
+    from :attr:`lap` and the :meth:`fold` of each diagonal scaling.  The
+    residual applies the Laplacian matrix-free; only the Jacobian reads a
+    dense one.
+
+    With ``symmetric`` (2l = N, and an exactly even metric where the metric
+    is fixed, so the solution is even) each Newton step is taken on the
+    even-parity subspace.  The Jacobian is the full one with the rows of
+    each mirror pair of nodes averaged and their columns summed, assembled
+    at half size from :attr:`AxisymGrid.lap_fs_even` and the mirror
+    averages (:func:`~gravortex.geometry.fold_even`) of its diagonal
+    scalings; it is exact at an even x.  It is solved against the folded
+    residual, and each grid block of the step is copied to both nodes of
+    its mirror pairs (:func:`~gravortex.geometry.unfold_even`).  The iterate
+    stays on the full grid, and :meth:`solve` starts from the even part of
+    its start, so every iterate is exactly even.
     """
-    profile = higgs_profile(grid, config, 0)
-    tau = float(config.tau)
-    n_deg = config.degrees[0]
 
-    def residual(v: np.ndarray) -> np.ndarray:
-        curv = bundle_curvature(grid, metric, n_deg, v)
-        return vortex_equation(curv, np.exp(2.0 * v) * profile, tau)
+    blocks = 1
 
-    def jacobian(v: np.ndarray) -> np.ndarray:
-        scale, diag = np.exp(-2.0 * metric.u), np.exp(2.0 * v) * profile
-        if symmetric:
-            scale, diag, lap = fold_even(scale), fold_even(diag), grid.lap_fs_even
-        else:
-            lap = grid.lap_fs
-        jac = scale[:, None] * lap
-        jac.flat[:: lap.shape[0] + 1] += diag
+    def __init__(self, grid: AxisymGrid, config: HiggsConfig, symmetric: bool):
+        self.grid, self.symmetric = grid, symmetric
+        self.profile = higgs_profile(grid, config, 0)
+        self.tau = float(config.tau)
+        self.n_deg = config.degrees[0]
+
+    @property
+    def lap(self) -> np.ndarray:
+        """The dense Laplacian of the Jacobian: half size with ``symmetric``."""
+        return self.grid.lap_fs_even if self.symmetric else self.grid.lap_fs
+
+    def fold(self, g: np.ndarray) -> np.ndarray:
+        """Mirror average of a grid vector (the identity in full space)."""
+        return fold_even(g) if self.symmetric else g
+
+    def _blockwise(self, f, x: np.ndarray, size: int) -> np.ndarray:
+        """x with f applied to each of its ``blocks`` leading blocks of ``size`` entries."""
+        k = self.blocks * size
+        return np.concatenate([*(f(x[i : i + size]) for i in range(0, k, size)), x[k:]])
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        return self.evaluate(x)[0]
+
+    def linearization(self, x: np.ndarray, evaluation) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobian and negated folded residual at x, from ``evaluation``, :meth:`evaluate` at x."""
+        r, terms = evaluation
+        return self.jacobian(x, terms), -self._blockwise(self.fold, r, self.grid.n)
+
+    def newton_step(self, x: np.ndarray, evaluation) -> np.ndarray:
+        step = np.linalg.solve(*self.linearization(x, evaluation))
+        if not self.symmetric:
+            return step
+        return self._blockwise(unfold_even, step, self.grid.n // 2 + 1)
+
+    def solve(self, x: np.ndarray, opts: NewtonOptions):
+        """:func:`damped_newton` from x, or from its even part with ``symmetric``."""
+        if self.symmetric:
+            x = self._blockwise(lambda g: 0.5 * (g + g[::-1]), x, self.grid.n)
+        return damped_newton(x, self.evaluate, self.newton_step, opts)
+
+
+class _VortexSystem(NewtonSystem):
+    """R1 as a map of v at a fixed metric, and its Jacobian Delta_omega + |phi|^2_H."""
+
+    def __init__(self, grid, metric: ConformalMetric, config: HiggsConfig, symmetric: bool):
+        super().__init__(grid, config, symmetric)
+        self.metric = metric
+
+    def evaluate(self, v: np.ndarray):
+        curv = bundle_curvature(self.grid, self.metric, self.n_deg, v)
+        return vortex_equation(curv, np.exp(2.0 * v) * self.profile, self.tau), None
+
+    def jacobian(self, v: np.ndarray, terms) -> np.ndarray:
+        lap = self.lap
+        jac = self.fold(np.exp(-2.0 * self.metric.u))[:, None] * lap
+        jac.flat[:: lap.shape[0] + 1] += self.fold(np.exp(2.0 * v) * self.profile)
         return jac
-
-    return residual, jacobian
 
 
 def nested_start(
@@ -322,7 +375,8 @@ def solve_vortex(
     """Damped Newton iteration for the abelian vortex equation.
 
     The solution is unique, so the converged result does not depend on the
-    initial guess ``v0``, a finite vector on ``grid`` (:func:`grid_vector`).
+    initial guess ``v0``, a finite vector on ``grid`` (:func:`grid_vector`),
+    as the potential of ``metric`` must be (None is the round metric).
     Without ``v0`` the iteration starts from zero, except on the round
     metric at n > NESTED_COARSE_N (129): there it starts from a solve at
     NESTED_COARSE_N nodes that converged or stopped on its round-off floor,
@@ -330,46 +384,32 @@ def solve_vortex(
     which is already accurate to the fine grid's round-off floor, so the
     fine iteration mostly verifies it with no Newton step.  When
     2l = N and the metric potential is exactly even (the round metric
-    among them), the solution is even: the start is replaced by its even
-    part, and every Newton step is a linear solve of half the size on the
-    even-parity subspace (:func:`_vortex_system`), copied to both nodes of
-    each mirror pair.  The report covers the fine iteration only; the
-    coarse solve's steps are not in its ``iterations`` or history.  Every
-    stop that is not ``converged`` (see :func:`damped_newton`) reports
-    converged=False, a NaN residual included; the report is never silently
-    wrong.
+    among them), the solution is even: the iteration runs on the
+    even-parity subspace (:class:`NewtonSystem`), from the even part of the
+    start, and every Newton step is a linear solve of half the size.  The
+    report covers the fine iteration only; the coarse solve's steps are not
+    in its ``iterations`` or history.  Every stop that is not ``converged``
+    (see :func:`damped_newton`) reports converged=False, a NaN residual
+    included; the report is never silently wrong.
     """
     config.require_abelian("solve_vortex")
     check_vortex_window(config)
     opts = options or NewtonOptions()
+    metric = grid_metric(grid, metric)
     if v0 is not None:
         v = grid_vector(grid, v0, "initial guess").copy()
-    elif grid.n > NESTED_COARSE_N and (metric is None or not np.any(metric.u)):
+    elif grid.n > NESTED_COARSE_N and not np.any(metric.u):
         coarse = build_grid(NESTED_COARSE_N)
         pot, report = solve_vortex(coarse, None, config, opts)
         start = nested_start(coarse, grid.n, report.stop_reason, pot.v)
         v = start[0] if start else np.zeros(grid.n)
     else:
         v = np.zeros(grid.n)
-    if metric is None:
-        metric = round_metric(grid)
     symmetric = 2 * config.exponents[0] == config.degrees[0] and np.array_equal(
         metric.u, metric.u[::-1]
     )
-    residual, jacobian = _vortex_system(grid, metric, config, symmetric)
-    if symmetric:
-        v = 0.5 * (v + v[::-1])
-
-    def evaluate(vv: np.ndarray):
-        return residual(vv), None  # the Jacobian reuses no other term
-
-    def newton_step(vv: np.ndarray, evaluation) -> np.ndarray:
-        r = evaluation[0]
-        if not symmetric:
-            return np.linalg.solve(jacobian(vv), -r)
-        return unfold_even(np.linalg.solve(jacobian(vv), -fold_even(r)))
-
-    v, history, stop_reason, iterations = damped_newton(v, evaluate, newton_step, opts)
+    system = _VortexSystem(grid, metric, config, symmetric)
+    v, history, stop_reason, iterations = system.solve(v, opts)
     report = SolveReport(
         converged=stop_reason == "converged",
         iterations=iterations,
@@ -584,8 +624,7 @@ def nonabelian_residual(
     l1, l2 = config.exponents
     weight = (l1 - l2) if (l1 is not None and l2 is not None) else 0
     tau = float(config.tau)
-    if metric is None:
-        metric = round_metric(grid)
+    metric = grid_metric(grid, metric)
     u = metric.u
     v1 = grid_vector(grid, hdata.v1, "v1")
     v2 = grid_vector(grid, hdata.v2, "v2")

@@ -15,7 +15,7 @@ import pytest
 from gravortex import HiggsConfig, build_grid, normalize_volume
 from gravortex.geometry import fold_even, unfold_even
 from gravortex.gravitating import _CoupledSystem
-from gravortex.vortex import _vortex_system
+from gravortex.vortex import _VortexSystem
 
 STEP = 1e-5
 RTOL = 1e-7
@@ -58,9 +58,9 @@ def test_vortex_jacobian(n):
     rng = np.random.default_rng(n)
     metric = normalize_volume(grid, smooth_field(rng, grid.nodes, 0.2))
     cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
-    residual, jacobian = _vortex_system(grid, metric, cfg)
+    system = _VortexSystem(grid, metric, cfg, symmetric=False)
     v = smooth_field(rng, grid.nodes, 0.3)
-    assert_matches(jacobian(v), central_jacobian(residual, v))
+    assert_matches(system.jacobian(v, None), central_jacobian(system.residual, v))
 
 
 @pytest.mark.parametrize("n", [33, 65])
@@ -70,14 +70,14 @@ def test_parity_reduced_vortex_jacobian(n):
     even = lambda f: f + f[::-1]  # noqa: E731
     metric = normalize_volume(grid, even(smooth_field(rng, grid.nodes, 0.1)))
     cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
-    residual, jacobian = _vortex_system(grid, metric, cfg, symmetric=True)
-    _, full_jacobian = _vortex_system(grid, metric, cfg)
+    system = _VortexSystem(grid, metric, cfg, symmetric=True)
+    full_system = _VortexSystem(grid, metric, cfg, symmetric=False)
     y = fold_even(even(smooth_field(rng, grid.nodes, 0.15)))
-    jac = jacobian(unfold_even(y))
+    jac = system.jacobian(unfold_even(y), None)
     assert jac.shape == (n // 2 + 1, n // 2 + 1)
-    assert_matches(jac, central_jacobian(lambda z: fold_even(residual(unfold_even(z))), y))
+    assert_matches(jac, central_jacobian(lambda z: fold_even(system.residual(unfold_even(z))), y))
     # fold: average the rows of each mirror pair, then sum its columns
-    full = full_jacobian(unfold_even(y))
+    full = full_system.jacobian(unfold_even(y), None)
     rows, mid = fold_even(full), n // 2
     folded = rows[:, mid:] + rows[:, mid::-1]
     folded[:, 0] = rows[:, mid]

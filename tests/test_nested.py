@@ -26,48 +26,70 @@ from gravortex import (
 from gravortex import geometry, gravitating
 from gravortex.gravitating import _CoupledSystem
 from gravortex.geometry import round_metric
-from gravortex.vortex import _vortex_system, damped_newton, roundoff_floor
+from gravortex.vortex import _VortexSystem, damped_newton, roundoff_floor
 
 CFG = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
+ASYMMETRIC = HiggsConfig(degrees=(3,), exponents=(1,), tau=7.0)  # full-size Newton steps
+DEGREE_FOUR = HiggsConfig(degrees=(4,), exponents=(2,), tau=9.0)
 SCHEDULE = ContinuationSchedule(alphas=(0.0, 0.05, 0.1))
 ACCEPTED = ("converged", "roundoff_floor")
 
 
-def vortex_map(grid):
-    return lambda v: vortex_residual(grid, None, BundleMetricPotential(v=v), CFG)
+def vortex_map(grid, cfg=CFG):
+    return lambda v: vortex_residual(grid, None, BundleMetricPotential(v=v), cfg)
 
 
-def evaluating(residual):
-    """The evaluation damped_newton iterates on: the residual and no other term."""
-    return lambda v: (residual(v), None)
+def ladder(cfg, name, xfails=()):
+    """The ladder resolutions for cfg; ``xfails`` maps n to the stops measured there."""
+    return [
+        pytest.param(
+            cfg,
+            n,
+            id=f"{name}-{n}" if name else str(n),
+            marks=[pytest.mark.xfail(strict=False, reason=xfails[n])] if n in xfails else [],
+        )
+        for n in (257, 513, 1025)
+    ]
 
 
-@pytest.mark.parametrize("n", (257, 513, 1025))
-def test_vortex_ladder(n):
+# ROADMAP item 6: the 1e-10 nodal tolerance sits at the residual floor there
+ASYMMETRIC_STOPS = {
+    513: "one BLAS thread: the zero-started solve stops on line_search_stall, "
+    "9.6e-12 from the nested one",
+    1025: "the nested and zero-started solves differ by 1.4e-11 (one BLAS thread) and "
+    "2.9e-11 (two); with one thread the zero-started solve stops on line_search_stall "
+    "and the nested one takes 3 steps, with two the nested one stops on line_search_stall",
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, n", ladder(CFG, "") + ladder(ASYMMETRIC, "N3-l1-tau7", ASYMMETRIC_STOPS)
+)
+def test_vortex_ladder(cfg, n):
     grid = build_grid(n)
-    pot, report = solve_vortex(grid, None, CFG)
+    pot, report = solve_vortex(grid, None, cfg)
     assert report.stop_reason in ACCEPTED
     assert report.converged == (report.stop_reason == "converged")
     # the n = 129 seeding solve is not counted
     assert report.iterations <= 2 and len(report.diagnostics) == report.iterations + 1
-    residual = vortex_map(grid)
+    residual = vortex_map(grid, cfg)
     floor = roundoff_floor(residual, pot.v, residual(pot.v))
     assert report.stop_reason == "converged" or report.residual_sup <= 4.0 * floor
-    zero_pot, zero_report = solve_vortex(grid, None, CFG, v0=np.zeros(n))
+    zero_pot, zero_report = solve_vortex(grid, None, cfg, v0=np.zeros(n))
     assert zero_report.stop_reason in ACCEPTED
     assert np.max(np.abs(pot.v - zero_pot.v)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", (257, 513, 1025))
-def test_coupled_ladder(n):
+@pytest.mark.parametrize("cfg, n", ladder(CFG, "") + ladder(DEGREE_FOUR, "N4-l2-tau9"))
+def test_coupled_ladder(cfg, n):
     grid = build_grid(n)
-    _, report = solve_gravitating(CFG, SCHEDULE, grid)
-    _, zero_report = solve_gravitating(CFG, SCHEDULE, grid, v0=np.zeros(n))
+    _, report = solve_gravitating(cfg, SCHEDULE, grid)
+    _, zero_report = solve_gravitating(cfg, SCHEDULE, grid, v0=np.zeros(n))
     assert len(report.steps) == len(zero_report.steps)
     for step, zero_step in zip(report.steps, zero_report.steps):
         assert step.stop_reason in ACCEPTED and zero_step.stop_reason in ACCEPTED
         assert step.iterations <= 2
-        system = _CoupledSystem(grid, CFG, step.alpha, symmetric=True)
+        system = _CoupledSystem(grid, cfg, step.alpha, symmetric=True)
         x = np.concatenate([step.u, step.v, [step.c_est]])
         floor = roundoff_floor(system.residual, x, system.residual(x))
         assert step.stop_reason == "converged" or step.residual_sup <= 4.0 * floor
@@ -189,15 +211,15 @@ def test_planted_stall_is_not_a_floor_stop(scale):
     # steps of round-off size on a large residual, downhill or uphill: the
     # increment test passes, but the residual is nowhere near its floor
     grid = build_grid(129)
-    residual, jacobian = _vortex_system(grid, round_metric(grid), CFG)
+    system = _VortexSystem(grid, round_metric(grid), CFG, symmetric=False)
 
     def tiny_step(v, evaluation):
-        return scale * np.linalg.solve(jacobian(v), -evaluation[0])
+        return scale * np.linalg.solve(system.jacobian(v, None), -evaluation[0])
 
     # start away from zero, where one-ulp perturbations are denormal and the
     # floor estimate would vanish
     _, history, stop_reason, _ = damped_newton(
-        np.full(grid.n, 0.5), evaluating(residual), tiny_step, NewtonOptions(max_iter=5)
+        np.full(grid.n, 0.5), system.evaluate, tiny_step, NewtonOptions(max_iter=5)
     )
     assert history[-1] > 0.1
     assert stop_reason in ("line_search_stall", "max_iter")
@@ -207,9 +229,9 @@ def test_large_step_on_the_floor_is_a_line_search_stall():
     # the residual is on its floor, but the failed step is not round-off
     grid = build_grid(129)
     pot, _ = solve_vortex(grid, None, CFG)
-    residual, _ = _vortex_system(grid, round_metric(grid), CFG)
+    system = _VortexSystem(grid, round_metric(grid), CFG, symmetric=False)
     _, _, stop_reason, iterations = damped_newton(
-        pot.v, evaluating(residual), lambda v, _: np.ones_like(v), NewtonOptions(tolerance=1e-15)
+        pot.v, system.evaluate, lambda v, _: np.ones_like(v), NewtonOptions(tolerance=1e-15)
     )
     assert (stop_reason, iterations) == ("line_search_stall", 0)
 

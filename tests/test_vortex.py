@@ -9,6 +9,8 @@ import pytest
 from gravortex import (
     BundleMetricPotential,
     ConfigurationError,
+    ConformalMetric,
+    ContinuationSchedule,
     HiggsConfig,
     InfeasibleError,
     NewtonOptions,
@@ -20,9 +22,11 @@ from gravortex import (
     integrate,
     nonabelian_residual,
     normalize_volume,
+    solve_gravitating,
     solve_vortex,
     vortex_residual,
 )
+from gravortex.gravitating import _CoupledSystem
 from gravortex.vortex import bundle_curvature
 
 TWO_PI = 2.0 * math.pi
@@ -160,15 +164,27 @@ class TestSolveVortex:
         assert report.converged
         assert "lap_fs" in vars(grid) and "lap_fs_even" not in vars(grid)
 
-    def test_symmetric_solve_from_non_even_start(self, grid):
+    @pytest.mark.parametrize("solver", ["vortex", "coupled"])
+    def test_symmetric_solve_from_non_even_start(self, grid, solver):
         # the start is replaced by its even part, and every step is even
         cfg = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
         bump = 0.5 * np.exp(-4.0 * (grid.nodes - 0.3) ** 2)
-        pot, report = solve_vortex(grid, None, cfg, v0=bump)
-        reference, _ = solve_vortex(grid, None, cfg)
-        assert report.converged
-        assert np.array_equal(pot.v, pot.v[::-1])
-        assert np.max(np.abs(pot.v - reference.v)) <= 1e-9
+        if solver == "vortex":
+            pot, report = solve_vortex(grid, None, cfg, v0=bump)
+            reference, _ = solve_vortex(grid, None, cfg)
+            assert report.converged
+            fields, references = [pot.v], [reference.v]
+        else:
+            system = _CoupledSystem(grid, cfg, 0.05, True)
+            start = np.concatenate([0.2 * bump, bump, [3.0]])
+            x, _, stop_reason, _ = system.solve(start, NewtonOptions())
+            schedule = ContinuationSchedule(alphas=(0.0, 0.05))
+            reference, _ = solve_gravitating(cfg, schedule, grid)
+            assert stop_reason == "converged"
+            fields, references = system.unpack(x)[:2], [reference.metric.u, reference.bundle.v]
+        for field, expected in zip(fields, references, strict=True):
+            assert np.array_equal(field, field[::-1])
+            assert np.max(np.abs(field - expected)) <= 1e-9
 
     def test_uniqueness_from_random_start(self, grid):
         cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0)
@@ -323,3 +339,34 @@ class TestNonabelianResidual:
         assert np.max(np.abs(a11 - b11[::-1])[band]) <= 1e-9
         assert np.max(np.abs(a22 - b22[::-1])[band]) <= 1e-9
         assert np.max(np.abs(a12 - b12[::-1])[band]) <= 1e-9
+
+
+ABELIAN = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
+RANK2 = HiggsConfig(degrees=(2, 2), exponents=(1, 0), tau=9.0)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda grid, metric: solve_vortex(grid, metric, ABELIAN),
+        lambda grid, metric: vortex_residual(
+            grid, metric, BundleMetricPotential(v=np.zeros(grid.n)), ABELIAN
+        ),
+        lambda grid, metric: nonabelian_residual(
+            grid, metric, NonabelianMetric(np.zeros(grid.n), np.zeros(grid.n)), RANK2
+        ),
+    ],
+    ids=["solve_vortex", "vortex_residual", "nonabelian_residual"],
+)
+@pytest.mark.parametrize(
+    "u, error, message",
+    [
+        (np.zeros(33), ConfigurationError, "metric potential resolution does not match the grid"),
+        (np.full(65, np.nan), NumericInputError, "metric potential contains non-finite entries"),
+        (np.full(65, np.inf), NumericInputError, "metric potential contains non-finite entries"),
+    ],
+    ids=["wrong-size", "nan", "inf"],
+)
+def test_bad_metric_potential_rejected(evaluate, u, error, message):
+    with pytest.raises(error, match=message):
+        evaluate(build_grid(65), ConformalMetric(u=u))

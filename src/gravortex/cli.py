@@ -444,7 +444,7 @@ def _run_eb_solve(config: RunConfig, report: dict, outdir: str) -> int:
         override_obstruction=config.override_obstruction,
     )
     report["einstein_bogomolnyi"] = result.to_json_dict()
-    # an unconverged search's state is not an EB solution: no profiles
+    # an unconverged solve's state is not an EB solution: no profiles
     if result.converged and _want(config, "csv"):
         u, v = result.state.metric.u, result.state.bundle.v
         _write_profiles(report, outdir, grid, "eb_{}.csv", u=u, v=v)

@@ -60,7 +60,10 @@ DENSE_D1_MAX_N = 257
 _ROW_BLOCK = 128
 
 
-def _check_finite(f: np.ndarray, name: str) -> None:
+def _check_finite(f: np.ndarray, name: str, n: int | None = None) -> None:
+    """f is finite, and, when n is given, a vector of n entries."""
+    if n is not None and np.shape(f) != (n,):
+        raise ConfigurationError(f"{name} resolution does not match the grid")
     if not np.all(np.isfinite(f)):
         raise NumericInputError(f"{name} contains non-finite entries")
 
@@ -405,6 +408,8 @@ def round_metric(grid: AxisymGrid) -> ConformalMetric:
 def _u_of(metric: ConformalMetric | None, n: int) -> np.ndarray:
     if metric is None:
         return np.zeros(n)
+    if np.shape(metric.u) != (n,):  # the finiteness of u is left to the caller
+        raise ConfigurationError("metric potential resolution does not match the grid")
     return metric.u
 
 
@@ -415,7 +420,7 @@ def integrate(grid: AxisymGrid, metric: ConformalMetric | None, f: np.ndarray) -
     depend on accumulation order.
     """
     f = np.asarray(f, dtype=float)
-    _check_finite(f, "integrand")
+    _check_finite(f, "integrand", grid.n)
     u = _u_of(metric, grid.n)
     contrib = np.pi * grid.weights * f * np.exp(2.0 * u)
     return math.fsum(contrib.tolist())
@@ -446,7 +451,7 @@ def laplacian(
     Laplacian satisfies Delta_FS s = 4 s.
     """
     f = np.asarray(f, dtype=float)
-    _check_finite(f, "laplacian input")
+    _check_finite(f, "laplacian input", grid.n)
     u = _u_of(metric, grid.n)
     return np.exp(-2.0 * u) * grid.apply_lap_fs(f)
 
@@ -466,7 +471,7 @@ def scalar_curvature(grid: AxisymGrid, metric: ConformalMetric) -> CurvatureRepo
     to quadrature error for any smooth u.
     """
     u = metric.u
-    _check_finite(u, "metric potential")
+    _check_finite(u, "metric potential", grid.n)
     s_field = np.exp(-2.0 * u) * (ROUND_SCALAR_CURVATURE + 2.0 * grid.apply_lap_fs(u))
     total = integrate(grid, metric, s_field)
     vol = volume(grid, metric)

@@ -32,11 +32,11 @@ the dilation direction at alpha = 0.
 
 At the zero-constant coupling alpha tau N = 2 the system reduces to
 Delta_FS Psi = 0 with Psi = 2u - 2 alpha tau v + alpha |phi|^2_H, so Psi is
-constant on every Einstein--Bogomol'nyi state.  The collocated Laplacian
-(:attr:`~gravortex.geometry.AxisymGrid.lap_fs`) has the kernel of Delta_FS,
-the constants alone, so the reduced Jacobian stays regular there and
-every Newton step is one LU solve; a singular one ends the iteration with
-the stop ``singular_jacobian`` (:func:`~gravortex.vortex.damped_newton`).
+constant on every Einstein--Bogomol'nyi state, which is solved with Psi
+constant by construction (:func:`einstein_bogomolnyi_solve`).  The
+collocated Laplacian has the kernel of Delta_FS, the constants alone, so
+the Jacobians stay regular and every Newton step is one LU solve; a
+singular one is the stop ``singular_jacobian`` (``damped_newton``).
 
 Asymmetric two-zero monomials (2l != N) have no solution at alpha > 0:
 their Futaki character 2 pi alpha (2N - tau)(2l - N) is nonzero, so the
@@ -47,7 +47,7 @@ overridden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -294,11 +294,7 @@ class _CoupledSystem(NewtonSystem):
         j22[diag, diag] += self.tau * dphi
         jac[m : 2 * m, m : 2 * m] = alpha * j22
         jac[m : 2 * m, 2 * m] = -1.0
-        vol = 2.0 * np.pi * self.grid.weights * np.exp(2.0 * u)
-        if self.symmetric:  # the volume row is not averaged; its mirror columns sum
-            vol = 2.0 * fold(vol)
-            vol[0] *= 0.5
-        jac[2 * m, :m] = vol
+        jac[2 * m, :m] = self.fold_columns(2.0 * np.pi * self.grid.weights * np.exp(2.0 * u))
         return jac
 
 
@@ -310,7 +306,7 @@ def solve_gravitating(
     v0: np.ndarray | None = None,
     newton: NewtonOptions | None = None,
 ) -> tuple[GravitatingState, ContinuationReport]:
-    """Natural continuation in the coupling, seeding each step with the last.
+    """Natural continuation in the coupling, seeding each step from the last ones.
 
     Refuses configurations with a coupled obstruction at the largest
     scheduled coupling (a single-zero Higgs field, or a nonzero Futaki
@@ -321,16 +317,12 @@ def solve_gravitating(
     the step is :func:`~gravortex.vortex.solve_vortex` on it, started from
     ``v0``, a finite vector on ``grid``
     (:func:`~gravortex.vortex.grid_vector`), or from zero.  Every later step
-    is a coupled Newton solve started from the previous state, except at
-    n > NESTED_COARSE_N (129) without ``v0``: there each fine step starts
-    from the step at the same alpha of the same continuation at
-    NESTED_COARSE_N nodes, prolonged by Chebyshev coefficients
-    (:meth:`AxisymGrid.prolong`), when that step converged or stopped on
-    its round-off floor; such a fine step mostly converges with no Newton
-    step.  A coarse step is solved only when its fine step is, so a fine
-    continuation that stops early solves no coarse step past its stop.
-    The report covers the fine steps only; the coarse solve's Newton steps
-    are not in their ``iterations``.
+    is a coupled Newton solve started from the Lagrange extrapolation in
+    alpha of the last (up to three) states, except at n > NESTED_COARSE_N
+    (129) without ``v0``: there each step starts from the step at its alpha
+    of the same continuation at NESTED_COARSE_N nodes, prolonged by
+    Chebyshev coefficients, which mostly converges with no Newton step
+    (:func:`_continue`).  The report covers the fine steps only.
     The continuation stops at the first step that does not converge (its
     ``stop_reason`` says why) and returns the last converged state with
     converged=False, or, when no step converged, the start at alpha = 0:
@@ -342,73 +334,49 @@ def solve_gravitating(
     _refuse_obstructed(config, schedule.alphas[-1], override_obstruction)
     if v0 is not None:
         v0 = grid_vector(grid, v0, "initial guess").copy()
-    steps = _continue(config, grid, schedule.alphas, newton or NewtonOptions(), v0, solved={})
+    steps = list(_continue(config, grid, schedule.alphas, newton or NewtonOptions(), v0))
     report = ContinuationReport(converged=steps[-1].converged, steps=steps, resolution=grid.n)
     return _last_state(steps, v0, grid.n), report
 
 
-def _continue(config, grid, alphas, newton, v0, solved) -> list[ContinuationStep]:
-    """The steps of the natural continuation along ``alphas``, as solve_gravitating reports them.
+def _continue(config, grid, alphas, newton, v0):
+    """The steps of solve_gravitating's continuation, yielded up to the first that does not converge.
 
-    ``solved`` holds the steps by (n, alpha) of earlier continuations of
-    one search, and receives every step solved here, converged or not.
-    The longest prefix of ``alphas`` found there is reused, not solved
-    again, up to and including its first step that did not converge, where
-    the continuation stops as it would again; otherwise the first step
-    after the prefix starts from the last reused step: the state a
-    continuation along the same prefix reaches, so the steps do not depend
-    on what ``solved`` held.  Without a reused prefix the first step is
-    alpha = 0 (:func:`_round_step`), started from ``v0`` or from zero.
-    With ``v0`` None and n > NESTED_COARSE_N, each step instead starts from
-    the step at its alpha of the same continuation at NESTED_COARSE_N
-    nodes (:func:`_coarse_start`), solved only when this step is.  The
-    coarse continuation shares ``solved``, so no coarse step is solved
-    twice, in one continuation or in one EB search.  The continuation stops
-    at the first step that does not converge.
+    The alpha = 0 step (:func:`_round_step`) starts from ``v0`` or zero,
+    each later one from :func:`_extrapolated_start`, unless ``v0`` is None
+    and n > NESTED_COARSE_N: then each starts from the step at its alpha of
+    the continuation at NESTED_COARSE_N nodes, prolonged when usable
+    (:func:`~gravortex.vortex.nested_start`), which runs in step with this
+    one, so a coarse step is solved once, and only when its fine step is.
     """
-    n = grid.n
+    coarse, low_steps = None, iter(())
+    if v0 is None and grid.n > NESTED_COARSE_N:
+        coarse = build_grid(NESTED_COARSE_N)
+        low_steps = _continue(config, coarse, alphas, newton, None)
+    symmetric = 2 * config.exponents[0] == config.degrees[0]
     steps = []
     for alpha in alphas:
-        if (n, alpha) not in solved:
-            break
-        steps.append(solved[n, alpha])
-        if not steps[-1].converged:
-            return steps
-    coarse = build_grid(NESTED_COARSE_N) if v0 is None and n > NESTED_COARSE_N else None
-    symmetric = 2 * config.exponents[0] == config.degrees[0]
-    for i in range(len(steps), len(alphas)):
-        alpha = alphas[i]
-        start = None
-        if coarse is not None:
-            start = _coarse_start(config, coarse, alphas[: i + 1], newton, solved, n)
+        low = next(low_steps, None)
+        start = None if low is None else nested_start(coarse, grid.n, low.stop_reason, low.u, low.v)
         if alpha == 0.0:  # the first step, since every schedule starts at 0
             step = _round_step(config, grid, newton, start[1] if start else v0)
         else:
-            last = steps[-1]
-            start = start or (last.u, last.v, last.c_est)
-            step = _coupled_step(config, grid, alpha, symmetric, newton, start)
+            x = np.concatenate([*start, [low.c_est]]) if start else _extrapolated_start(steps, alpha)
+            step = _coupled_step(config, grid, alpha, symmetric, newton, x)
         steps.append(step)
-        solved[n, alpha] = step
+        yield step
         if not step.converged:
-            break
-    return steps
+            return
 
 
-def _coarse_start(config, coarse, alphas, newton, solved, n):
-    """The start (u, v, c) of the step at ``alphas[-1]`` on n nodes, from the grid ``coarse``.
-
-    The continuation along ``alphas`` on the coarse grid, sharing
-    ``solved``, so only its steps not solved before are solved.  Its last
-    step is prolonged (:func:`~gravortex.vortex.nested_start`); None when
-    the coarse continuation stopped before ``alphas[-1]`` or that step
-    stopped with no usable state.
-    """
-    steps = _continue(config, coarse, alphas, newton, None, solved)
-    if len(steps) < len(alphas):
-        return None
-    step = steps[-1]
-    start = nested_start(coarse, n, step.stop_reason, step.u, step.v)
-    return None if start is None else (*start, step.c_est)
+def _extrapolated_start(steps, alpha) -> np.ndarray:
+    """(u, v, c) at alpha, extrapolated from the last steps: constant, linear, then quadratic."""
+    last = steps[-3:]
+    start = 0.0
+    for step in last:
+        weight = math.prod((alpha - o.alpha) / (step.alpha - o.alpha) for o in last if o is not step)
+        start = start + weight * np.concatenate([step.u, step.v, [step.c_est]])
+    return start
 
 
 def _round_step(config, grid, newton, v0) -> ContinuationStep:
@@ -428,11 +396,10 @@ def _round_step(config, grid, newton, v0) -> ContinuationStep:
     return _step(0.0, system, x, report.stop_reason, report.iterations, residual_sup)
 
 
-def _coupled_step(config, grid, alpha, symmetric, newton, start) -> ContinuationStep:
-    """A step at alpha > 0: damped Newton on (R1, R2, volume row) from start = (u, v, c)."""
+def _coupled_step(config, grid, alpha, symmetric, newton, x) -> ContinuationStep:
+    """A step at alpha > 0: damped Newton on (R1, R2, volume row) from x = (u, v, c)."""
     system = _CoupledSystem(grid, config, alpha, symmetric)
-    u0, v0, c0 = start
-    x, history, stop_reason, iterations = system.solve(np.concatenate([u0, v0, [c0]]), newton)
+    x, history, stop_reason, iterations = system.solve(x, newton)
     return _step(alpha, system, x, stop_reason, iterations, history[-1])
 
 
@@ -476,40 +443,87 @@ def _refuse_obstructed(config: HiggsConfig, alpha: float, override: bool) -> Non
         )
 
 
-_EB_C_TOLERANCE = 1e-8  # |c| below which the secant has found the zero-constant coupling
-_EB_MAX_SECANT = 12  # secant steps after the two starting evaluations
-_EB_FIRST_ALPHA = 0.1  # the second starting coupling is min(0.1, 1 / (tau N))
-_EB_STEP_CAP = 0.05  # largest alpha step of the continuation behind each evaluation
-
-
-def _schedule_to(alpha_target: float) -> tuple[float, ...]:
-    """The continuation behind an EB evaluation: a shared lattice, then alpha_target.
-
-    The lattice is the multiples k * _EB_STEP_CAP below alpha_target, so
-    every evaluation of one search steps through the same couplings and
-    each is solved once.  The last entry is alpha_target itself, so a state
-    solved to the end of the schedule carries alpha_target as its alpha.
-    """
-    if alpha_target <= 0.0:
-        return (0.0,)
-    lattice = (k * _EB_STEP_CAP for k in range(math.ceil(alpha_target / _EB_STEP_CAP) + 1))
-    return tuple(a for a in lattice if a < alpha_target) + (alpha_target,)
-
-
 @dataclass
 class EinsteinBogomolnyiResult:
     state: GravitatingState
     alpha_star: float
-    c_value: float | None  # None: the continuation to alpha_star did not converge
+    c_value: float | None  # omega-mean of R2 at the state; None: the solve did not converge
     alpha_tau_N: float
     predictions: dict
     converged: bool
-    secant_history: list[tuple[float, float | None]]
-    endpoint_c_values: tuple[float | None, float | None] | None = None
+    stop_reason: str  # see vortex.damped_newton
+    secant_history: list[tuple[float, float | None]]  # [(alpha_star, c_value)]
 
     def to_json_dict(self) -> dict:
         """Every field but the state (JSON writes the tuples as lists)."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "state"}
+
+
+class _EinsteinBogomolnyiSystem(NewtonSystem):
+    """The coupled equations at alpha* with Psi = k constant, as a map of x = (v, k).
+
+    At alpha* tau N = 2 and c = 0, R2 - 2 alpha tau R1 = exp(-2u) Delta_FS Psi
+    (module docstring), so u = alpha tau v - (alpha / 2) |phi|^2_H + k / 2
+    leaves exp(2u) R1 = N + Delta_FS v + (exp(2u) / 2)(|phi|^2_H - tau) and
+    the volume row, which the Newton step solves for (v, k): n/2 + 2
+    unknowns on the even subspace.  The line search and the stop read the
+    full (R1, R2, volume row) of :class:`_CoupledSystem` at (u, v, 0): the
+    reduced residual reads below it.
+    """
+
+    def __init__(self, grid: AxisymGrid, config: HiggsConfig, alpha: float, symmetric: bool):
+        super().__init__(grid, config, symmetric)
+        self.alpha = alpha
+        self.coupled = _CoupledSystem(grid, config, alpha, symmetric)
+
+    def coupled_x(self, x: np.ndarray) -> np.ndarray:
+        """The coupled unknowns (u, v, c = 0) of x = (v, k)."""
+        v, k = x[:-1], x[-1]
+        u = self.alpha * (self.tau * v - 0.5 * np.exp(2.0 * v) * self.profile) + 0.5 * k
+        return np.concatenate([u, v, [0.0]])
+
+    def start(self, v: np.ndarray) -> np.ndarray:
+        """x = (v, k), with k chosen so that its u has volume 2 pi."""
+        u = self.coupled_x(np.append(v, 0.0))[: self.grid.n]
+        return np.append(v, math.log(ROUND_VOLUME / volume(self.grid, ConformalMetric(u=u))))
+
+    def evaluate(self, x: np.ndarray):
+        return self.coupled.evaluate(self.coupled_x(x))
+
+    def linearization(self, x: np.ndarray, evaluation) -> tuple[np.ndarray, np.ndarray]:
+        """Jacobian and negated folded (exp(2u) R1, volume row) at x."""
+        r, terms = evaluation
+        reduced = np.append(r[: self.grid.n] / terms[1], r[-1])
+        return self.jacobian(x, terms), -self._blockwise(self.fold, reduced, self.grid.n)
+
+    def jacobian(self, x: np.ndarray, terms) -> np.ndarray:
+        u, _, phih = terms[:3]
+        m = self.lap.shape[0]
+        e2u = np.exp(2.0 * u)
+        gap = e2u * (phih - self.tau)
+        du = self.alpha * (self.tau - phih)  # du/dv; du/dk = 1/2
+        vol = 2.0 * np.pi * self.grid.weights * e2u
+        jac = np.zeros((m + 1, m + 1))
+        jac[:m, :m] = self.lap + np.diag(self.fold(e2u * phih + gap * du))
+        jac[:m, m] = self.fold(0.5 * gap)
+        jac[m, :m] = self.fold_columns(vol * du)
+        jac[m, m] = 0.5 * vol.sum()
+        return jac
+
+    def solve(self, x: np.ndarray, opts: NewtonOptions):
+        """:meth:`NewtonSystem.solve`; once converged, one more step, kept if still converged.
+
+        The full residual cannot tell the last 2e-12 of a converged state
+        (``(4,),(2,),tau=9`` at n = 129), and the step removes them.
+        """
+        x, history, stop_reason, iterations = super().solve(x, opts)
+        if stop_reason == "converged":
+            trial = x + self.newton_step(x, self.evaluate(x))
+            trial_sup = sup_norm(self.residual(trial))
+            if trial_sup < opts.tolerance:
+                x, iterations = trial, iterations + 1
+                history.append(trial_sup)
+        return x, history, stop_reason, iterations
 
 
 def einstein_bogomolnyi_solve(
@@ -518,77 +532,52 @@ def einstein_bogomolnyi_solve(
     newton: NewtonOptions | None = None,
     override_obstruction: bool = False,
 ) -> EinsteinBogomolnyiResult:
-    """Secant iteration on alpha for a zero topological constant.
+    """The Einstein--Bogomol'nyi state: the coupled solution with c = 0.
 
-    Each evaluation of c at a coupling alpha is the continuation of
-    solve_gravitating along ``_schedule_to(alpha)``: the multiples of 0.05
-    below alpha, then alpha.  Evaluations share that lattice, and each
-    continues from the largest lattice coupling an earlier evaluation of
-    the search already solved, so every coupling is solved once; its state
-    is the one a continuation from alpha = 0 reaches, bit for bit.  Its c
-    is None when that continuation did not converge, since the state it
-    returns then belongs to a smaller coupling or is the start guess.
-    The secant starts from alpha = 0 and min(0.1, 1 / (tau N)), takes at
-    most 12 further steps and stops once |c| <= 1e-8.  The map
-    alpha -> c_est is affine to quadrature accuracy (c is topological), so
-    the secant converges immediately.  The report carries alpha* tau N next
-    to the quoted prediction 1 and the conventions-derived prediction 2;
-    the discrepancy is documented, not asserted away.  Bracket/convergence
-    failure returns converged=False with the endpoint c values.  ``state``,
-    ``alpha_star`` and ``c_value`` describe one evaluation: the last whose
-    continuation converged, or alpha = 0 when none did; ``state.alpha`` is
-    ``alpha_star``.
+    c = 4 - 2 alpha tau N is topological under the package conventions, so
+    alpha* = CONVENTION_C_COEFF / (2 tau N) and ``alpha_tau_N`` is 2 to
+    rounding by construction; the report carries it next to the quoted
+    prediction 1 and the conventions-derived 2, without reconciling them.
+    The state is one damped Newton solve of the reduced system
+    (:class:`_EinsteinBogomolnyiSystem`; in full space when an override
+    lets a 2l != N run through), started from the alpha = 0 vortex state,
+    with ``newton`` (default ``NewtonOptions()``).  Above NESTED_COARSE_N
+    (129) nodes it runs at NESTED_COARSE_N, and one coupled step at alpha*
+    from the prolonged (u, v, c = 0) verifies or corrects a usable state
+    (:func:`~gravortex.vortex.nested_start`).  ``stop_reason`` is the last
+    solve's; ``c_value`` is the omega-mean of R2 at the state
+    (:func:`gravitating_residual`), None unless it converged, and
+    ``secant_history`` holds the one entry (alpha*, c_value).
     """
     config.require_abelian("einstein_bogomolnyi_solve")
     check_vortex_window(config)
-    opts = newton or NewtonOptions()
     tau_n = float(config.tau) * sum(config.degrees)
-
-    solved = {}  # converged continuation steps by (n, alpha), shared by every evaluation
-
-    def c_at(alpha: float) -> tuple[GravitatingState, float | None]:
-        # the solve reads its couplings from the schedule, not config.alpha
-        steps = _continue(config, grid, _schedule_to(alpha), opts, None, solved)
-        converged = steps[-1].converged
-        return _last_state(steps, None, grid.n), steps[-1].c_est if converged else None
-
-    a0 = 0.0
-    a1 = min(_EB_FIRST_ALPHA, 1.0 / tau_n)
-    _refuse_obstructed(config, a1, override_obstruction)
-    state0, c0 = c_at(a0)
-    state1, c1 = c_at(a1)
-    history = [(a0, c0), (a1, c1)]
-    # the last evaluation whose continuation converged, or alpha = 0 when none did
-    best = (state1, a1, c1) if c1 is not None else (state0, a0, c0)
-    endpoints = None  # the bracketing c values of a failed search
-    if c0 is None or c1 is None:
-        endpoints = (c0, c1)
-    else:
-        for _ in range(_EB_MAX_SECANT):
-            if abs(best[2]) <= _EB_C_TOLERANCE:
-                break
-            if c1 == c0:
-                endpoints = (c0, c1)
-                break
-            a2 = a1 - c1 * (a1 - a0) / (c1 - c0)
-            if a2 <= 0.0:
-                a2 = 0.5 * a1
-            state2, c2 = c_at(a2)
-            history.append((a2, c2))
-            if c2 is None:
-                endpoints = (c1, c2)
-                break
-            a0, c0, a1, c1 = a1, c1, a2, c2
-            best = (state2, a2, c2)
-    state, alpha_star, c_value = best
+    alpha = CONVENTION_C_COEFF / (2.0 * tau_n)
+    _refuse_obstructed(config, alpha, override_obstruction)
+    opts = newton or NewtonOptions()
+    symmetric = 2 * config.exponents[0] == config.degrees[0]
+    coarse = grid if grid.n <= NESTED_COARSE_N else build_grid(NESTED_COARSE_N)
+    pot, _ = solve_vortex(coarse, None, config, opts)
+    system = _EinsteinBogomolnyiSystem(coarse, config, alpha, symmetric)
+    x, _, stop_reason, _ = system.solve(system.start(pot.v), opts)
+    u, v, _ = system.coupled.unpack(system.coupled_x(x))
+    if coarse is not grid:
+        start = nested_start(coarse, grid.n, stop_reason, u, v)
+        u, v = start or (coarse.prolong(u, grid.n), coarse.prolong(v, grid.n))
+        if start:
+            step = _coupled_step(config, grid, alpha, symmetric, opts, np.concatenate([u, v, [0.0]]))
+            stop_reason = step.stop_reason
+            u, v = (u, v) if step.u is None else (step.u, step.v)
+    state = GravitatingState(ConformalMetric(u=u), BundleMetricPotential(v=v), 0.0, alpha)
+    state = replace(state, c_value=gravitating_residual(grid, state, config)[2])
+    c_value = state.c_value if stop_reason == "converged" else None
     return EinsteinBogomolnyiResult(
         state=state,
-        alpha_star=alpha_star,
+        alpha_star=alpha,
         c_value=c_value,
-        alpha_tau_N=alpha_star * tau_n,
-        predictions=c_predictions(config, alpha_star),
-        converged=endpoints is None and abs(c_value) <= _EB_C_TOLERANCE,
-        secant_history=history,
-        endpoint_c_values=endpoints,
+        alpha_tau_N=alpha * tau_n,
+        predictions=c_predictions(config, alpha),
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
+        secant_history=[(alpha, c_value)],
     )
-

@@ -306,6 +306,14 @@ class NewtonSystem:
         """Mirror average of a grid vector (the identity in full space)."""
         return fold_even(g) if self.symmetric else g
 
+    def fold_columns(self, row: np.ndarray) -> np.ndarray:
+        """A Jacobian row of a scalar equation with the columns of each mirror pair summed."""
+        if not self.symmetric:
+            return row
+        out = 2.0 * fold_even(row)
+        out[0] *= 0.5  # the middle node is its own mirror
+        return out
+
     def _blockwise(self, f, x: np.ndarray, size: int) -> np.ndarray:
         """x with f applied to each of its ``blocks`` leading blocks of ``size`` entries."""
         k = self.blocks * size

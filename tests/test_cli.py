@@ -407,6 +407,7 @@ class TestExecuteAndExitCodes:
         )
         assert code == EXIT_OK
         payload = report["einstein_bogomolnyi"]
+        assert payload["stop_reason"] == "converged"
         assert abs(payload["c_value"]) <= 1e-8
         assert payload["predictions"]["alpha_tau_N"] == pytest.approx(2.0, abs=1e-6)
 
@@ -1042,7 +1043,7 @@ class TestVanishingHiggsField:
 
 
 def test_unsolved_eb_search_exports_no_state(tmp_path):
-    # with a tolerance below the n = 513 floor both evaluations stop on it
+    # with a tolerance below the n = 513 floor the verifying step stops on it
     payload = {
         "command": "eb-solve",
         "problem": {"degrees": [2], "exponents": [1], "tau": 5},
@@ -1052,10 +1053,11 @@ def test_unsolved_eb_search_exports_no_state(tmp_path):
     assert code == 3 and report["status"] == "not_converged"
     eb = report["einstein_bogomolnyi"]
     assert not eb["converged"]
-    # 4.0, the start value of c, is not quoted as the c of an unsolved state
+    assert eb["stop_reason"] == "roundoff_floor"
+    # the measured c of a state that did not converge is not quoted
     assert eb["c_value"] is None
-    assert [c for _, c in eb["secant_history"]] == [None, None]
-    assert eb["endpoint_c_values"] == [None, None]
+    assert eb["secant_history"] == [[eb["alpha_star"], None]]
+    assert "endpoint_c_values" not in eb
     assert report["outputs"] == [str(tmp_path / "out" / "report.json")]
     assert os.listdir(tmp_path / "out") == ["report.json"]
     jsonschema.validate(report, report_schema())

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from gravortex import (
+    BundleMetricPotential,
     ConfigurationError,
+    ConformalMetric,
+    GravitatingState,
+    HiggsConfig,
     NumericInputError,
     build_grid,
     integrate,
@@ -28,6 +32,7 @@ from gravortex.geometry import (
     hamiltonian_potential,
     write_profile_csv,
 )
+from gravortex.gravitating import c_from_integral_identity
 
 TWO_PI = 2.0 * math.pi
 
@@ -320,6 +325,37 @@ class TestIntegrate:
         bad[3] = np.inf
         with pytest.raises(NumericInputError):
             integrate(grid129, None, bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid, metric: integrate(grid, metric, np.ones(grid.n)),
+        lambda grid, metric: integrate(grid, None, metric.u),
+        lambda grid, metric: volume(grid, metric),
+        lambda grid, metric: laplacian(grid, metric, np.ones(grid.n)),
+        lambda grid, metric: laplacian(grid, None, metric.u),
+        lambda grid, metric: scalar_curvature(grid, metric),
+        lambda grid, metric: c_from_integral_identity(
+            grid,
+            GravitatingState(metric, BundleMetricPotential(np.zeros(grid.n)), 0.0, 0.1),
+            HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0),
+        ),
+    ],
+    ids=[
+        "integrate-metric",
+        "integrate-integrand",
+        "volume",
+        "laplacian-metric",
+        "laplacian-input",
+        "scalar_curvature",
+        "c_from_integral_identity",
+    ],
+)
+def test_field_of_another_resolution_rejected(call):
+    # a 33-entry field on a 65-node grid used to raise numpy's broadcast ValueError
+    with pytest.raises(ConfigurationError, match="resolution does not match the grid"):
+        call(build_grid(65), ConformalMetric(u=np.zeros(33)))
 
 
 class TestNormalizeVolume:

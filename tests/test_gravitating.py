@@ -1,4 +1,4 @@
-"""Coupled solver, continuation, EB secant, zero-constant reduction, general-form cross-check."""
+"""Coupled solver, continuation, EB solve, zero-constant reduction, general-form cross-check."""
 
 import math
 
@@ -32,7 +32,7 @@ from gravortex import gravitating
 from gravortex.geometry import fold_even, unfold_even
 from gravortex.gravitating import (
     _CoupledSystem,
-    _schedule_to,
+    _EinsteinBogomolnyiSystem,
     c_from_integral_identity,
     c_predictions,
 )
@@ -40,6 +40,20 @@ from gravortex.obstructions import moment_map_form
 from gravortex.vortex import bundle_curvature, vortex_equation
 
 TWO_PI = 2.0 * math.pi
+
+
+def schedule_to(alpha_target):
+    """The multiples of 0.05 below alpha_target, then alpha_target: a continuation to an EB state."""
+    lattice = (0.05 * k for k in range(math.ceil(alpha_target / 0.05) + 1))
+    return ContinuationSchedule(alphas=(*(a for a in lattice if a < alpha_target), alpha_target))
+
+
+def polished(grid, config, alpha, state):
+    """(u, v) after one full coupled Newton step at alpha from a continuation state."""
+    system = _CoupledSystem(grid, config, alpha, symmetric=True)
+    x = np.concatenate([state.metric.u, state.bundle.v, [state.c_value]])
+    x = x + system.newton_step(x, system.evaluate(x))
+    return x[: grid.n], x[grid.n : 2 * grid.n]
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +270,19 @@ class TestSolveGravitating:
             assert np.max(np.abs(step.u - zero_step.u)) <= 1e-12
             assert np.max(np.abs(step.v - zero_step.v)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "degree, tau, alphas, most",
+        [(2, 5.0, [0.04 * k for k in range(6)], 13), (4, 9.0, [k / 90 for k in range(6)], 11)],
+        ids=["N2-l1-tau5", "N4-l2-tau9"],
+    )
+    def test_extrapolated_starts(self, degree, tau, alphas, most):
+        # each coupled step starts from the linear, then quadratic, extrapolation
+        # of the last steps; started from the previous state they took 20 and 15
+        cfg = HiggsConfig(degrees=(degree,), exponents=(degree // 2,), tau=tau)
+        _, report = solve_gravitating(cfg, ContinuationSchedule(alphas=alphas), build_grid(129))
+        assert report.converged
+        assert sum(step.iterations for step in report.steps[1:]) <= most
+
     def test_nested_continuation_reports_every_alpha(self, symmetric_config):
         # the n = 513 floor lies below the default tolerance, so the solve
         # continues past alpha = 0; each fine step starts from the prolonged
@@ -298,11 +325,24 @@ class TestAlphaZeroStep:
     @pytest.mark.parametrize(
         "degrees, exponents, tau", ALPHA_ZERO_CONFIGS[:2], ids=ALPHA_ZERO_IDS[:2]
     )
-    def test_eb_search_starts_on_the_round_metric(self, degrees, exponents, tau, n):
+    def test_eb_search_starts_on_the_round_metric(self, monkeypatch, degrees, exponents, tau, n):
+        # the reduced solve starts from the alpha = 0 vortex state, with the
+        # constant of Psi that puts the volume row at zero
+        starts, solve = [], _EinsteinBogomolnyiSystem.solve
+        monkeypatch.setattr(
+            _EinsteinBogomolnyiSystem,
+            "solve",
+            lambda system, x, opts: (starts.append((system, x)), solve(system, x, opts))[1],
+        )
         cfg = HiggsConfig(degrees=degrees, exponents=exponents, tau=tau)
-        result = einstein_bogomolnyi_solve(cfg, build_grid(n))
-        assert result.converged
-        assert result.secant_history[0] == (0.0, 4.0)
+        grid = build_grid(n)
+        result = einstein_bogomolnyi_solve(cfg, grid)
+        assert result.converged and result.stop_reason == "converged"
+        assert result.secant_history == [(result.alpha_star, result.c_value)]
+        ((system, x),) = starts
+        pot, _ = solve_vortex(grid, None, cfg)
+        assert np.array_equal(x[:n], pot.v)
+        assert abs(system.evaluate(x)[0][-1]) <= 1e-14
 
     @pytest.mark.parametrize(
         "degrees, exponents, tau, alphas",
@@ -411,7 +451,7 @@ class TestContinuationSchedule:
 class TestEinsteinBogomolnyi:
     def test_finds_zero_constant_coupling(self, grid, symmetric_config):
         result = einstein_bogomolnyi_solve(symmetric_config, grid)
-        assert result.converged
+        assert result.converged and result.stop_reason == "converged"
         assert abs(result.c_value) <= 1e-8
         # conventions-derived prediction alpha tau N = 2; quoted alternative is 1
         assert result.alpha_tau_N == pytest.approx(2.0, abs=1e-6)
@@ -419,54 +459,97 @@ class TestEinsteinBogomolnyi:
         assert "quoted" in result.predictions and "conventions" in result.predictions
 
     def test_failed_search_state_is_the_reported_coupling(self, symmetric_config):
-        # at n = 513 both evaluations stop on the round-off floor, above this
-        # tolerance, so no continuation converged and the result describes alpha = 0
+        # at n = 513 the coupled step that verifies the prolonged n = 129
+        # state stops on the round-off floor, above this tolerance
         result = einstein_bogomolnyi_solve(
             symmetric_config, build_grid(513), NewtonOptions(tolerance=1e-12)
         )
-        assert not result.converged
-        assert [c for _, c in result.secant_history] == [None, None]
-        assert result.state.alpha == result.alpha_star == 0.0
+        assert not result.converged and result.stop_reason == "roundoff_floor"
+        assert result.state.alpha == result.alpha_star == 0.2
         assert result.c_value is None
+        assert result.secant_history == [(0.2, None)]
+
+    def test_overridden_full_space_solve_stops_named(self):
+        # 2l != N: the reduced step runs in full space, reached only with the
+        # override of the Futaki obstruction; it stops on line_search_stall
+        cfg = HiggsConfig(degrees=(3,), exponents=(1,), tau=7.0)
+        result = einstein_bogomolnyi_solve(cfg, build_grid(65), override_obstruction=True)
+        assert not result.converged
+        assert result.stop_reason in ("line_search_stall", "max_iter")
+        assert result.c_value is None and result.state.alpha == result.alpha_star
 
     def test_state_alpha_is_alpha_star(self, grid, symmetric_config):
-        # alpha_star here is 0.20000000000000015, whose k = 5 schedule would
-        # end one ulp lower at alpha_star * 5 / 5 = 0.20000000000000012
+        # alpha* = 4 / (2 tau N) in closed form; alpha* tau N is 2 to rounding
         result = einstein_bogomolnyi_solve(symmetric_config, grid)
         assert result.converged
-        assert result.state.alpha == result.alpha_star
+        assert result.state.alpha == result.alpha_star == 4.0 / (2.0 * 5.0 * 2)
+        assert abs(result.alpha_tau_N - 2.0) <= 4.0 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", [65, 129, 257, 513])
     def test_state_is_the_continuation_along_its_schedule(self, symmetric_config, n):
+        # the coupled continuation to alpha*, polished by one full Newton
+        # step, is an independent check of the reduced solve
         grid = build_grid(n)
         result = einstein_bogomolnyi_solve(symmetric_config, grid)
         assert result.converged
-        schedule = ContinuationSchedule(alphas=_schedule_to(result.alpha_star))
-        state, _ = solve_gravitating(symmetric_config, schedule, grid)
-        assert np.array_equal(result.state.metric.u, state.metric.u)
-        assert np.array_equal(result.state.bundle.v, state.bundle.v)
-        assert result.state.c_value == state.c_value == result.c_value
-        assert result.state.alpha == state.alpha == result.alpha_star
+        state, report = solve_gravitating(symmetric_config, schedule_to(result.alpha_star), grid)
+        assert report.converged and state.alpha == result.alpha_star
+        u, v = polished(grid, symmetric_config, result.alpha_star, state)
+        assert np.max(np.abs(result.state.metric.u - u)) <= 1e-12
+        assert np.max(np.abs(result.state.bundle.v - v)) <= 1e-12
+        _, _, c_est = gravitating_residual(grid, result.state, symmetric_config)
+        assert result.state.c_value == result.c_value == c_est
+        assert abs(result.c_value) <= 1e-12
 
     def test_each_lattice_coupling_solved_once(self, monkeypatch, grid, symmetric_config):
-        solved = []
+        # alpha* is solved once: by the reduced solve up to n = 129, and
+        # above it by one coupled step that verifies the prolonged state
+        reduced, coupled = [], []
+        solve, step = _EinsteinBogomolnyiSystem.solve, gravitating._coupled_step
+        monkeypatch.setattr(
+            _EinsteinBogomolnyiSystem,
+            "solve",
+            lambda system, x, opts: (reduced.append(system.grid.n), solve(system, x, opts))[1],
+        )
+        monkeypatch.setattr(
+            gravitating,
+            "_coupled_step",
+            lambda config, grid, alpha, *args: (
+                coupled.append((grid.n, alpha)),
+                step(config, grid, alpha, *args),
+            )[1],
+        )
+        for fine in (grid, build_grid(257)):
+            result = einstein_bogomolnyi_solve(symmetric_config, fine)
+            assert result.converged and len(result.secant_history) == 1
+        assert reduced == [129, 129]
+        assert coupled == [(257, result.alpha_star)]
 
-        class Recording(_CoupledSystem):
-            def __init__(self, grid, config, alpha, symmetric):
-                solved.append(alpha)
-                super().__init__(grid, config, alpha, symmetric)
-
-        monkeypatch.setattr(gravitating, "_CoupledSystem", Recording)
-        result = einstein_bogomolnyi_solve(symmetric_config, grid)
-        assert result.converged and len(result.secant_history) == 3
-        # every coupling of the three schedules, each once and in increasing order
-        wanted = set().union(*(_schedule_to(a) for a, _ in result.secant_history))
-        assert solved == sorted(wanted)
-        assert solved[:4] == [0.0, 0.05, 0.1, 0.15000000000000002]
+    @pytest.mark.parametrize(
+        "degree, tau",
+        [(n, tau) for n in (2, 4, 6, 8, 10) for tau in (2 * n + 1, 3 * n, 6 * n)],
+        ids=lambda value: str(value),
+    )
+    def test_lattice_at_n129(self, degree, tau):
+        # N in {2, ..., 10}, l = N / 2 and tau in {2N + 1, 3N, 6N}: every point
+        # converged with one and two BLAS threads, Psi constant to 2.2e-15
+        cfg = HiggsConfig(degrees=(degree,), exponents=(degree // 2,), tau=float(tau))
+        grid = build_grid(129)
+        result = einstein_bogomolnyi_solve(cfg, grid)
+        assert abs(result.alpha_tau_N - 2.0) <= 4.0 * np.finfo(float).eps
+        assert result.converged == (result.stop_reason == "converged")
+        if not result.converged:
+            assert result.stop_reason in ("roundoff_floor", "line_search_stall", "max_iter")
+            assert result.c_value is None
+            return
+        u, v = result.state.metric.u, result.state.bundle.v
+        assert np.ptp(psi(grid, cfg, result.alpha_star, u, v)) <= 1e-12
+        assert abs(result.c_value) <= 1e-12
 
     @pytest.mark.parametrize("target", [0.20000000000000015, 0.05, 1.0 / 3.0, 0.7, 1e-3])
     def test_schedule_ends_at_its_target(self, target):
-        alphas = _schedule_to(target)
+        # the schedule of the continuation cross-checks ends at alpha*
+        alphas = schedule_to(target).alphas
         assert alphas[0] == 0.0 and alphas[-1] == target
         steps = np.diff(alphas)
         assert np.all(steps > 0.0) and np.all(steps <= 0.05 * (1.0 + 1e-12))
@@ -547,14 +630,16 @@ class TestZeroConstantReduction:
         (coarse, u129, v129), (fine, u257, v257) = states
         assert np.max(np.abs(coarse.prolong(u129, 257) - u257)) <= 1e-12
         assert np.max(np.abs(coarse.prolong(v129, 257) - v257)) <= 1e-12
-        # the n = 257 search starts from the prolonged n = 129 steps, so the
-        # check above holds by construction; a continuation from zero on the
-        # fine grid to the same alpha* is independent of them
-        schedule = ContinuationSchedule(alphas=_schedule_to(result.alpha_star))
+        # the n = 257 solve verifies the prolonged n = 129 state, so the check
+        # above holds by construction; a continuation from zero on the fine
+        # grid to the same alpha*, polished by one full Newton step, is
+        # independent of it
+        schedule = schedule_to(result.alpha_star)
         zero_state, zero_report = solve_gravitating(cfg, schedule, fine, v0=np.zeros(257))
         assert zero_report.converged
-        assert np.max(np.abs(zero_state.metric.u - u257)) <= 1e-12
-        assert np.max(np.abs(zero_state.bundle.v - v257)) <= 1e-12
+        zero_u, zero_v = polished(fine, cfg, result.alpha_star, zero_state)
+        assert np.max(np.abs(zero_u - u257)) <= 1e-12
+        assert np.max(np.abs(zero_v - v257)) <= 1e-12
 
 
 def general_form(grid, state, config):

@@ -102,8 +102,8 @@ def test_coupled_ladder(cfg, n):
 
 @pytest.mark.usefixtures("fresh_grids")
 def test_eb_search_fills_the_coarse_laplacian_once(monkeypatch):
-    # every secant evaluation of an n = 257 search is seeded on the one
-    # shared n = 129 grid, so its folded Laplacian is filled once
+    # the vortex start and the reduced solve of an n = 257 EB solve both run
+    # on the one shared n = 129 grid, so its folded Laplacian is filled once
     fills = []
     rows = geometry._lap_fs_rows
 
@@ -113,7 +113,7 @@ def test_eb_search_fills_the_coarse_laplacian_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "_lap_fs_rows", counted)
     result = einstein_bogomolnyi_solve(CFG, build_grid(257))
-    assert result.converged and len(result.secant_history) >= 3
+    assert result.converged and result.stop_reason == "converged"
     assert fills.count(129) == 1
     assert "lap_fs_even" in vars(build_grid(129)) and "lap_fs" not in vars(build_grid(129))
 
@@ -169,25 +169,21 @@ def test_coarse_steps_only_up_to_the_fine_stop(step_calls):
     # a fine continuation that stops at alpha = 0 solves no coarse step past it
     calls, stops = step_calls
     stops[257, 0.0] = "max_iter"
-    steps = gravitating._continue(CFG, build_grid(257), SCHEDULE.alphas, NewtonOptions(), None, {})
+    steps = list(gravitating._continue(CFG, build_grid(257), SCHEDULE.alphas, NewtonOptions(), None))
     assert [step.stop_reason for step in steps] == ["max_iter"]
     assert calls == [(129, 0.0), (257, 0.0)]
 
 
 def test_no_coarse_step_solved_twice(step_calls):
-    # the coarse alpha = 0.05 step stops on its floor: it seeds its fine step,
-    # ends the coarse continuation, and a later continuation of the same
-    # search reuses it instead of solving it again
+    # the coarse continuation runs in step with the fine one; its alpha =
+    # 0.05 step stops on its floor, seeds its fine step and ends the coarse
+    # continuation, so the fine alpha = 0.1 step has no coarse start
     calls, stops = step_calls
     stops[129, 0.05] = "roundoff_floor"
-    solved, grid = {}, build_grid(257)
-    steps = gravitating._continue(CFG, grid, SCHEDULE.alphas, NewtonOptions(), None, solved)
-    assert [step.stop_reason for step in steps] == ["converged"] * 3
-    assert calls == [(129, 0.0), (257, 0.0), (129, 0.05), (257, 0.05), (257, 0.1)]
     alphas = (*SCHEDULE.alphas, 0.15)
-    steps = gravitating._continue(CFG, grid, alphas, NewtonOptions(), None, solved)
+    steps = list(gravitating._continue(CFG, build_grid(257), alphas, NewtonOptions(), None))
     assert [step.stop_reason for step in steps] == ["converged"] * 4
-    assert calls[5:] == [(257, 0.15)]
+    assert calls == [(129, 0.0), (257, 0.0), (129, 0.05), (257, 0.05), (257, 0.1), (257, 0.15)]
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,11 @@ are assembled; each is filled entrywise in O(n^2) from a closed form in
 the rows of ``d1``, computed block by block, so no matrix product builds
 them and a grid above DENSE_D1_MAX_N holds no ``d1``.
 
+A grid field is checked once, by :func:`grid_vector` at the entry of each
+public function that takes it.  The kernels that the Newton residuals share
+(:func:`conformal_volume`, :func:`curvature_field`, ``bundle_curvature``)
+check nothing, so a non-finite line-search trial gives a non-finite residual.
+
 Conventions (see CONVENTIONS.md for the full ledger):
 
 * background Kaehler form ``omega_FS = i dw dwbar / (1+|w|^2)^2`` with
@@ -58,14 +63,6 @@ DENSE_D1_MAX_N = 257
 # rows per block when d1, lap_fs or lap_fs_even is filled; at n = 4097 a
 # block's temporaries are 4 MiB each, below the size of the n = 1025 matrices
 _ROW_BLOCK = 128
-
-
-def _check_finite(f: np.ndarray, name: str, n: int | None = None) -> None:
-    """f is finite, and, when n is given, a vector of n entries."""
-    if n is not None and np.shape(f) != (n,):
-        raise ConfigurationError(f"{name} resolution does not match the grid")
-    if not np.all(np.isfinite(f)):
-        raise NumericInputError(f"{name} contains non-finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,12 +195,11 @@ class AxisymGrid:
         Zero-pads the Chebyshev coefficients (one DCT-I, as in
         :func:`cumulative_antiderivative`) and returns to nodal values with
         one inverse FFT, O(n log n); exact for polynomials of degree
-        <= self.n - 1.  ``n`` may not be coarser than this grid.
+        <= self.n - 1.  ``n`` is a resolution :func:`build_grid` accepts,
+        not coarser than this grid.
         """
-        f = np.asarray(values, dtype=float)
-        if f.shape != (self.n,):
-            raise ConfigurationError("prolonged values do not match the grid")
-        _check_finite(f, "prolonged values")
+        f = grid_vector(self, values, "prolonged values")
+        check_resolution(n)
         if n < self.n:
             raise ConfigurationError(f"cannot prolong from n={self.n} to the coarser n={n}")
         m, m_fine = self.n - 1, n - 1
@@ -405,12 +401,31 @@ def round_metric(grid: AxisymGrid) -> ConformalMetric:
     return ConformalMetric(u=np.zeros(grid.n))
 
 
-def _u_of(metric: ConformalMetric | None, n: int) -> np.ndarray:
+def grid_vector(grid: AxisymGrid, values, name: str) -> np.ndarray:
+    """values as a finite float grid vector; raises on a shape or finiteness defect."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (grid.n,):
+        raise ConfigurationError(f"{name} resolution does not match the grid")
+    if not np.all(np.isfinite(arr)):
+        raise NumericInputError(f"{name} contains non-finite entries")
+    return arr
+
+
+def grid_metric(grid: AxisymGrid, metric: ConformalMetric | None) -> ConformalMetric:
+    """metric with its potential checked by :func:`grid_vector`; the round metric for None."""
     if metric is None:
-        return np.zeros(n)
-    if np.shape(metric.u) != (n,):  # the finiteness of u is left to the caller
-        raise ConfigurationError("metric potential resolution does not match the grid")
-    return metric.u
+        return round_metric(grid)
+    return ConformalMetric(u=grid_vector(grid, metric.u, "metric potential"))
+
+
+def conformal_volume(grid: AxisymGrid, u: np.ndarray) -> float:
+    """integral exp(2u) omega_FS of an unchecked potential, summed exactly (math.fsum)."""
+    return math.fsum((np.pi * grid.weights * np.exp(2.0 * u)).tolist())
+
+
+def curvature_field(grid: AxisymGrid, u: np.ndarray) -> np.ndarray:
+    """S = exp(-2u) (4 + 2 Delta_FS u) of an unchecked potential, pointwise."""
+    return np.exp(-2.0 * u) * (ROUND_SCALAR_CURVATURE + 2.0 * grid.apply_lap_fs(u))
 
 
 def integrate(grid: AxisymGrid, metric: ConformalMetric | None, f: np.ndarray) -> float:
@@ -419,15 +434,13 @@ def integrate(grid: AxisymGrid, metric: ConformalMetric | None, f: np.ndarray) -
     Uses exact compensated summation (math.fsum) so the result does not
     depend on accumulation order.
     """
-    f = np.asarray(f, dtype=float)
-    _check_finite(f, "integrand", grid.n)
-    u = _u_of(metric, grid.n)
-    contrib = np.pi * grid.weights * f * np.exp(2.0 * u)
-    return math.fsum(contrib.tolist())
+    f = grid_vector(grid, f, "integrand")
+    u = grid_metric(grid, metric).u
+    return math.fsum((np.pi * grid.weights * f * np.exp(2.0 * u)).tolist())
 
 
 def volume(grid: AxisymGrid, metric: ConformalMetric | None) -> float:
-    return integrate(grid, metric, np.ones(grid.n))
+    return conformal_volume(grid, grid_metric(grid, metric).u)
 
 
 def normalize_volume(grid: AxisymGrid, u_raw: np.ndarray) -> ConformalMetric:
@@ -435,10 +448,8 @@ def normalize_volume(grid: AxisymGrid, u_raw: np.ndarray) -> ConformalMetric:
 
     Idempotent: normalizing an already normalized potential changes nothing.
     """
-    u_raw = np.asarray(u_raw, dtype=float)
-    _check_finite(u_raw, "u_raw")
-    vol = volume(grid, ConformalMetric(u=u_raw))
-    shift = 0.5 * math.log(vol / ROUND_VOLUME)
+    u_raw = grid_vector(grid, u_raw, "u_raw")
+    shift = 0.5 * math.log(conformal_volume(grid, u_raw) / ROUND_VOLUME)
     return ConformalMetric(u=u_raw - shift)
 
 
@@ -450,9 +461,8 @@ def laplacian(
     Positive convention: Delta_omega has nonnegative spectrum, and the round
     Laplacian satisfies Delta_FS s = 4 s.
     """
-    f = np.asarray(f, dtype=float)
-    _check_finite(f, "laplacian input", grid.n)
-    u = _u_of(metric, grid.n)
+    f = grid_vector(grid, f, "laplacian input")
+    u = grid_metric(grid, metric).u
     return np.exp(-2.0 * u) * grid.apply_lap_fs(f)
 
 
@@ -467,12 +477,11 @@ def scalar_curvature(grid: AxisymGrid, metric: ConformalMetric) -> CurvatureRepo
     """Scalar curvature of omega = exp(2u) omega_FS.
 
     Conformal rule under the positive Laplacian convention:
-    ``S = exp(-2u) (4 + 2 Delta_FS u)``.  The total is Gauss--Bonnet 8*pi up
-    to quadrature error for any smooth u.
+    ``S = exp(-2u) (4 + 2 Delta_FS u)`` (:func:`curvature_field`).  The
+    total is Gauss--Bonnet 8*pi up to quadrature error for any smooth u.
     """
-    u = metric.u
-    _check_finite(u, "metric potential", grid.n)
-    s_field = np.exp(-2.0 * u) * (ROUND_SCALAR_CURVATURE + 2.0 * grid.apply_lap_fs(u))
+    metric = grid_metric(grid, metric)
+    s_field = curvature_field(grid, metric.u)
     total = integrate(grid, metric, s_field)
     vol = volume(grid, metric)
     return CurvatureReport(s_field=s_field, total=total, mean=total / vol)
@@ -502,8 +511,7 @@ def cumulative_antiderivative(grid: AxisymGrid, f: np.ndarray) -> np.ndarray:
     The result is the antiderivative of the degree n-1 interpolant at the
     nodes, so it is exact for polynomial f of degree <= n-1.
     """
-    f = np.asarray(f, dtype=float)
-    _check_finite(f, "antiderivative input")
+    f = grid_vector(grid, f, "antiderivative input")
     m = grid.n - 1
     a = _chebyshev_coefficients(f)
     a[m] *= 0.5
@@ -525,8 +533,8 @@ def hamiltonian_potential(grid: AxisymGrid, metric: ConformalMetric | None) -> n
     omega = exp(2u) omega_FS; the additive constant is fixed by
     ``integral h omega = 0``.  On the round metric h = s/2.
     """
-    u = _u_of(metric, grid.n)
-    h = cumulative_antiderivative(grid, 0.5 * np.exp(2.0 * u))
+    metric = grid_metric(grid, metric)
+    h = cumulative_antiderivative(grid, 0.5 * np.exp(2.0 * metric.u))
     h_mean = integrate(grid, metric, h) / volume(grid, metric)
     return h - h_mean
 

@@ -11,7 +11,8 @@ the left side of R2), while the Newton iteration carries c as an explicit
 unknown paired with the volume-normalization constraint row, which is the
 same projection written as a square system.  Both evaluate R1 and R2 by
 one definition (``_CoupledSystem.equations``), which applies the Laplacian
-matrix-free; only the Newton Jacobian reads the dense Laplacian.
+matrix-free and checks nothing, as the grid fields of a public function
+are checked at its entry; only the Newton Jacobian reads the dense Laplacian.
 
 Under the package conventions (round scalar curvature 4, volume 2*pi)
 integrating the system gives the topological value c = 4 - 2 alpha tau N;
@@ -56,9 +57,12 @@ from .errors import ConfigurationError, ObstructionError, finite_float
 from .geometry import (
     AxisymGrid,
     ConformalMetric,
-    ROUND_SCALAR_CURVATURE,
     ROUND_VOLUME,
     build_grid,
+    conformal_volume,
+    curvature_field,
+    grid_metric,
+    grid_vector,
     integrate,
     scalar_curvature,
     volume,
@@ -73,7 +77,6 @@ from .vortex import (
     SolveReport,
     bundle_curvature,
     check_vortex_window,
-    grid_vector,
     nested_start,
     solve_vortex,
     sup_norm,
@@ -179,7 +182,7 @@ def metric_equation(
 
 def volume_row(grid: AxisymGrid, u: np.ndarray) -> float:
     """Volume normalization: integral exp(2u) omega_FS - 2 pi, summed exactly."""
-    return volume(grid, ConformalMetric(u=u)) - ROUND_VOLUME
+    return conformal_volume(grid, u) - ROUND_VOLUME
 
 
 def gravitating_residual(
@@ -191,11 +194,11 @@ def gravitating_residual(
     evaluated with c = 0; c_est is the omega-mean of that R2.
     """
     config.require_abelian("gravitating_residual")
-    u = grid_vector(grid, state.metric.u, "metric potential")
+    metric = grid_metric(grid, state.metric)
     v = grid_vector(grid, state.bundle.v, "bundle potential")
     system = _CoupledSystem(grid, config, float(state.alpha), symmetric=False)
-    (r1, full, _), _ = system.equations(np.concatenate([u, v, [0.0]]))
-    c_est = integrate(grid, state.metric, full) / volume(grid, state.metric)
+    (r1, full, _), _ = system.equations(np.concatenate([metric.u, v, [0.0]]))
+    c_est = integrate(grid, metric, full) / volume(grid, metric)
     return r1, full - c_est, c_est
 
 
@@ -208,12 +211,14 @@ def c_from_integral_identity(
     - tau Vol); it agrees with the mean projection up to the quadrature
     defect of the exact-divergence term.
     """
+    metric = grid_metric(grid, state.metric)
+    v = grid_vector(grid, state.bundle.v, "bundle potential")
     tau = float(config.tau)
-    curv = scalar_curvature(grid, state.metric)
-    phi_sq = np.exp(2.0 * state.bundle.v) * higgs_profile(grid, config, 0)
-    vol = volume(grid, state.metric)
+    curv = scalar_curvature(grid, metric)
+    phi_sq = np.exp(2.0 * v) * higgs_profile(grid, config, 0)
+    vol = volume(grid, metric)
     total = curv.total + float(state.alpha) * tau * (
-        integrate(grid, state.metric, phi_sq) - tau * vol
+        integrate(grid, metric, phi_sq) - tau * vol
     )
     return total / vol
 
@@ -265,8 +270,8 @@ class _CoupledSystem(NewtonSystem):
         grid = self.grid
         emu = np.exp(-2.0 * u)
         phih = np.exp(2.0 * v) * self.profile
-        s_field = emu * (ROUND_SCALAR_CURVATURE + 2.0 * grid.apply_lap_fs(u))
-        curv = bundle_curvature(grid, ConformalMetric(u=u), self.n_deg, v)
+        s_field = curvature_field(grid, u)
+        curv = bundle_curvature(grid, u, self.n_deg, v)
         lap_phih = emu * grid.apply_lap_fs(phih)
         r1 = vortex_equation(curv, phih, self.tau)
         r2 = metric_equation(s_field, self.alpha, lap_phih, phih, self.tau, c)
@@ -316,7 +321,7 @@ def solve_gravitating(
     round metric (u = 0, c = 4) solves the metric equation exactly, and
     the step is :func:`~gravortex.vortex.solve_vortex` on it, started from
     ``v0``, a finite vector on ``grid``
-    (:func:`~gravortex.vortex.grid_vector`), or from zero.  Every later step
+    (:func:`~gravortex.geometry.grid_vector`), or from zero.  Every later step
     is a coupled Newton solve started from the Lagrange extrapolation in
     alpha of the last (up to three) states, except at n > NESTED_COARSE_N
     (129) without ``v0``: there each step starts from the step at its alpha
@@ -485,7 +490,7 @@ class _EinsteinBogomolnyiSystem(NewtonSystem):
     def start(self, v: np.ndarray) -> np.ndarray:
         """x = (v, k), with k chosen so that its u has volume 2 pi."""
         u = self.coupled_x(np.append(v, 0.0))[: self.grid.n]
-        return np.append(v, math.log(ROUND_VOLUME / volume(self.grid, ConformalMetric(u=u))))
+        return np.append(v, math.log(ROUND_VOLUME / conformal_volume(self.grid, u)))
 
     def evaluate(self, x: np.ndarray):
         return self.coupled.evaluate(self.coupled_x(x))

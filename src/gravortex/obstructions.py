@@ -53,6 +53,7 @@ from .geometry import (
     AxisymGrid,
     ConformalMetric,
     ROUND_VOLUME,
+    grid_vector,
     hamiltonian_potential,
     integrate,
     laplacian,
@@ -164,7 +165,8 @@ def futaki_quadrature(
             f"quadrature needs one potential per component, got {len(potentials)} "
             f"for rank {config.rank}"
         )
-    metric = ConformalMetric(u=np.asarray(u, dtype=float))
+    metric = ConformalMetric(u=grid_vector(grid, u, "metric potential"))
+    potentials = [grid_vector(grid, vj, f"potentials[{j}]") for j, vj in enumerate(potentials)]
     _require_normalized(grid, metric)
     s = grid.nodes
     tau = float(config.tau)
@@ -175,12 +177,11 @@ def futaki_quadrature(
     curv_trace = np.zeros(grid.n)
     phi_sq_total = np.zeros(grid.n)
     for j, vj in enumerate(potentials):
-        vj = np.asarray(vj, dtype=float)
         n_deg = config.degrees[j]
         ell = config.exponents[j]
         profile = higgs_profile(grid, config, j)
         phi_sq = np.exp(2.0 * vj) * profile
-        curv = bundle_curvature(grid, metric, n_deg, vj)
+        curv = bundle_curvature(grid, metric.u, n_deg, vj)
         m_j = vortex_equation(curv, phi_sq, tau)
         psi_j = ell - n_deg * (1.0 + s) / 2.0 + (1.0 - s * s) * grid.diff(vj)
         pairing_sum += psi_j * m_j

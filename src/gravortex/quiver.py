@@ -20,6 +20,8 @@ from .errors import ConfigurationError, finite_float, require_integer
 from .geometry import (
     AxisymGrid,
     ConformalMetric,
+    grid_metric,
+    grid_vector,
     integrate,
     laplacian,
     scalar_curvature,
@@ -294,22 +296,23 @@ def quiver_vortex_residual(
     projection; the curvature-square term vanishes identically on a curve.
     """
     spec.require_rank_one("analytic residual evaluation")
+    metric = grid_metric(grid, metric)
+    pots = {}
     for v in spec.quiver.vertices:
         if v not in potentials:
             raise ConfigurationError(f"missing potential for vertex {v!r}")
-    if metric is None:
-        metric = ConformalMetric(u=np.zeros(grid.n))
+        pots[v] = grid_vector(grid, potentials[v], f"potentials[{v!r}]")
 
     arrow_norms: dict[str, np.ndarray] = {}
     for a in spec.quiver.arrows:
         fs = arrow_profile(grid, spec, a)
         arrow_norms[a.name] = fs * np.exp(
-            2.0 * potentials[a.head] - 2.0 * potentials[a.tail]
+            2.0 * pots[a.head] - 2.0 * pots[a.tail]
         )
 
     vertex_res: dict[str, np.ndarray] = {}
     for v in spec.quiver.vertices:
-        curv = bundle_curvature(grid, metric, spec.degrees[v], potentials[v])
+        curv = bundle_curvature(grid, metric.u, spec.degrees[v], pots[v])
         comm = np.zeros(grid.n)
         for a in spec.quiver.arrows_into(v):
             comm += arrow_norms[a.name]

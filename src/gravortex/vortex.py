@@ -26,7 +26,6 @@ from .bundles import HiggsConfig, higgs_profile
 from .errors import (
     ConfigurationError,
     InfeasibleError,
-    NumericInputError,
     finite_float,
     is_integer,
 )
@@ -35,8 +34,9 @@ from .geometry import (
     ConformalMetric,
     build_grid,
     fold_even,
+    grid_metric,
+    grid_vector,
     integrate,
-    round_metric,
     unfold_even,
 )
 
@@ -200,28 +200,10 @@ def vortex_equation(curv: np.ndarray, phi_sq: np.ndarray, tau: float) -> np.ndar
 
 
 def bundle_curvature(
-    grid: AxisymGrid, metric: ConformalMetric | None, degree: int, v: np.ndarray
+    grid: AxisymGrid, u: np.ndarray, degree: int, v: np.ndarray
 ) -> np.ndarray:
-    """i Lambda_omega F_H for H = H_FS exp(2v) on the degree-N bundle."""
-    u = metric.u if metric is not None else np.zeros(grid.n)
+    """i Lambda_omega F_H for H = H_FS exp(2v) on the degree-N bundle, omega = exp(2u) omega_FS."""
     return np.exp(-2.0 * u) * (degree + grid.apply_lap_fs(v))
-
-
-def grid_vector(grid: AxisymGrid, values, name: str) -> np.ndarray:
-    """values as a finite float grid vector; raises on a shape or finiteness defect."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (grid.n,):
-        raise ConfigurationError(f"{name} resolution does not match the grid")
-    if not np.all(np.isfinite(arr)):
-        raise NumericInputError(f"{name} contains non-finite entries")
-    return arr
-
-
-def grid_metric(grid: AxisymGrid, metric: ConformalMetric | None) -> ConformalMetric:
-    """metric with its potential checked by :func:`grid_vector`; the round metric for None."""
-    if metric is None:
-        return round_metric(grid)
-    return ConformalMetric(u=grid_vector(grid, metric.u, "metric potential"))
 
 
 def vortex_residual(
@@ -348,7 +330,7 @@ class _VortexSystem(NewtonSystem):
         self.metric = metric
 
     def evaluate(self, v: np.ndarray):
-        curv = bundle_curvature(self.grid, self.metric, self.n_deg, v)
+        curv = bundle_curvature(self.grid, self.metric.u, self.n_deg, v)
         return vortex_equation(curv, np.exp(2.0 * v) * self.profile, self.tau), None
 
     def jacobian(self, v: np.ndarray, terms) -> np.ndarray:
@@ -383,7 +365,8 @@ def solve_vortex(
     """Damped Newton iteration for the abelian vortex equation.
 
     The solution is unique, so the converged result does not depend on the
-    initial guess ``v0``, a finite vector on ``grid`` (:func:`grid_vector`),
+    initial guess ``v0``, a finite vector on ``grid``
+    (:func:`~gravortex.geometry.grid_vector`),
     as the potential of ``metric`` must be (None is the round metric).
     Without ``v0`` the iteration starts from zero, except on the round
     metric at n > NESTED_COARSE_N (129): there it starts from a solve at
@@ -637,7 +620,8 @@ def nonabelian_residual(
     v1 = grid_vector(grid, hdata.v1, "v1")
     v2 = grid_vector(grid, hdata.v2, "v2")
     off = hdata.offdiag_cofactor
-    has_off = off is not None and bool(np.any(np.asarray(off) != 0.0))
+    off = None if off is None else grid_vector(grid, off, "offdiag_cofactor")
+    has_off = off is not None and bool(np.any(off != 0.0))
     if has_off and n1 != n2:
         raise ConfigurationError(
             "off-diagonal metric profiles are supported only for equal degrees: "
@@ -647,14 +631,13 @@ def nonabelian_residual(
 
     q2 = 1.0 - grid.nodes**2
     if has_off:
-        off = np.asarray(off, dtype=float)
         off_mod = off * q2 ** (abs(weight) / 2.0)
         if np.any(off_mod**2 >= np.exp(2 * v1 + 2 * v2)):
             raise ConfigurationError("off-diagonal profile violates positivity")
         curv11, curv22, curv12, curv21 = _stitched_curvature(grid, n1, weight, u, v1, v2, off)
     else:
-        curv11 = bundle_curvature(grid, metric, n1, v1)
-        curv22 = bundle_curvature(grid, metric, n2, v2)
+        curv11 = bundle_curvature(grid, u, n1, v1)
+        curv22 = bundle_curvature(grid, u, n2, v2)
         curv12 = np.zeros(grid.n)
         curv21 = np.zeros(grid.n)
         off_mod = np.zeros(grid.n)

@@ -119,7 +119,7 @@ def test_criterion_04_abelian_vortex_solve():
     assert rep_f.converged
     agreement = np.max(np.abs(coarse.prolong(pot.v, fine.n) - pot_f.v))
     assert agreement <= 1e-8, f"two-resolution disagreement {agreement}"
-    chern = integrate(coarse, None, bundle_curvature(coarse, None, 1, pot.v))
+    chern = integrate(coarse, None, bundle_curvature(coarse, np.zeros(coarse.n), 1, pot.v))
     assert abs(chern - TWO_PI) <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -298,7 +298,7 @@ def test_criterion_11_geometry_invariants():
         )
         metric = normalize_volume(grid, bump)
         v = rng.uniform(-0.3, 0.3) * np.cos(rng.integers(1, 5) * grid.nodes)
-        total = integrate(grid, metric, bundle_curvature(grid, metric, n_deg, v))
+        total = integrate(grid, metric, bundle_curvature(grid, metric.u, n_deg, v))
         worst_chern = max(worst_chern, abs(total - TWO_PI * n_deg))
     assert worst_chern <= 1e-8
     report(

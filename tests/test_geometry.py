@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +16,20 @@ from gravortex import (
     ConformalMetric,
     GravitatingState,
     HiggsConfig,
+    NonabelianMetric,
     NumericInputError,
     build_grid,
+    futaki_quadrature,
+    gravitating_residual,
     integrate,
     laplacian,
+    nonabelian_residual,
     normalize_volume,
+    quiver_vortex_residual,
     round_metric,
     scalar_curvature,
     volume,
+    vortex_residual,
 )
 from gravortex.geometry import (
     DENSE_D1_MAX_N,
@@ -33,6 +40,7 @@ from gravortex.geometry import (
     write_profile_csv,
 )
 from gravortex.gravitating import c_from_integral_identity
+from gravortex.quiver import gravitating_vortex_spec
 
 TWO_PI = 2.0 * math.pi
 
@@ -301,6 +309,10 @@ class TestProlong:
             grid129.prolong(np.zeros(grid129.n), 65)
         with pytest.raises(ConfigurationError):
             grid129.prolong(np.zeros(65), 257)
+        # targets build_grid refuses: even, and above 4097
+        for n in (100, 4099):
+            with pytest.raises(ConfigurationError, match="node count n must"):
+                grid129.prolong(np.zeros(grid129.n), n)
 
 
 class TestIntegrate:
@@ -327,35 +339,117 @@ class TestIntegrate:
             integrate(grid129, None, bad)
 
 
+ABELIAN = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
+RANK2 = HiggsConfig(degrees=(2, 2), exponents=(1, 0), tau=9.0)
+SPEC = gravitating_vortex_spec(2, 1, 5.0, 0.1)
+
+
+def _state(u, v):
+    return GravitatingState(ConformalMetric(u), BundleMetricPotential(v), 0.0, 0.1)
+
+
+def _rank2(grid, v1=None, v2=None, off=None):
+    zero = np.zeros(grid.n)
+    metric = NonabelianMetric(zero if v1 is None else v1, zero if v2 is None else v2, off)
+    return nonabelian_residual(grid, None, metric, RANK2)
+
+
+def _quiver(grid, metric=None, dst=None):
+    zero = np.zeros(grid.n)
+    potentials = {"src": zero, "dst": zero if dst is None else dst}
+    return quiver_vortex_residual(SPEC, potentials, metric, grid)
+
+
+def _metric_case(call, id):
+    """A case that puts the field into a metric potential."""
+    return pytest.param(lambda g, f: call(g, ConformalMetric(f)), "metric potential", id=id)
+
+
+# each public function that takes a grid field, called with the field f in
+# one of its grid-field arguments, and the name its errors give that argument
+FIELDS = [
+    _metric_case(lambda g, m: integrate(g, m, np.ones(g.n)), "integrate-metric"),
+    pytest.param(lambda g, f: integrate(g, None, f), "integrand", id="integrate-integrand"),
+    _metric_case(volume, "volume"),
+    pytest.param(normalize_volume, "u_raw", id="normalize_volume"),
+    _metric_case(lambda g, m: laplacian(g, m, np.ones(g.n)), "laplacian-metric"),
+    pytest.param(lambda g, f: laplacian(g, None, f), "laplacian input", id="laplacian-input"),
+    _metric_case(scalar_curvature, "scalar_curvature"),
+    pytest.param(cumulative_antiderivative, "antiderivative input", id="cumulative_antiderivative"),
+    _metric_case(hamiltonian_potential, "hamiltonian_potential"),
+    pytest.param(lambda g, f: g.prolong(f, 129), "prolonged values", id="prolong"),
+    pytest.param(
+        lambda g, f: vortex_residual(g, None, BundleMetricPotential(f), ABELIAN),
+        "bundle potential",
+        id="vortex_residual-potential",
+    ),
+    pytest.param(lambda g, f: _rank2(g, v1=f), "v1", id="nonabelian_residual-v1"),
+    pytest.param(lambda g, f: _rank2(g, v2=f), "v2", id="nonabelian_residual-v2"),
+    pytest.param(
+        lambda g, f: _rank2(g, off=f), "offdiag_cofactor", id="nonabelian_residual-offdiag"
+    ),
+    pytest.param(
+        lambda g, f: gravitating_residual(g, _state(f, np.zeros(g.n)), ABELIAN),
+        "metric potential",
+        id="gravitating_residual-metric",
+    ),
+    pytest.param(
+        lambda g, f: gravitating_residual(g, _state(np.zeros(g.n), f), ABELIAN),
+        "bundle potential",
+        id="gravitating_residual-bundle",
+    ),
+    pytest.param(
+        lambda g, f: c_from_integral_identity(g, _state(f, np.zeros(g.n)), ABELIAN),
+        "metric potential",
+        id="c_from_integral_identity",
+    ),
+    pytest.param(
+        lambda g, f: c_from_integral_identity(g, _state(np.zeros(g.n), f), ABELIAN),
+        "bundle potential",
+        id="c_from_integral_identity-bundle",
+    ),
+    pytest.param(
+        lambda g, f: futaki_quadrature(g, ABELIAN, f, [np.zeros(g.n)]),
+        "metric potential",
+        id="futaki_quadrature-metric",
+    ),
+    pytest.param(
+        lambda g, f: futaki_quadrature(g, ABELIAN, np.zeros(g.n), [f]),
+        "potentials[0]",
+        id="futaki_quadrature-potential",
+    ),
+    _metric_case(lambda g, m: _quiver(g, metric=m), "quiver-metric"),
+    pytest.param(lambda g, f: _quiver(g, dst=f), "potentials['dst']", id="quiver-potential"),
+]
+
+
 @pytest.mark.parametrize(
-    "call",
-    [
-        lambda grid, metric: integrate(grid, metric, np.ones(grid.n)),
-        lambda grid, metric: integrate(grid, None, metric.u),
-        lambda grid, metric: volume(grid, metric),
-        lambda grid, metric: laplacian(grid, metric, np.ones(grid.n)),
-        lambda grid, metric: laplacian(grid, None, metric.u),
-        lambda grid, metric: scalar_curvature(grid, metric),
-        lambda grid, metric: c_from_integral_identity(
-            grid,
-            GravitatingState(metric, BundleMetricPotential(np.zeros(grid.n)), 0.0, 0.1),
-            HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0),
-        ),
-    ],
-    ids=[
-        "integrate-metric",
-        "integrate-integrand",
-        "volume",
-        "laplacian-metric",
-        "laplacian-input",
-        "scalar_curvature",
-        "c_from_integral_identity",
+    "call, name, entries",
+    [pytest.param(*p.values, 33, id=p.id) for p in FIELDS]
+    + [
+        # a 67-entry field gave a 65-entry antiderivative, a 63-entry one IndexError
+        pytest.param(
+            cumulative_antiderivative, "antiderivative input", m, id=f"cumulative_antiderivative-{m}"
+        )
+        for m in (67, 63)
     ],
 )
-def test_field_of_another_resolution_rejected(call):
+def test_field_of_another_resolution_rejected(call, name, entries):
     # a 33-entry field on a 65-node grid used to raise numpy's broadcast ValueError
-    with pytest.raises(ConfigurationError, match="resolution does not match the grid"):
-        call(build_grid(65), ConformalMetric(u=np.zeros(33)))
+    message = f"^{re.escape(name)} resolution does not match the grid$"
+    with pytest.raises(ConfigurationError, match=message):
+        call(build_grid(65), np.zeros(entries))
+
+
+@pytest.mark.parametrize("call, name", FIELDS)
+def test_field_with_a_nan_rejected(call, name):
+    # the NaN used to reach a kernel, which named it by its own argument or
+    # (integrate's metric potential) returned nan
+    field = np.zeros(65)
+    field[7] = np.nan
+    message = f"^{re.escape(name)} contains non-finite entries$"
+    with pytest.raises(NumericInputError, match=message):
+        call(build_grid(65), field)
 
 
 class TestNormalizeVolume:

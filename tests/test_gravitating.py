@@ -653,7 +653,7 @@ def general_form(grid, state, config):
     """
     tau = float(config.tau)
     phi_sq = np.exp(2.0 * state.bundle.v) * higgs_profile(grid, config, 0)
-    curv = bundle_curvature(grid, state.metric, config.degrees[0], state.bundle.v)
+    curv = bundle_curvature(grid, state.metric.u, config.degrees[0], state.bundle.v)
     full = moment_map_form(
         scalar_curvature(grid, state.metric).s_field,
         float(state.alpha),

@@ -8,6 +8,7 @@ once however many solves read them.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,34 @@ def test_large_step_on_the_floor_is_a_line_search_stall():
         pot.v, system.evaluate, lambda v, _: np.ones_like(v), NewtonOptions(tolerance=1e-15)
     )
     assert (stop_reason, iterations) == ("line_search_stall", 0)
+
+
+def test_overflowing_trials_are_halved_silently():
+    # a planted 2^16-fold Newton step from the alpha = 0 vortex state: its
+    # first trials overflow exp(2u) (a 1024-fold one peaks near exp(105)),
+    # and the coupled residual, which checks nothing, gives a non-finite
+    # sup-norm that the line search halves, with no exception and no
+    # floating-point warning; the step count is 8 with one BLAS thread and
+    # 7 with two
+    grid = build_grid(129)
+    pot, _ = solve_vortex(grid, None, CFG)
+    system = _CoupledSystem(grid, CFG, 0.05, True)
+    sups = []
+
+    def evaluate(x):
+        evaluation = system.evaluate(x)
+        sups.append(np.max(np.abs(evaluation[0])))
+        return evaluation
+
+    def planted_step(x, evaluation):
+        return 2.0**16 * system.newton_step(x, evaluation)
+
+    x = np.concatenate([np.zeros(grid.n), pot.v, [4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, stop_reason, _ = damped_newton(x, evaluate, planted_step, NewtonOptions())
+    assert not np.isfinite(sups[1])  # the first trial
+    assert stop_reason == "converged"
 
 
 def test_tolerance_below_the_floor_stops_on_the_floor():

@@ -84,7 +84,7 @@ class TestVortexResidual:
             n_deg = int(rng.integers(1, 4))
             metric = random_metric(grid, rng)
             v = rng.uniform(-0.3, 0.3) * np.cos(rng.integers(1, 5) * grid.nodes)
-            curv = bundle_curvature(grid, metric, n_deg, v)
+            curv = bundle_curvature(grid, metric.u, n_deg, v)
             total = integrate(grid, metric, curv)
             assert abs(total - TWO_PI * n_deg) <= 1e-8
 
@@ -129,7 +129,7 @@ class TestSolveVortex:
         assert report.converged
         assert report.iterations <= 15
         assert report.residual_sup < 1e-10
-        curv = bundle_curvature(grid, None, 1, pot.v)
+        curv = bundle_curvature(grid, np.zeros(grid.n), 1, pot.v)
         assert abs(integrate(grid, None, curv) - TWO_PI) <= 1e-8
 
     def test_boundary_tau_infeasible(self, grid):
@@ -231,7 +231,7 @@ class TestSolveVortex:
         cfg = HiggsConfig(degrees=(1,), exponents=(0,), tau=3.0)
         pot, report = solve_vortex(grid, metric, cfg)
         assert report.converged
-        curv = bundle_curvature(grid, metric, 1, pot.v)
+        curv = bundle_curvature(grid, metric.u, 1, pot.v)
         assert abs(integrate(grid, metric, curv) - TWO_PI) <= 1e-8
 
     @pytest.mark.parametrize(

@@ -24,9 +24,11 @@ the rows of ``d1``, computed block by block, so no matrix product builds
 them and a grid above DENSE_D1_MAX_N holds no ``d1``.
 
 A grid field is checked once, by :func:`grid_vector` at the entry of each
-public function that takes it.  The kernels that the Newton residuals share
-(:func:`conformal_volume`, :func:`curvature_field`, ``bundle_curvature``)
-check nothing, so a non-finite line-search trial gives a non-finite residual.
+public function that takes it, which then calls only unchecked kernels,
+each formula written once: :func:`conformal_integral` (of 1.0, the volume),
+:func:`conformal_mean`, :func:`conformal_laplacian`, :func:`curvature_field`,
+:func:`antiderivative`, :func:`hamiltonian_field` and ``bundle_curvature``.
+A non-finite line-search trial thus gives a non-finite residual.
 
 Conventions (see CONVENTIONS.md for the full ledger):
 
@@ -193,7 +195,7 @@ class AxisymGrid:
         """The nodal interpolant of ``values``, evaluated at the nodes of ``build_grid(n)``.
 
         Zero-pads the Chebyshev coefficients (one DCT-I, as in
-        :func:`cumulative_antiderivative`) and returns to nodal values with
+        :func:`antiderivative`) and returns to nodal values with
         one inverse FFT, O(n log n); exact for polynomials of degree
         <= self.n - 1.  ``n`` is a resolution :func:`build_grid` accepts,
         not coarser than this grid.
@@ -418,9 +420,24 @@ def grid_metric(grid: AxisymGrid, metric: ConformalMetric | None) -> ConformalMe
     return ConformalMetric(u=grid_vector(grid, metric.u, "metric potential"))
 
 
-def conformal_volume(grid: AxisymGrid, u: np.ndarray) -> float:
-    """integral exp(2u) omega_FS of an unchecked potential, summed exactly (math.fsum)."""
-    return math.fsum((np.pi * grid.weights * np.exp(2.0 * u)).tolist())
+def conformal_integral(grid: AxisymGrid, u: np.ndarray, f) -> float:
+    """integral f exp(2u) omega_FS of unchecked fields (f = 1.0: the volume), summed exactly."""
+    terms = (np.pi * grid.weights * f * np.exp(2.0 * u)).tolist()
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # the sum is not finite: inf or nan, not an exception
+        return sum(terms)
+
+
+def conformal_mean(grid: AxisymGrid, u: np.ndarray, f) -> float:
+    """The omega-mean of an unchecked f by :func:`conformal_integral`; nan at volume 0."""
+    volume = conformal_integral(grid, u, 1.0)
+    return conformal_integral(grid, u, f) / volume if volume else math.nan
+
+
+def conformal_laplacian(grid: AxisymGrid, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Delta_omega f = exp(-2u) Delta_FS f of unchecked fields."""
+    return np.exp(-2.0 * u) * grid.apply_lap_fs(f)
 
 
 def curvature_field(grid: AxisymGrid, u: np.ndarray) -> np.ndarray:
@@ -429,41 +446,37 @@ def curvature_field(grid: AxisymGrid, u: np.ndarray) -> np.ndarray:
 
 
 def integrate(grid: AxisymGrid, metric: ConformalMetric | None, f: np.ndarray) -> float:
-    """Integral of f against omega = exp(2u) omega_FS.
-
-    Uses exact compensated summation (math.fsum) so the result does not
-    depend on accumulation order.
-    """
+    """Integral of f against omega = exp(2u) omega_FS: :func:`conformal_integral`."""
     f = grid_vector(grid, f, "integrand")
-    u = grid_metric(grid, metric).u
-    return math.fsum((np.pi * grid.weights * f * np.exp(2.0 * u)).tolist())
+    return conformal_integral(grid, grid_metric(grid, metric).u, f)
 
 
 def volume(grid: AxisymGrid, metric: ConformalMetric | None) -> float:
-    return conformal_volume(grid, grid_metric(grid, metric).u)
+    return conformal_integral(grid, grid_metric(grid, metric).u, 1.0)
 
 
 def normalize_volume(grid: AxisymGrid, u_raw: np.ndarray) -> ConformalMetric:
     """Shift u_raw by the constant making the conformal volume ROUND_VOLUME, 2 pi.
 
-    Idempotent: normalizing an already normalized potential changes nothing.
+    Idempotent.  A u_raw whose volume over 2 pi is 0 or overflows raises NumericInputError.
     """
     u_raw = grid_vector(grid, u_raw, "u_raw")
-    shift = 0.5 * math.log(conformal_volume(grid, u_raw) / ROUND_VOLUME)
-    return ConformalMetric(u=u_raw - shift)
+    vol = conformal_integral(grid, u_raw, 1.0)
+    if not 0.0 < vol / ROUND_VOLUME < math.inf:
+        raise NumericInputError(f"u_raw has volume {vol!r}, which no finite shift makes 2 pi")
+    return ConformalMetric(u=u_raw - 0.5 * math.log(vol / ROUND_VOLUME))
 
 
 def laplacian(
     grid: AxisymGrid, metric: ConformalMetric | None, f: np.ndarray
 ) -> np.ndarray:
-    """Apply Delta_omega = exp(-2u) Delta_FS to a grid scalar.
+    """Apply Delta_omega = exp(-2u) Delta_FS to a grid scalar (:func:`conformal_laplacian`).
 
     Positive convention: Delta_omega has nonnegative spectrum, and the round
     Laplacian satisfies Delta_FS s = 4 s.
     """
     f = grid_vector(grid, f, "laplacian input")
-    u = grid_metric(grid, metric).u
-    return np.exp(-2.0 * u) * grid.apply_lap_fs(f)
+    return conformal_laplacian(grid, grid_metric(grid, metric).u, f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,18 +486,17 @@ class CurvatureReport:
     mean: float
 
 
-def scalar_curvature(grid: AxisymGrid, metric: ConformalMetric) -> CurvatureReport:
+def scalar_curvature(grid: AxisymGrid, metric: ConformalMetric | None) -> CurvatureReport:
     """Scalar curvature of omega = exp(2u) omega_FS.
 
     Conformal rule under the positive Laplacian convention:
     ``S = exp(-2u) (4 + 2 Delta_FS u)`` (:func:`curvature_field`).  The
     total is Gauss--Bonnet 8*pi up to quadrature error for any smooth u.
     """
-    metric = grid_metric(grid, metric)
-    s_field = curvature_field(grid, metric.u)
-    total = integrate(grid, metric, s_field)
-    vol = volume(grid, metric)
-    return CurvatureReport(s_field=s_field, total=total, mean=total / vol)
+    u = grid_metric(grid, metric).u
+    s_field = curvature_field(grid, u)
+    total = conformal_integral(grid, u, s_field)
+    return CurvatureReport(s_field, total, conformal_mean(grid, u, s_field))
 
 
 def _chebyshev_coefficients(f: np.ndarray) -> np.ndarray:
@@ -499,7 +511,12 @@ def _chebyshev_coefficients(f: np.ndarray) -> np.ndarray:
 
 
 def cumulative_antiderivative(grid: AxisymGrid, f: np.ndarray) -> np.ndarray:
-    """Antiderivative of the nodal interpolant of f, pinned to 0 at s = -1.
+    """:func:`antiderivative` of f: that of its nodal interpolant, pinned to 0 at s = -1."""
+    return antiderivative(grid, grid_vector(grid, f, "antiderivative input"))
+
+
+def antiderivative(grid: AxisymGrid, f: np.ndarray) -> np.ndarray:
+    """Antiderivative of the nodal interpolant of an unchecked f, pinned to 0 at s = -1.
 
     Integrates in the Chebyshev basis in O(n log n).  The nodes are
     s_j = -cos(pi j / m) with m = n - 1, so a DCT-I (``np.fft.rfft`` of the
@@ -511,7 +528,6 @@ def cumulative_antiderivative(grid: AxisymGrid, f: np.ndarray) -> np.ndarray:
     The result is the antiderivative of the degree n-1 interpolant at the
     nodes, so it is exact for polynomial f of degree <= n-1.
     """
-    f = grid_vector(grid, f, "antiderivative input")
     m = grid.n - 1
     a = _chebyshev_coefficients(f)
     a[m] *= 0.5
@@ -533,10 +549,13 @@ def hamiltonian_potential(grid: AxisymGrid, metric: ConformalMetric | None) -> n
     omega = exp(2u) omega_FS; the additive constant is fixed by
     ``integral h omega = 0``.  On the round metric h = s/2.
     """
-    metric = grid_metric(grid, metric)
-    h = cumulative_antiderivative(grid, 0.5 * np.exp(2.0 * metric.u))
-    h_mean = integrate(grid, metric, h) / volume(grid, metric)
-    return h - h_mean
+    return hamiltonian_field(grid, grid_metric(grid, metric).u)
+
+
+def hamiltonian_field(grid: AxisymGrid, u: np.ndarray) -> np.ndarray:
+    """:func:`hamiltonian_potential` of an unchecked potential u."""
+    h = antiderivative(grid, 0.5 * np.exp(2.0 * u))
+    return h - conformal_mean(grid, u, h)
 
 
 @lru_cache(maxsize=8)

@@ -59,13 +59,11 @@ from .geometry import (
     ConformalMetric,
     ROUND_VOLUME,
     build_grid,
-    conformal_volume,
+    conformal_integral,
+    conformal_mean,
     curvature_field,
     grid_metric,
     grid_vector,
-    integrate,
-    scalar_curvature,
-    volume,
 )
 from .obstructions import abelian_coupled_obstructions
 from .vortex import (
@@ -182,7 +180,7 @@ def metric_equation(
 
 def volume_row(grid: AxisymGrid, u: np.ndarray) -> float:
     """Volume normalization: integral exp(2u) omega_FS - 2 pi, summed exactly."""
-    return conformal_volume(grid, u) - ROUND_VOLUME
+    return conformal_integral(grid, u, 1.0) - ROUND_VOLUME
 
 
 def gravitating_residual(
@@ -194,11 +192,11 @@ def gravitating_residual(
     evaluated with c = 0; c_est is the omega-mean of that R2.
     """
     config.require_abelian("gravitating_residual")
-    metric = grid_metric(grid, state.metric)
+    u = grid_metric(grid, state.metric).u
     v = grid_vector(grid, state.bundle.v, "bundle potential")
     system = _CoupledSystem(grid, config, float(state.alpha), symmetric=False)
-    (r1, full, _), _ = system.equations(np.concatenate([metric.u, v, [0.0]]))
-    c_est = integrate(grid, metric, full) / volume(grid, metric)
+    (r1, full, _), _ = system.equations(np.concatenate([u, v, [0.0]]))
+    c_est = conformal_mean(grid, u, full)
     return r1, full - c_est, c_est
 
 
@@ -211,16 +209,14 @@ def c_from_integral_identity(
     - tau Vol); it agrees with the mean projection up to the quadrature
     defect of the exact-divergence term.
     """
-    metric = grid_metric(grid, state.metric)
+    u = grid_metric(grid, state.metric).u
     v = grid_vector(grid, state.bundle.v, "bundle potential")
     tau = float(config.tau)
-    curv = scalar_curvature(grid, metric)
     phi_sq = np.exp(2.0 * v) * higgs_profile(grid, config, 0)
-    vol = volume(grid, metric)
-    total = curv.total + float(state.alpha) * tau * (
-        integrate(grid, metric, phi_sq) - tau * vol
-    )
-    return total / vol
+    vol = conformal_integral(grid, u, 1.0)
+    s_total = conformal_integral(grid, u, curvature_field(grid, u))
+    total = s_total + float(state.alpha) * tau * (conformal_integral(grid, u, phi_sq) - tau * vol)
+    return total / vol if vol else math.nan
 
 
 def c_predictions(config: HiggsConfig, alpha: float) -> dict:
@@ -320,7 +316,7 @@ def solve_gravitating(
     Every schedule starts at alpha = 0, where the equations decouple: the
     round metric (u = 0, c = 4) solves the metric equation exactly, and
     the step is :func:`~gravortex.vortex.solve_vortex` on it, started from
-    ``v0``, a finite vector on ``grid``
+    ``v0``, a finite vector on ``grid``, which solve_vortex checks
     (:func:`~gravortex.geometry.grid_vector`), or from zero.  Every later step
     is a coupled Newton solve started from the Lagrange extrapolation in
     alpha of the last (up to three) states, except at n > NESTED_COARSE_N
@@ -337,8 +333,6 @@ def solve_gravitating(
     config.require_abelian("solve_gravitating")
     check_vortex_window(config)
     _refuse_obstructed(config, schedule.alphas[-1], override_obstruction)
-    if v0 is not None:
-        v0 = grid_vector(grid, v0, "initial guess").copy()
     steps = list(_continue(config, grid, schedule.alphas, newton or NewtonOptions(), v0))
     report = ContinuationReport(converged=steps[-1].converged, steps=steps, resolution=grid.n)
     return _last_state(steps, v0, grid.n), report
@@ -434,7 +428,7 @@ def _last_state(steps, v0, n) -> GravitatingState:
         v = np.zeros(n) if v0 is None else v0
     return GravitatingState(
         metric=ConformalMetric(u=u.copy()),
-        bundle=BundleMetricPotential(v=v.copy()),
+        bundle=BundleMetricPotential(v=np.array(v, dtype=float)),
         c_value=c,
         alpha=alpha,
     )
@@ -490,7 +484,7 @@ class _EinsteinBogomolnyiSystem(NewtonSystem):
     def start(self, v: np.ndarray) -> np.ndarray:
         """x = (v, k), with k chosen so that its u has volume 2 pi."""
         u = self.coupled_x(np.append(v, 0.0))[: self.grid.n]
-        return np.append(v, math.log(ROUND_VOLUME / conformal_volume(self.grid, u)))
+        return np.append(v, math.log(ROUND_VOLUME / conformal_integral(self.grid, u, 1.0)))
 
     def evaluate(self, x: np.ndarray):
         return self.coupled.evaluate(self.coupled_x(x))

@@ -51,14 +51,12 @@ from .bundles import (
 from .errors import ConfigurationError, PoleError
 from .geometry import (
     AxisymGrid,
-    ConformalMetric,
     ROUND_VOLUME,
+    conformal_integral,
+    conformal_laplacian,
+    curvature_field,
     grid_vector,
-    hamiltonian_potential,
-    integrate,
-    laplacian,
-    scalar_curvature,
-    volume,
+    hamiltonian_field,
 )
 from .vortex import bundle_curvature, vanishing_higgs_reason, vortex_equation
 
@@ -125,16 +123,6 @@ def abelian_coupled_obstructions(config: HiggsConfig, alpha: float) -> list[str]
     return reasons
 
 
-def _require_normalized(grid: AxisymGrid, metric: ConformalMetric) -> None:
-    """Refuse an ansatz whose volume is not ROUND_VOLUME to a relative 1e-8."""
-    vol = volume(grid, metric)
-    if abs(vol - ROUND_VOLUME) > VOLUME_TOLERANCE * ROUND_VOLUME:
-        raise ConfigurationError(
-            "ansatz must be volume-normalized before evaluating the character "
-            f"(volume {vol!r}, target {ROUND_VOLUME!r})"
-        )
-
-
 def moment_map_form(
     s_field: np.ndarray,
     alpha: float,
@@ -156,7 +144,8 @@ def futaki_quadrature(
 
     ``potentials`` holds one bundle potential per Higgs component.  The
     value is independent of the volume-normalized ansatz and matches
-    :func:`futaki_closed_form` to quadrature accuracy.
+    :func:`futaki_closed_form` to quadrature accuracy; an ansatz whose
+    volume is not ROUND_VOLUME to a relative VOLUME_TOLERANCE is refused.
     """
     if None in config.exponents:
         raise ConfigurationError("quadrature requires every Higgs component nonzero")
@@ -165,13 +154,18 @@ def futaki_quadrature(
             f"quadrature needs one potential per component, got {len(potentials)} "
             f"for rank {config.rank}"
         )
-    metric = ConformalMetric(u=grid_vector(grid, u, "metric potential"))
+    u = grid_vector(grid, u, "metric potential")
     potentials = [grid_vector(grid, vj, f"potentials[{j}]") for j, vj in enumerate(potentials)]
-    _require_normalized(grid, metric)
+    vol = conformal_integral(grid, u, 1.0)
+    if abs(vol - ROUND_VOLUME) > VOLUME_TOLERANCE * ROUND_VOLUME:
+        raise ConfigurationError(
+            "ansatz must be volume-normalized before evaluating the character "
+            f"(volume {vol!r}, target {ROUND_VOLUME!r})"
+        )
     s = grid.nodes
     tau = float(config.tau)
     alpha = config.alpha
-    ham = hamiltonian_potential(grid, metric)
+    ham = hamiltonian_field(grid, u)
 
     pairing_sum = np.zeros(grid.n)
     curv_trace = np.zeros(grid.n)
@@ -181,7 +175,7 @@ def futaki_quadrature(
         ell = config.exponents[j]
         profile = higgs_profile(grid, config, j)
         phi_sq = np.exp(2.0 * vj) * profile
-        curv = bundle_curvature(grid, metric.u, n_deg, vj)
+        curv = bundle_curvature(grid, u, n_deg, vj)
         m_j = vortex_equation(curv, phi_sq, tau)
         psi_j = ell - n_deg * (1.0 + s) / 2.0 + (1.0 - s * s) * grid.diff(vj)
         pairing_sum += psi_j * m_j
@@ -189,14 +183,14 @@ def futaki_quadrature(
         phi_sq_total += phi_sq
 
     g_field = moment_map_form(
-        scalar_curvature(grid, metric).s_field,
+        curvature_field(grid, u),
         alpha,
-        laplacian(grid, metric, phi_sq_total),
+        conformal_laplacian(grid, u, phi_sq_total),
         tau,
         curv_trace,
     )
-    return 4.0 * alpha * integrate(grid, metric, pairing_sum) - integrate(
-        grid, metric, ham * g_field
+    return 4.0 * alpha * conformal_integral(grid, u, pairing_sum) - conformal_integral(
+        grid, u, ham * g_field
     )
 
 

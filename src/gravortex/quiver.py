@@ -20,12 +20,11 @@ from .errors import ConfigurationError, finite_float, require_integer
 from .geometry import (
     AxisymGrid,
     ConformalMetric,
+    conformal_laplacian,
+    conformal_mean,
+    curvature_field,
     grid_metric,
     grid_vector,
-    integrate,
-    laplacian,
-    scalar_curvature,
-    volume,
 )
 from .vortex import bundle_curvature
 
@@ -296,7 +295,7 @@ def quiver_vortex_residual(
     projection; the curvature-square term vanishes identically on a curve.
     """
     spec.require_rank_one("analytic residual evaluation")
-    metric = grid_metric(grid, metric)
+    u = grid_metric(grid, metric).u
     pots = {}
     for v in spec.quiver.vertices:
         if v not in potentials:
@@ -312,7 +311,7 @@ def quiver_vortex_residual(
 
     vertex_res: dict[str, np.ndarray] = {}
     for v in spec.quiver.vertices:
-        curv = bundle_curvature(grid, metric.u, spec.degrees[v], pots[v])
+        curv = bundle_curvature(grid, u, spec.degrees[v], pots[v])
         comm = np.zeros(grid.n)
         for a in spec.quiver.arrows_into(v):
             comm += arrow_norms[a.name]
@@ -320,18 +319,17 @@ def quiver_vortex_residual(
             comm -= arrow_norms[a.name]
         vertex_res[v] = spec.sigma[v] * curv + comm - spec.tau[v]
 
-    s_field = scalar_curvature(grid, metric).s_field
-    metric_full = s_field.copy()
+    metric_full = curvature_field(grid, u)
     for a in spec.quiver.arrows:
         gap = (
             spec.tau[a.head] / spec.sigma[a.head]
             - spec.tau[a.tail] / spec.sigma[a.tail]
         )
         metric_full += 2.0 * spec.rho * (
-            laplacian(grid, metric, arrow_norms[a.name])
+            conformal_laplacian(grid, u, arrow_norms[a.name])
             + 2.0 * gap * arrow_norms[a.name]
         )
-    c_est = integrate(grid, metric, metric_full) / volume(grid, metric)
+    c_est = conformal_mean(grid, u, metric_full)
     return QuiverResidual(
         vertex_residuals=vertex_res,
         metric_residual=metric_full - c_est,

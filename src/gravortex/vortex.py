@@ -33,10 +33,10 @@ from .geometry import (
     AxisymGrid,
     ConformalMetric,
     build_grid,
+    conformal_integral,
     fold_even,
     grid_metric,
     grid_vector,
-    integrate,
     unfold_even,
 )
 
@@ -249,7 +249,7 @@ def check_vortex_window(config: HiggsConfig) -> None:
 
 
 class NewtonSystem:
-    """The abelian vortex equations as a residual map of x, its Newton linearization and solve.
+    """Base of the vortex, coupled and reduced EB systems: a residual map of x and its Newton solve.
 
     x holds ``blocks`` grid vectors, then scalars, and so does the residual.
     A subclass gives ``evaluate(x) -> (r, terms)``, the residual and the
@@ -615,8 +615,7 @@ def nonabelian_residual(
     l1, l2 = config.exponents
     weight = (l1 - l2) if (l1 is not None and l2 is not None) else 0
     tau = float(config.tau)
-    metric = grid_metric(grid, metric)
-    u = metric.u
+    u = grid_metric(grid, metric).u
     v1 = grid_vector(grid, hdata.v1, "v1")
     v2 = grid_vector(grid, hdata.v2, "v2")
     off = hdata.offdiag_cofactor
@@ -664,11 +663,11 @@ def nonabelian_residual(
     r12 = np.sqrt(a / (d - b * t)) * (m12 + t * (m22 - m11) - t * t * m21)
 
     phi_sq = phih[0, 0] + phih[1, 1]
-    chern = integrate(grid, metric, curv11 + curv22)
-    lhs = integrate(grid, metric, r11 + r22)
+    chern = conformal_integral(grid, u, curv11 + curv22)
+    lhs = conformal_integral(grid, u, r11 + r22)
     rhs = (
         2.0 * math.pi * (n1 + n2)
-        + 0.5 * integrate(grid, metric, phi_sq)
+        + 0.5 * conformal_integral(grid, u, phi_sq)
         - 2.0 * math.pi * tau
     )
     trace = TraceReport(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs), chern_total=chern)

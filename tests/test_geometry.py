@@ -14,6 +14,7 @@ from gravortex import (
     BundleMetricPotential,
     ConfigurationError,
     ConformalMetric,
+    ContinuationSchedule,
     GravitatingState,
     HiggsConfig,
     NonabelianMetric,
@@ -28,13 +29,16 @@ from gravortex import (
     quiver_vortex_residual,
     round_metric,
     scalar_curvature,
+    solve_gravitating,
     volume,
     vortex_residual,
 )
+from gravortex import geometry
 from gravortex.geometry import (
     DENSE_D1_MAX_N,
     GAUSS_BONNET_TOTAL,
     _row_sums,
+    conformal_integral,
     cumulative_antiderivative,
     hamiltonian_potential,
     write_profile_csv,
@@ -338,6 +342,15 @@ class TestIntegrate:
         with pytest.raises(NumericInputError):
             integrate(grid129, None, bad)
 
+    def test_sum_that_is_not_finite_is_the_float_sum(self, grid129):
+        # every term pi w exp(2u) is finite at u = 354.5 but their sum is
+        # not, and at u = 400 the terms are +-inf: math.fsum raised
+        # OverflowError and ValueError
+        assert conformal_integral(grid129, np.full(129, 354.5), 1.0) == math.inf
+        sign = np.where(grid129.nodes > 0.0, 1.0, -1.0)
+        with np.errstate(over="ignore"):
+            assert math.isnan(conformal_integral(grid129, np.full(129, 400.0), sign))
+
 
 ABELIAN = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
 RANK2 = HiggsConfig(degrees=(2, 2), exponents=(1, 0), tau=9.0)
@@ -452,6 +465,119 @@ def test_field_with_a_nan_rejected(call, name):
         call(build_grid(65), field)
 
 
+# each public call, given a metric m and a zero field z, and every grid
+# field it takes, in the order grid_vector checks them: each once
+CHECKS = [
+    pytest.param(
+        lambda g, m, z: integrate(g, m, z), ["integrand", "metric potential"], id="integrate"
+    ),
+    pytest.param(lambda g, m, z: volume(g, m), ["metric potential"], id="volume"),
+    pytest.param(lambda g, m, z: normalize_volume(g, m.u), ["u_raw"], id="normalize_volume"),
+    pytest.param(
+        lambda g, m, z: laplacian(g, m, z), ["laplacian input", "metric potential"], id="laplacian"
+    ),
+    pytest.param(
+        lambda g, m, z: scalar_curvature(g, m), ["metric potential"], id="scalar_curvature"
+    ),
+    pytest.param(
+        lambda g, m, z: cumulative_antiderivative(g, z),
+        ["antiderivative input"],
+        id="cumulative_antiderivative",
+    ),
+    pytest.param(
+        lambda g, m, z: hamiltonian_potential(g, m),
+        ["metric potential"],
+        id="hamiltonian_potential",
+    ),
+    pytest.param(
+        lambda g, m, z: futaki_quadrature(g, ABELIAN, m.u, [z]),
+        ["metric potential", "potentials[0]"],
+        id="futaki_quadrature",
+    ),
+    pytest.param(
+        lambda g, m, z: futaki_quadrature(g, RANK2, m.u, [z, z]),
+        ["metric potential", "potentials[0]", "potentials[1]"],
+        id="futaki_quadrature-rank2",
+    ),
+    pytest.param(
+        lambda g, m, z: quiver_vortex_residual(SPEC, {"src": z, "dst": z}, m, g),
+        ["metric potential", "potentials['src']", "potentials['dst']"],
+        id="quiver_vortex_residual",
+    ),
+    pytest.param(
+        lambda g, m, z: nonabelian_residual(g, m, NonabelianMetric(z, z, z), RANK2),
+        ["metric potential", "v1", "v2", "offdiag_cofactor"],
+        id="nonabelian_residual",
+    ),
+    pytest.param(
+        lambda g, m, z: c_from_integral_identity(g, _state(m.u, z), ABELIAN),
+        ["metric potential", "bundle potential"],
+        id="c_from_integral_identity",
+    ),
+    pytest.param(
+        lambda g, m, z: gravitating_residual(g, _state(m.u, z), ABELIAN),
+        ["metric potential", "bundle potential"],
+        id="gravitating_residual",
+    ),
+    pytest.param(
+        lambda g, m, z: vortex_residual(g, m, BundleMetricPotential(z), ABELIAN),
+        ["metric potential", "bundle potential"],
+        id="vortex_residual",
+    ),
+    pytest.param(
+        lambda g, m, z: solve_gravitating(ABELIAN, ContinuationSchedule((0.0,)), g, v0=z),
+        ["initial guess"],
+        id="solve_gravitating",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, names", CHECKS)
+def test_each_field_checked_once(monkeypatch, call, names):
+    # through the public functions it called, one futaki_quadrature call
+    # made 18 checks here, 11 of them on its metric potential
+    grid = build_grid(65)
+    metric = normalize_volume(grid, 0.1 * grid.nodes**2)
+    original = geometry.grid_vector
+    checked = []
+
+    def counting(grid, values, name):
+        checked.append(name)
+        return original(grid, values, name)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("gravortex") and vars(module).get("grid_vector") is original:
+            monkeypatch.setattr(module, "grid_vector", counting)
+    call(grid, metric, np.zeros(grid.n))
+    assert checked == names
+
+
+@pytest.mark.parametrize(
+    "mean",
+    [
+        pytest.param(lambda g, m: scalar_curvature(g, m).mean, id="scalar_curvature"),
+        pytest.param(lambda g, m: hamiltonian_potential(g, m)[0], id="hamiltonian_potential"),
+        pytest.param(
+            lambda g, m: gravitating_residual(g, _state(m.u, np.zeros(g.n)), ABELIAN)[2],
+            id="gravitating_residual",
+        ),
+        pytest.param(
+            lambda g, m: c_from_integral_identity(g, _state(m.u, np.zeros(g.n)), ABELIAN),
+            id="c_from_integral_identity",
+        ),
+        pytest.param(lambda g, m: _quiver(g, metric=m).c_est, id="quiver_vortex_residual"),
+    ],
+)
+def test_mean_over_a_zero_volume_is_nan(mean):
+    # exp(2u) underflows at every node of this finite potential and
+    # exp(-2u) overflows; these raised ZeroDivisionError (the mean's division
+    # by the zero volume) or NumericInputError (the curvature's inf in a
+    # checked integrand)
+    grid = build_grid(65)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(mean(grid, ConformalMetric(np.full(grid.n, -400.0))))
+
+
 class TestNormalizeVolume:
     def test_round_already_normalized(self, grid129):
         metric = normalize_volume(grid129, np.zeros(129))
@@ -460,6 +586,14 @@ class TestNormalizeVolume:
     def test_constant_shifts_out(self, grid129):
         metric = normalize_volume(grid129, 3.0 * np.ones(129))
         assert np.max(np.abs(metric.u)) <= 1e-12
+
+    @pytest.mark.parametrize("level", (-400.0, 354.5))
+    def test_volume_zero_or_overflowing_refused(self, grid129, level):
+        # exp(2u) underflows to 0 at every node, or the volume overflows, so
+        # no finite shift exists; these raised ValueError (the log of 0) and
+        # OverflowError (math.fsum)
+        with pytest.raises(NumericInputError, match="^u_raw has volume (0.0|inf), "):
+            normalize_volume(grid129, np.full(129, level))
 
     def test_idempotent_on_bump(self, grid129):
         rng = np.random.default_rng(7)

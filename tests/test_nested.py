@@ -261,6 +261,18 @@ def test_overflowing_trials_are_halved_silently():
     assert stop_reason == "converged"
 
 
+def test_volume_sum_that_overflows_gives_an_infinite_volume_row():
+    # at u = 354.5 each term pi w exp(2u) of the volume row is finite but
+    # their sum is not; math.fsum's OverflowError used to end damped_newton
+    # from a line-search trial in this band instead of a halving
+    grid = build_grid(129)
+    x = np.concatenate([np.full(grid.n, 354.5), np.zeros(grid.n), [4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r, _ = _CoupledSystem(grid, CFG, 0.05, True).evaluate(x)
+    assert r[-1] == np.inf
+
+
 def test_tolerance_below_the_floor_stops_on_the_floor():
     grid = build_grid(129)
     pot, report = solve_vortex(grid, None, CFG, NewtonOptions(tolerance=1e-15))

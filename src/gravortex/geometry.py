@@ -27,7 +27,8 @@ A grid field is checked once, by :func:`grid_vector` at the entry of each
 public function that takes it, which then calls only unchecked kernels,
 each formula written once: :func:`conformal_integral` (of 1.0, the volume),
 :func:`conformal_mean`, :func:`conformal_laplacian`, :func:`curvature_field`,
-:func:`antiderivative`, :func:`hamiltonian_field` and ``bundle_curvature``.
+:func:`antiderivative`, :func:`hamiltonian_field`, :func:`chebyshev_prolong`
+and ``bundle_curvature``.
 A non-finite line-search trial thus gives a non-finite residual.
 
 Conventions (see CONVENTIONS.md for the full ledger):
@@ -204,12 +205,7 @@ class AxisymGrid:
         check_resolution(n)
         if n < self.n:
             raise ConfigurationError(f"cannot prolong from n={self.n} to the coarser n={n}")
-        m, m_fine = self.n - 1, n - 1
-        c = np.zeros(m_fine + 1)
-        c[: m + 1] = _chebyshev_coefficients(f)
-        if m_fine > m:
-            c[m] *= 0.5  # the top coefficient of the interpolant is halved
-        return m_fine * np.fft.irfft(c, 2 * m_fine)[: m_fine + 1]
+        return chebyshev_prolong(f, n)
 
 
 def fold_even(g: np.ndarray) -> np.ndarray:
@@ -508,6 +504,16 @@ def _chebyshev_coefficients(f: np.ndarray) -> np.ndarray:
     """
     m = f.shape[0] - 1
     return np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / m
+
+
+def chebyshev_prolong(f: np.ndarray, n: int) -> np.ndarray:
+    """:meth:`AxisymGrid.prolong` of unchecked nodal values f to n >= len(f) nodes."""
+    m, m_fine = f.shape[0] - 1, n - 1
+    c = np.zeros(m_fine + 1)
+    c[: m + 1] = _chebyshev_coefficients(f)
+    if m_fine > m:
+        c[m] *= 0.5  # the top coefficient of the interpolant is halved
+    return m_fine * np.fft.irfft(c, 2 * m_fine)[: m_fine + 1]
 
 
 def cumulative_antiderivative(grid: AxisymGrid, f: np.ndarray) -> np.ndarray:

@@ -27,9 +27,9 @@ parity reduction removes it.  The coupled system is a
 takes that type's even start and half-size Newton step.  At alpha = 0 the
 equations decouple: the round metric (u = 0, c = 4) solves the metric
 equation exactly and R1 is the vortex equation on it, so the continuation
-takes that step with ``solve_vortex``, and the coupled Newton iteration runs
-only at alpha > 0.  A full-space (2l != N) solve therefore never meets
-the dilation direction at alpha = 0.
+takes that step with ``vortex_newton`` (the solve of ``solve_vortex``), and
+the coupled Newton iteration runs only at alpha > 0.  A full-space
+(2l != N) solve therefore never meets the dilation direction at alpha = 0.
 
 At the zero-constant coupling alpha tau N = 2 the system reduces to
 Delta_FS Psi = 0 with Psi = 2u - 2 alpha tau v + alpha |phi|^2_H, so Psi is
@@ -59,6 +59,7 @@ from .geometry import (
     ConformalMetric,
     ROUND_VOLUME,
     build_grid,
+    chebyshev_prolong,
     conformal_integral,
     conformal_mean,
     curvature_field,
@@ -76,9 +77,9 @@ from .vortex import (
     bundle_curvature,
     check_vortex_window,
     nested_start,
-    solve_vortex,
     sup_norm,
     vortex_equation,
+    vortex_newton,
 )
 
 QUOTED_C_COEFF = 2.0  # commonly quoted topological constant: 2 - 2 alpha tau N
@@ -194,7 +195,12 @@ def gravitating_residual(
     config.require_abelian("gravitating_residual")
     u = grid_metric(grid, state.metric).u
     v = grid_vector(grid, state.bundle.v, "bundle potential")
-    system = _CoupledSystem(grid, config, float(state.alpha), symmetric=False)
+    return projected_residual(grid, config, float(state.alpha), u, v)
+
+
+def projected_residual(grid, config, alpha, u, v) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`gravitating_residual` at the unchecked fields (u, v) and the coupling alpha."""
+    system = _CoupledSystem(grid, config, alpha, symmetric=False)
     (r1, full, _), _ = system.equations(np.concatenate([u, v, [0.0]]))
     c_est = conformal_mean(grid, u, full)
     return r1, full - c_est, c_est
@@ -315,15 +321,15 @@ def solve_gravitating(
     numerical divergence is not a theorem and must not be asserted as one.
     Every schedule starts at alpha = 0, where the equations decouple: the
     round metric (u = 0, c = 4) solves the metric equation exactly, and
-    the step is :func:`~gravortex.vortex.solve_vortex` on it, started from
-    ``v0``, a finite vector on ``grid``, which solve_vortex checks
-    (:func:`~gravortex.geometry.grid_vector`), or from zero.  Every later step
-    is a coupled Newton solve started from the Lagrange extrapolation in
-    alpha of the last (up to three) states, except at n > NESTED_COARSE_N
-    (129) without ``v0``: there each step starts from the step at its alpha
-    of the same continuation at NESTED_COARSE_N nodes, prolonged by
-    Chebyshev coefficients, which mostly converges with no Newton step
-    (:func:`_continue`).  The report covers the fine steps only.
+    the step is the vortex solve on it (:func:`~gravortex.vortex.vortex_newton`)
+    from zero or from ``v0``, a finite vector on ``grid``, checked here once,
+    after the obstruction gate (:func:`~gravortex.geometry.grid_vector`).
+    Every later step is a coupled Newton solve started from the Lagrange
+    extrapolation in alpha of the last (up to three) states, except at
+    n > NESTED_COARSE_N (129) without ``v0``: there each step starts from
+    the step at its alpha of the same continuation at NESTED_COARSE_N
+    nodes, prolonged by Chebyshev coefficients, which mostly converges with
+    no Newton step (:func:`_continue`).  The report covers the fine steps only.
     The continuation stops at the first step that does not converge (its
     ``stop_reason`` says why) and returns the last converged state with
     converged=False, or, when no step converged, the start at alpha = 0:
@@ -333,6 +339,7 @@ def solve_gravitating(
     config.require_abelian("solve_gravitating")
     check_vortex_window(config)
     _refuse_obstructed(config, schedule.alphas[-1], override_obstruction)
+    v0 = None if v0 is None else grid_vector(grid, v0, "initial guess")
     steps = list(_continue(config, grid, schedule.alphas, newton or NewtonOptions(), v0))
     report = ContinuationReport(converged=steps[-1].converged, steps=steps, resolution=grid.n)
     return _last_state(steps, v0, grid.n), report
@@ -348,20 +355,20 @@ def _continue(config, grid, alphas, newton, v0):
     (:func:`~gravortex.vortex.nested_start`), which runs in step with this
     one, so a coarse step is solved once, and only when its fine step is.
     """
-    coarse, low_steps = None, iter(())
+    low_steps = iter(())
     if v0 is None and grid.n > NESTED_COARSE_N:
-        coarse = build_grid(NESTED_COARSE_N)
-        low_steps = _continue(config, coarse, alphas, newton, None)
+        low_steps = _continue(config, build_grid(NESTED_COARSE_N), alphas, newton, None)
     symmetric = 2 * config.exponents[0] == config.degrees[0]
     steps = []
     for alpha in alphas:
         low = next(low_steps, None)
-        start = None if low is None else nested_start(coarse, grid.n, low.stop_reason, low.u, low.v)
+        start = None if low is None else nested_start(grid.n, low.stop_reason, low.u, low.v)
         if alpha == 0.0:  # the first step, since every schedule starts at 0
             step = _round_step(config, grid, newton, start[1] if start else v0)
         else:
             x = np.concatenate([*start, [low.c_est]]) if start else _extrapolated_start(steps, alpha)
-            step = _coupled_step(config, grid, alpha, symmetric, newton, x)
+            system = _CoupledSystem(grid, config, alpha, symmetric)
+            step = _step(system, *system.solve(x, newton))
         steps.append(step)
         yield step
         if not step.converged:
@@ -382,37 +389,29 @@ def _round_step(config, grid, newton, v0) -> ContinuationStep:
     """The alpha = 0 step: the vortex equation on the round metric, with (u, c) = (0, 4).
 
     The round metric solves the metric equation exactly at alpha = 0, so
-    R1 is the equation :func:`~gravortex.vortex.solve_vortex` solves, here
+    R1 is the vortex equation, solved by :func:`~gravortex.vortex.vortex_newton`
     from ``v0`` or from zero, never from a coarse solve of its own; its
     report gives the step's iterations and stop.  The step's residual is
     the sup of (R1, R2, volume row) at the result, where R2 is exactly 0.
     """
-    v0 = np.zeros(grid.n) if v0 is None else v0
-    pot, report = solve_vortex(grid, None, config, newton, v0=v0)
+    u = np.zeros(grid.n)
+    v, report = vortex_newton(grid, u, config, newton, np.zeros(grid.n) if v0 is None else v0)
     system = _CoupledSystem(grid, config, 0.0, symmetric=False)
-    x = np.concatenate([np.zeros(grid.n), pot.v, [CONVENTION_C_COEFF]])
-    residual_sup = sup_norm(system.residual(x))
-    return _step(0.0, system, x, report.stop_reason, report.iterations, residual_sup)
+    x = np.concatenate([u, v, [CONVENTION_C_COEFF]])
+    return _step(system, x, replace(report, residual_sup=sup_norm(system.residual(x))))
 
 
-def _coupled_step(config, grid, alpha, symmetric, newton, x) -> ContinuationStep:
-    """A step at alpha > 0: damped Newton on (R1, R2, volume row) from x = (u, v, c)."""
-    system = _CoupledSystem(grid, config, alpha, symmetric)
-    x, history, stop_reason, iterations = system.solve(x, newton)
-    return _step(alpha, system, x, stop_reason, iterations, history[-1])
-
-
-def _step(alpha, system, x, stop_reason, iterations, residual_sup) -> ContinuationStep:
+def _step(system, x, report: SolveReport) -> ContinuationStep:
     """The step that ended at x; it keeps x when it converged or stopped on its floor."""
-    keep = stop_reason in USABLE_STOPS
+    keep = report.stop_reason in USABLE_STOPS
     u, v, c = system.unpack(x)
     return ContinuationStep(
-        alpha=alpha,
-        converged=stop_reason == "converged",
-        iterations=iterations,
-        residual_sup=residual_sup,
+        alpha=system.alpha,
+        converged=report.converged,
+        iterations=report.iterations,
+        residual_sup=report.residual_sup,
         c_est=float(c),
-        stop_reason=stop_reason,
+        stop_reason=report.stop_reason,
         u=u.copy() if keep else None,
         v=v.copy() if keep else None,
     )
@@ -503,7 +502,8 @@ class _EinsteinBogomolnyiSystem(NewtonSystem):
         du = self.alpha * (self.tau - phih)  # du/dv; du/dk = 1/2
         vol = 2.0 * np.pi * self.grid.weights * e2u
         jac = np.zeros((m + 1, m + 1))
-        jac[:m, :m] = self.lap + np.diag(self.fold(e2u * phih + gap * du))
+        jac[:m, :m] = self.lap
+        jac[:m, :m].flat[:: m + 1] += self.fold(e2u * phih + gap * du)
         jac[:m, m] = self.fold(0.5 * gap)
         jac[m, :m] = self.fold_columns(vol * du)
         jac[m, m] = 0.5 * vol.sum()
@@ -515,14 +515,14 @@ class _EinsteinBogomolnyiSystem(NewtonSystem):
         The full residual cannot tell the last 2e-12 of a converged state
         (``(4,),(2,),tau=9`` at n = 129), and the step removes them.
         """
-        x, history, stop_reason, iterations = super().solve(x, opts)
-        if stop_reason == "converged":
+        x, report = super().solve(x, opts)
+        if report.converged:
             trial = x + self.newton_step(x, self.evaluate(x))
             trial_sup = sup_norm(self.residual(trial))
             if trial_sup < opts.tolerance:
-                x, iterations = trial, iterations + 1
-                history.append(trial_sup)
-        return x, history, stop_reason, iterations
+                x, report.iterations, report.residual_sup = trial, report.iterations + 1, trial_sup
+                report.diagnostics.append(trial_sup)
+        return x, report
 
 
 def einstein_bogomolnyi_solve(
@@ -556,27 +556,28 @@ def einstein_bogomolnyi_solve(
     opts = newton or NewtonOptions()
     symmetric = 2 * config.exponents[0] == config.degrees[0]
     coarse = grid if grid.n <= NESTED_COARSE_N else build_grid(NESTED_COARSE_N)
-    pot, _ = solve_vortex(coarse, None, config, opts)
+    v, _ = vortex_newton(coarse, np.zeros(coarse.n), config, opts, np.zeros(coarse.n))
     system = _EinsteinBogomolnyiSystem(coarse, config, alpha, symmetric)
-    x, _, stop_reason, _ = system.solve(system.start(pot.v), opts)
+    x, report = system.solve(system.start(v), opts)
     u, v, _ = system.coupled.unpack(system.coupled_x(x))
     if coarse is not grid:
-        start = nested_start(coarse, grid.n, stop_reason, u, v)
-        u, v = start or (coarse.prolong(u, grid.n), coarse.prolong(v, grid.n))
+        start = nested_start(grid.n, report.stop_reason, u, v)
+        u, v = start or (chebyshev_prolong(u, grid.n), chebyshev_prolong(v, grid.n))
         if start:
-            step = _coupled_step(config, grid, alpha, symmetric, opts, np.concatenate([u, v, [0.0]]))
-            stop_reason = step.stop_reason
-            u, v = (u, v) if step.u is None else (step.u, step.v)
-    state = GravitatingState(ConformalMetric(u=u), BundleMetricPotential(v=v), 0.0, alpha)
-    state = replace(state, c_value=gravitating_residual(grid, state, config)[2])
-    c_value = state.c_value if stop_reason == "converged" else None
+            fine = _CoupledSystem(grid, config, alpha, symmetric)
+            x, report = fine.solve(np.concatenate([u, v, [0.0]]), opts)
+            if report.stop_reason in USABLE_STOPS:
+                u, v, _ = fine.unpack(x)
+    c_est = projected_residual(grid, config, alpha, u, v)[2]
+    state = GravitatingState(ConformalMetric(u=u), BundleMetricPotential(v=v), c_est, alpha)
+    c_value = c_est if report.converged else None
     return EinsteinBogomolnyiResult(
         state=state,
         alpha_star=alpha,
         c_value=c_value,
         alpha_tau_N=alpha * tau_n,
         predictions=c_predictions(config, alpha),
-        converged=stop_reason == "converged",
-        stop_reason=stop_reason,
+        converged=report.converged,
+        stop_reason=report.stop_reason,
         secant_history=[(alpha, c_value)],
     )

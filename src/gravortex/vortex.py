@@ -33,6 +33,7 @@ from .geometry import (
     AxisymGrid,
     ConformalMetric,
     build_grid,
+    chebyshev_prolong,
     conformal_integral,
     fold_even,
     grid_metric,
@@ -315,11 +316,15 @@ class NewtonSystem:
             return step
         return self._blockwise(unfold_even, step, self.grid.n // 2 + 1)
 
-    def solve(self, x: np.ndarray, opts: NewtonOptions):
-        """:func:`damped_newton` from x, or from its even part with ``symmetric``."""
+    def solve(self, x: np.ndarray, opts: NewtonOptions) -> tuple[np.ndarray, SolveReport]:
+        """:func:`damped_newton` from x (its even part with ``symmetric``): (x, SolveReport)."""
         if self.symmetric:
             x = self._blockwise(lambda g: 0.5 * (g + g[::-1]), x, self.grid.n)
-        return damped_newton(x, self.evaluate, self.newton_step, opts)
+        x, history, stop, iterations = damped_newton(x, self.evaluate, self.newton_step, opts)
+        return x, SolveReport(
+            converged=stop == "converged", iterations=iterations, residual_sup=history[-1],
+            resolution=self.grid.n, stop_reason=stop, diagnostics=history,
+        )
 
 
 class _VortexSystem(NewtonSystem):
@@ -340,19 +345,17 @@ class _VortexSystem(NewtonSystem):
         return jac
 
 
-def nested_start(
-    coarse: AxisymGrid, n: int, stop_reason: str, *fields: np.ndarray
-) -> tuple[np.ndarray, ...] | None:
-    """The fields of a solve on the grid ``coarse``, prolonged to start a solve on n nodes.
+def nested_start(n: int, stop_reason: str, *fields: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The fields of a solve on a coarser grid, prolonged to start a solve on n nodes.
 
-    Each field is prolonged by its Chebyshev coefficients
-    (:meth:`AxisymGrid.prolong`).  None when the coarse solve stopped with
-    neither ``converged`` nor ``roundoff_floor`` (USABLE_STOPS), since its
-    last iterate is then no start.
+    Each field is prolonged, unchecked, by its Chebyshev coefficients
+    (:func:`~gravortex.geometry.chebyshev_prolong`).  None when the coarse
+    solve stopped with neither ``converged`` nor ``roundoff_floor``
+    (USABLE_STOPS), since its last iterate is then no start.
     """
     if stop_reason not in USABLE_STOPS:
         return None
-    return tuple(coarse.prolong(f, n) for f in fields)
+    return tuple(chebyshev_prolong(f, n) for f in fields)
 
 
 def solve_vortex(
@@ -365,13 +368,13 @@ def solve_vortex(
     """Damped Newton iteration for the abelian vortex equation.
 
     The solution is unique, so the converged result does not depend on the
-    initial guess ``v0``, a finite vector on ``grid``
-    (:func:`~gravortex.geometry.grid_vector`),
-    as the potential of ``metric`` must be (None is the round metric).
+    initial guess ``v0``, a finite vector on ``grid``, as the potential of
+    ``metric`` must be (None is the round metric); both are checked here,
+    once (:func:`~gravortex.geometry.grid_vector`), then :func:`vortex_newton` runs.
     Without ``v0`` the iteration starts from zero, except on the round
     metric at n > NESTED_COARSE_N (129): there it starts from a solve at
     NESTED_COARSE_N nodes that converged or stopped on its round-off floor,
-    prolonged by its Chebyshev coefficients (:meth:`AxisymGrid.prolong`),
+    prolonged by its Chebyshev coefficients (:func:`~gravortex.geometry.chebyshev_prolong`),
     which is already accurate to the fine grid's round-off floor, so the
     fine iteration mostly verifies it with no Newton step.  When
     2l = N and the metric potential is exactly even (the round metric
@@ -386,30 +389,24 @@ def solve_vortex(
     config.require_abelian("solve_vortex")
     check_vortex_window(config)
     opts = options or NewtonOptions()
-    metric = grid_metric(grid, metric)
+    u = grid_metric(grid, metric).u
     if v0 is not None:
         v = grid_vector(grid, v0, "initial guess").copy()
-    elif grid.n > NESTED_COARSE_N and not np.any(metric.u):
+    elif grid.n > NESTED_COARSE_N and not np.any(u):
         coarse = build_grid(NESTED_COARSE_N)
-        pot, report = solve_vortex(coarse, None, config, opts)
-        start = nested_start(coarse, grid.n, report.stop_reason, pot.v)
+        v, report = vortex_newton(coarse, np.zeros(coarse.n), config, opts, np.zeros(coarse.n))
+        start = nested_start(grid.n, report.stop_reason, v)
         v = start[0] if start else np.zeros(grid.n)
     else:
         v = np.zeros(grid.n)
-    symmetric = 2 * config.exponents[0] == config.degrees[0] and np.array_equal(
-        metric.u, metric.u[::-1]
-    )
-    system = _VortexSystem(grid, metric, config, symmetric)
-    v, history, stop_reason, iterations = system.solve(v, opts)
-    report = SolveReport(
-        converged=stop_reason == "converged",
-        iterations=iterations,
-        residual_sup=history[-1],
-        resolution=grid.n,
-        stop_reason=stop_reason,
-        diagnostics=history,
-    )
+    v, report = vortex_newton(grid, u, config, opts, v)
     return BundleMetricPotential(v=v), report
+
+
+def vortex_newton(grid, u, config, opts, v) -> tuple[np.ndarray, SolveReport]:
+    """:func:`solve_vortex`'s Newton solve from v at the potential u, unchecked: (v, report)."""
+    symmetric = 2 * config.exponents[0] == config.degrees[0] and np.array_equal(u, u[::-1])
+    return _VortexSystem(grid, ConformalMetric(u), config, symmetric).solve(v, opts)
 
 
 # ---------------------------------------------------------------------------

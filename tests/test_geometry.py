@@ -20,6 +20,7 @@ from gravortex import (
     NonabelianMetric,
     NumericInputError,
     build_grid,
+    einstein_bogomolnyi_solve,
     futaki_quadrature,
     gravitating_residual,
     integrate,
@@ -30,6 +31,7 @@ from gravortex import (
     round_metric,
     scalar_curvature,
     solve_gravitating,
+    solve_vortex,
     volume,
     vortex_residual,
 )
@@ -355,6 +357,7 @@ class TestIntegrate:
 ABELIAN = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
 RANK2 = HiggsConfig(degrees=(2, 2), exponents=(1, 0), tau=9.0)
 SPEC = gravitating_vortex_spec(2, 1, 5.0, 0.1)
+SCHEDULE = ContinuationSchedule((0.0, 0.04, 0.08))
 
 
 def _state(u, v):
@@ -528,6 +531,28 @@ CHECKS = [
         lambda g, m, z: solve_gravitating(ABELIAN, ContinuationSchedule((0.0,)), g, v0=z),
         ["initial guess"],
         id="solve_gravitating",
+    ),
+    # the solvers' own starts, coarse solves and prolongations are not checked
+    # again: these made 1, 8 and 4 checks, the v0 case 1
+    pytest.param(
+        lambda g, m, z: solve_vortex(build_grid(257), None, ABELIAN),
+        [],
+        id="solve_vortex-nested",
+    ),
+    pytest.param(
+        lambda g, m, z: solve_gravitating(ABELIAN, SCHEDULE, build_grid(257)),
+        [],
+        id="solve_gravitating-nested",
+    ),
+    pytest.param(
+        lambda g, m, z: solve_gravitating(ABELIAN, SCHEDULE, build_grid(129), v0=np.zeros(129)),
+        ["initial guess"],
+        id="solve_gravitating-v0",
+    ),
+    pytest.param(
+        lambda g, m, z: einstein_bogomolnyi_solve(ABELIAN, build_grid(257)),
+        [],
+        id="einstein_bogomolnyi_solve-nested",
     ),
 ]
 

@@ -505,18 +505,18 @@ class TestEinsteinBogomolnyi:
         # alpha* is solved once: by the reduced solve up to n = 129, and
         # above it by one coupled step that verifies the prolonged state
         reduced, coupled = [], []
-        solve, step = _EinsteinBogomolnyiSystem.solve, gravitating._coupled_step
+        solve, step = _EinsteinBogomolnyiSystem.solve, _CoupledSystem.solve
         monkeypatch.setattr(
             _EinsteinBogomolnyiSystem,
             "solve",
             lambda system, x, opts: (reduced.append(system.grid.n), solve(system, x, opts))[1],
         )
         monkeypatch.setattr(
-            gravitating,
-            "_coupled_step",
-            lambda config, grid, alpha, *args: (
-                coupled.append((grid.n, alpha)),
-                step(config, grid, alpha, *args),
+            _CoupledSystem,
+            "solve",
+            lambda system, x, opts: (
+                coupled.append((system.grid.n, system.alpha)),
+                step(system, x, opts),
             )[1],
         )
         for fine in (grid, build_grid(257)):

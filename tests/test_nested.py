@@ -25,9 +25,9 @@ from gravortex import (
     vortex_residual,
 )
 from gravortex import geometry, gravitating
-from gravortex.gravitating import _CoupledSystem
+from gravortex.gravitating import _CoupledSystem, _EinsteinBogomolnyiSystem
 from gravortex.geometry import round_metric
-from gravortex.vortex import _VortexSystem, damped_newton, roundoff_floor
+from gravortex.vortex import NewtonSystem, _VortexSystem, damped_newton, roundoff_floor
 
 CFG = HiggsConfig(degrees=(2,), exponents=(1,), tau=5.0)
 ASYMMETRIC = HiggsConfig(degrees=(3,), exponents=(1,), tau=7.0)  # full-size Newton steps
@@ -147,22 +147,18 @@ def step_calls(monkeypatch):
     """The (n, alpha) of every continuation step solved; ``stops`` relabels a step's stop."""
     calls, stops = [], {}
 
-    def recorded(solve, alpha_of):
-        def step(config, grid, *args):
-            alpha = alpha_of(args)
-            calls.append((grid.n, alpha))
-            result = solve(config, grid, *args)
-            stop = stops.get((grid.n, alpha))
-            if stop is not None:
-                result = dataclasses.replace(result, converged=False, stop_reason=stop)
-            return result
+    make_step = gravitating._step
 
-        return step
+    def step(system, *args):
+        key = (system.grid.n, system.alpha)
+        calls.append(key)
+        result = make_step(system, *args)
+        stop = stops.get(key)
+        if stop is not None:
+            result = dataclasses.replace(result, converged=False, stop_reason=stop)
+        return result
 
-    round_step = recorded(gravitating._round_step, lambda args: 0.0)
-    coupled_step = recorded(gravitating._coupled_step, lambda args: args[0])
-    monkeypatch.setattr(gravitating, "_round_step", round_step)
-    monkeypatch.setattr(gravitating, "_coupled_step", coupled_step)
+    monkeypatch.setattr(gravitating, "_step", step)
     return calls, stops
 
 
@@ -293,6 +289,36 @@ def test_non_finite_start_is_not_converged():
 def test_max_iter_named():
     _, report = solve_vortex(build_grid(129), None, CFG, NewtonOptions(max_iter=1))
     assert report.stop_reason == "max_iter" and report.iterations == 1
+
+
+def _system_and_start(kind, grid):
+    zero = np.zeros(grid.n)
+    if kind == "vortex":
+        return _VortexSystem(grid, round_metric(grid), CFG, True), zero
+    if kind == "coupled":
+        return _CoupledSystem(grid, CFG, 0.05, True), np.concatenate([zero, zero, [4.0]])
+    system = _EinsteinBogomolnyiSystem(grid, CFG, 0.2, True)  # alpha* = 4 / (2 tau N)
+    return system, system.start(zero)
+
+
+@pytest.mark.parametrize("max_iter", (2, 50))
+@pytest.mark.parametrize("kind", ["vortex", "coupled", "einstein_bogomolnyi"])
+def test_solve_report_is_the_damped_newton_outcome(kind, max_iter):
+    # NewtonSystem.solve reports damped_newton's outcome from an even start,
+    # converged or stopped on max_iter
+    grid = build_grid(65)
+    system, start = _system_and_start(kind, grid)
+    opts = NewtonOptions(max_iter=max_iter)
+    x, report = NewtonSystem.solve(system, start, opts)
+    expected, history, stop_reason, iterations = damped_newton(
+        start, system.evaluate, system.newton_step, opts
+    )
+    assert np.array_equal(x, expected)
+    assert (report.stop_reason, report.iterations) == (stop_reason, iterations)
+    assert (report.diagnostics, report.resolution) == (history, grid.n)
+    assert report.converged == (stop_reason == "converged")
+    assert report.residual_sup == history[-1]
+    assert stop_reason == ("max_iter" if max_iter == 2 else "converged")
 
 
 @pytest.mark.parametrize("n", (65, 129, 257))

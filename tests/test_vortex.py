@@ -177,10 +177,10 @@ class TestSolveVortex:
         else:
             system = _CoupledSystem(grid, cfg, 0.05, True)
             start = np.concatenate([0.2 * bump, bump, [3.0]])
-            x, _, stop_reason, _ = system.solve(start, NewtonOptions())
+            x, report = system.solve(start, NewtonOptions())
             schedule = ContinuationSchedule(alphas=(0.0, 0.05))
             reference, _ = solve_gravitating(cfg, schedule, grid)
-            assert stop_reason == "converged"
+            assert report.stop_reason == "converged"
             fields, references = system.unpack(x)[:2], [reference.metric.u, reference.bundle.v]
         for field, expected in zip(fields, references, strict=True):
             assert np.array_equal(field, field[::-1])
